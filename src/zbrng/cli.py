@@ -11,9 +11,9 @@ import sys
 import numpy as np
 
 from .exact import ExactError, format_cyc
-from .rng_core import (FormatError, FusionRing, RingError,
-                       identity_coefficients, ring_from_text, ring_to_text,
-                       verify_axioms)
+from .rng_core import (FormatError, FusionRing, RingError, assoc_witness,
+                       identity_coefficients, ring_blocks, ring_from_text,
+                       ring_to_text, verify_axioms)
 from .spectra import (SMatrix, SpectraError, closed_subset_heuristic,
                       involution_from_smatrix, smatrix_from_tensor,
                       smatrix_from_text, smatrix_to_text, subring_smatrix,
@@ -121,12 +121,9 @@ def cmd_identity(args):
 
 def cmd_smatrix(args):
     ring = as_ring(load_any(args.file))
-    N = ring.N
-    lhs = np.einsum("ijm,mkl->ijkl", N, N)
-    rhs = np.einsum("jkm,iml->ijkl", N, N)
-    if not np.array_equal(lhs, rhs):
-        i, j, k, _ = map(int, np.argwhere(lhs != rhs)[0])
-        print("associativity fails at (%d, %d, %d)" % (i, j, k))
+    w = assoc_witness(ring.N, None)
+    if w is not None:
+        print("associativity fails at (%d, %d, %d)" % w[:3])
         return 1
     s = smatrix_from_tensor(ring, tol=args.tol)
     return emit(args, smatrix_to_text(s))
@@ -139,10 +136,7 @@ def cmd_verlinde(args):
         tilde = involution_from_smatrix(s, tol=args.tol)
     except SpectraError as exc:
         print("no involution: %s" % exc)
-        for i in range(s.n):
-            print("N %d" % i)
-            for j in range(s.n):
-                print(" ".join(str(int(v)) for v in res.tensor[i, j]))
+        print("\n".join(ring_blocks(res.tensor)))
         return 1
     ring = ring_from_tensor(s.n, res.tensor, tilde)
     return emit(args, ring_to_text(ring))
@@ -168,11 +162,7 @@ def cmd_subring(args):
 def cmd_quotient2(args):
     ring = as_ring(load_any(args.file))
     alg, classmap = order2_quotient(ring, args.d)
-    lines = ["zbrng 1", "n %d" % alg.m]
-    for i in range(alg.m):
-        lines.append("N %d" % i)
-        for j in range(alg.m):
-            lines.append(" ".join(str(int(v)) for v in alg.tensor[i, j]))
+    lines = ["zbrng 1", "n %d" % alg.m] + ring_blocks(alg.tensor)
     for i, (r, sg) in enumerate(classmap):
         lines.append("class %d %d %d" % (i, r, sg))
     return emit(args, "\n".join(lines) + "\n")
@@ -314,7 +304,6 @@ def cmd_gen_ds3(args):
 def _add_common(p, out=True):
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--machine", action="store_true")
-    p.add_argument("--seed", type=int, default=0, help="reserved")
     if out:
         p.add_argument("-o", "--out")
 

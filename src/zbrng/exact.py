@@ -104,6 +104,9 @@ class CycNum:
     def is_zero(self):
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def is_rational(self):
         return all(e == 0 for e in self.coeffs)
 
@@ -288,27 +291,6 @@ class CycNum:
         return "CycNum(%s)" % format_cyc(self)
 
 
-def cyc_arith(a, b, op):
-    """Strict same-order arithmetic; callers embed to a common order first."""
-    if a.q != b.q:
-        raise ExactError("order mismatch")
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ExactError("unknown op %r" % (op,))
-
-
-def cyc_conj(a):
-    return a.conj()
-
-
-def cyc_embed(a):
-    return a.embed()
-
-
 # ---------------------------------------------------------------------------
 # literal grammar: entry := term (('+'|'-') term)*
 #                  term  := coeff | coeff '*' root | root
@@ -403,23 +385,8 @@ def format_cyc(a):
 
 
 # ---------------------------------------------------------------------------
-# exact rational linear algebra
-
-class RatMatrix:
-    """Dense matrix of Fractions."""
-
-    def __init__(self, entries):
-        self.entries = [[Fraction(x) for x in row] for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        if self.rows == 0 or self.cols == 0:
-            raise ExactError("empty matrix")
-        if any(len(r) != self.cols for r in self.entries):
-            raise ExactError("ragged matrix")
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
+# exact linear algebra: rational kernel, rank and solve; one inverse over
+# Fractions or CycNums
 
 def _int_rows(entries):
     """Scale each row to integers (clears denominators, divides by gcd)."""
@@ -473,11 +440,7 @@ def _echelon(m):
 
 def rat_kernel(M):
     """Exact basis of the right kernel of M; list of Fraction vectors."""
-    if isinstance(M, RatMatrix):
-        entries = M.entries
-    else:
-        entries = [[Fraction(x) for x in row] for row in M]
-    m = _int_rows(entries)
+    m = _int_rows([[Fraction(x) for x in row] for row in M])
     cols = len(m[0])
     pivots = _echelon(m)
     pivset = set(pivots)
@@ -499,17 +462,13 @@ def rat_kernel(M):
 
 
 def rat_rank(M):
-    entries = M.entries if isinstance(M, RatMatrix) else [
-        [Fraction(x) for x in row] for row in M]
-    m = _int_rows(entries)
-    return len(_echelon(m))
+    return len(_echelon(_int_rows([[Fraction(x) for x in row] for row in M])))
 
 
 def rat_solve(A, b):
     """Solve A x = b exactly.  Returns the unique solution vector, raises
     ExactError("inconsistent") or ExactError("underdetermined")."""
-    entries = A.entries if isinstance(A, RatMatrix) else [
-        [Fraction(x) for x in row] for row in A]
+    entries = [[Fraction(x) for x in row] for row in A]
     rows = len(entries)
     cols = len(entries[0])
     aug = [list(entries[i]) + [Fraction(b[i])] for i in range(rows)]
@@ -529,45 +488,37 @@ def rat_solve(A, b):
     return x
 
 
-def rat_inverse(A):
-    """Exact inverse of a square Fraction matrix (list of lists)."""
-    entries = A.entries if isinstance(A, RatMatrix) else [
-        [Fraction(x) for x in row] for row in A]
-    n = len(entries)
-    aug = [list(entries[i]) + [Fraction(int(i == j)) for j in range(n)]
+def exact_int(c):
+    """The integer value of an int, Fraction or CycNum, or None if it is not
+    an integer."""
+    if isinstance(c, CycNum):
+        if not c.is_rational():
+            return None
+        c = c.rational_value()
+    return c.numerator if c.denominator == 1 else None
+
+
+def mat_inverse(rows):
+    """Exact inverse of a square matrix of Fractions or of CycNums
+    (Gauss-Jordan); raises ExactError("singular matrix")."""
+    n = len(rows)
+    unit = CycNum.from_rat if isinstance(rows[0][0], CycNum) else Fraction
+    zero, one = unit(0), unit(1)
+    aug = [list(rows[i]) + [one if i == j else zero for j in range(n)]
            for i in range(n)]
     for c in range(n):
         p = next((i for i in range(c, n) if aug[i][c]), None)
         if p is None:
             raise ExactError("singular matrix")
         aug[c], aug[p] = aug[p], aug[c]
-        piv = aug[c][c]
-        aug[c] = [x / piv for x in aug[c]]
+        piv_inv = one / aug[c][c]
+        aug[c] = [x * piv_inv for x in aug[c]]
         for i in range(n):
             if i != c and aug[i][c]:
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
     return [row[n:] for row in aug]
 
-
-def cyc_matrix_inverse(rows):
-    """Exact inverse of a square CycNum matrix (Gauss-Jordan)."""
-    n = len(rows)
-    zero, one = CycNum.from_rat(0), CycNum.from_rat(1)
-    aug = [[x for x in rows[i]] + [one if i == j else zero for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        p = next((i for i in range(c, n) if not aug[i][c].is_zero()), None)
-        if p is None:
-            raise ExactError("singular matrix")
-        aug[c], aug[p] = aug[p], aug[c]
-        piv_inv = aug[c][c].inv()
-        aug[c] = [x * piv_inv for x in aug[c]]
-        for i in range(n):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 # ---------------------------------------------------------------------------
 # linear algebra over GF(p), p prime

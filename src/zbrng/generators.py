@@ -1,7 +1,7 @@
 """Constructions used throughout: Sylvester and Paley type I Hadamard
 matrices, Kronecker products, group-ring s-matrices, exterior squares,
-level-k sl2 character matrices, and one fixed 6x6 matrix with a negative
-structure constant.
+level-k sl2 character matrices, and one fixed 6x6 matrix whose Verlinde
+constants are nonnegative integers although its rows are not orthogonal.
 """
 
 from math import lcm
@@ -131,8 +131,9 @@ def kac_peterson_a1(level):
 
 
 def fixture_ds3():
-    """6x6 integer character matrix with a negative structure constant
-    among the Verlinde coefficients."""
+    """6x6 integer matrix whose Verlinde constants are integers with minimum
+    0, while its rows are not orthogonal (row 0 . row 1 = 8): a pointed
+    algebra with nonnegative constants, not the s-matrix of a based ring."""
     rows = [
         (1, 2, 3, 2, 2, 2),
         (1, 2, -3, 2, 2, 2),

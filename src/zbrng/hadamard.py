@@ -13,7 +13,8 @@ from math import comb
 import numpy as np
 
 from .exact import gf_kernel, gf_rank, rat_kernel
-from .rng_core import FormatError, is_closed_subset, ring_from_tensor
+from .rng_core import (FormatError, assoc_witness, is_closed_subset,
+                       ring_from_tensor)
 
 
 class HadamardError(ValueError):
@@ -356,15 +357,14 @@ def f2_algebra_check(k, tensor=None):
     N = f2_tensor(k) if tensor is None else np.asarray(tensor, dtype=np.uint8)
     if not np.array_equal(N, N.transpose(1, 0, 2)):
         return False
-    N64 = N.astype(np.int64)
-    lhs = np.einsum("ijm,mkl->ijkl", N64, N64) % 2
-    rhs = np.einsum("jkm,iml->ijkl", N64, N64) % 2
-    return bool(np.array_equal(lhs, rhs))
+    return assoc_witness(N, 2) is None
 
 
 def v_rank(H):
-    """Rank over GF(2) of v_ij = (1 - s_ij)/2; at most 4k-2."""
-    v = ((1 - H.array) // 2).tolist()
+    """Rank over GF(2) of v_ij = (1 - s_ij)/2 once the columns are scaled so
+    that row 0 is all ones too; at most 4k-2."""
+    a = H.array * H.array[0]
+    v = ((1 - a) // 2).tolist()
     r = gf_rank(v, 2)
     if r > H.n - 2:
         raise HadamardError("rank bound violated")

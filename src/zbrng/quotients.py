@@ -8,13 +8,14 @@ index table plus a scalar table instead of a dense m^3 tensor.
 """
 
 from collections import deque
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
-from .exact import CycNum, cyc_matrix_inverse, rat_inverse
-from .rng_core import RingError, identity_coefficients
+from .exact import CycNum, exact_int
+from .rng_core import (RingError, assoc_witness, identity_coefficients,
+                       ring_blocks)
+from .spectra import decompose
 
 
 class QuotientError(ValueError):
@@ -64,9 +65,7 @@ def verify_pointed(alg, samples=512, seed=0):
         N = alg.tensor
         if not np.array_equal(N, N.transpose(1, 0, 2)):
             return False
-        lhs = np.einsum("ijm,mkl->ijkl", N, N)
-        rhs = np.einsum("jkm,iml->ijkl", N, N)
-        return bool(np.array_equal(lhs, rhs))
+        return assoc_witness(N, None) is None
     prod, mu = alg.prod, alg.mu
     if not (np.array_equal(prod, prod.T) and np.array_equal(mu, mu.T)):
         return False
@@ -97,9 +96,8 @@ def order2_quotient(R, d):
         e = identity_coefficients(R)
     except RingError as exc:
         raise QuotientError("d not of order 2") from exc
-    for m in range(n):
-        if not e[m].is_integer() or int(e[m].rational_value()) != N[d, d, m]:
-            raise QuotientError("d not of order 2")
+    if any(exact_int(e[m]) != N[d, d, m] for m in range(n)):
+        raise QuotientError("d not of order 2")
 
     perm, sign = [0] * n, [0] * n
     for i in range(n):
@@ -273,30 +271,15 @@ def fannsc_lift(s, cap=4096):
     lifted = PointedAlgebra(elems, prod=prod, mu=mu_table)
 
     # exact integral decomposition of every g(h) h over the columns
+    inv = s.inverse(tol=None)
+    roots = [1, -1] if s.q == 1 else [CycNum.zeta(Q) ** t for t in range(Q)]
     E = np.zeros((m, n), dtype=np.int64)
-    if s.q == 1:
-        A = [[e.rational_value() for e in row] for row in s.rows]
-        Ainv = rat_inverse(A)
-        val = [1, -1]
-        for w, h in enumerate(elems):
-            vec = [g[h] * val[t] for t in h]
-            for r in range(n):
-                c = sum(Ainv[r][l] * vec[l] for l in range(n) if vec[l])
-                if c.denominator != 1:
-                    raise QuotientError("non-integral decomposition")
-                E[w, r] = c
-    else:
-        Ainv = cyc_matrix_inverse(s.rows)
-        zpow = [CycNum.zeta(Q) ** t for t in range(Q)]
-        for w, h in enumerate(elems):
-            vec = [CycNum.from_rat(g[h]) * zpow[t] for t in h]
-            for r in range(n):
-                c = CycNum.from_rat(0)
-                for l in range(n):
-                    c = c + Ainv[r][l] * vec[l]
-                if not c.is_integer():
-                    raise QuotientError("non-integral decomposition")
-                E[w, r] = int(c.rational_value())
+    for w, h in enumerate(elems):
+        for r, c in enumerate(decompose(inv, [g[h] * roots[t] for t in h])):
+            v = exact_int(c)
+            if v is None:
+                raise QuotientError("non-integral decomposition")
+            E[w, r] = v
 
     distinguished = [-1] * n
     for i in range(n):
@@ -341,11 +324,7 @@ def lift_to_text(L, dense_limit=128):
     alg = L.lifted
     if alg.m <= dense_limit:
         lines = ["zbrng 1", "n %d" % alg.m]
-        N = alg.dense_tensor(limit=dense_limit)
-        for i in range(alg.m):
-            lines.append("N %d" % i)
-            for j in range(alg.m):
-                lines.append(" ".join(str(int(x)) for x in N[i, j]))
+        lines += ring_blocks(alg.dense_tensor(limit=dense_limit))
     else:
         lines = ["zbrng-monomial 1", "n %d" % alg.m]
         for i in range(alg.m):

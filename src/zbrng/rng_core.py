@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import CycNum, ExactError, rat_solve
+from .exact import CycNum, ExactError, exact_int, rat_solve
 
 
 class RingError(ValueError):
@@ -30,10 +30,6 @@ class FusionRing:
         self.N = N
         self.tilde = tilde
         self.eCoeffs = None   # set by identity_coefficients
-        self.q = None
-
-    def basis_product(self, i, j):
-        return RingElement.from_ints(self.N[i, j])
 
     def __repr__(self):
         return "FusionRing(n=%d)" % self.n
@@ -63,12 +59,10 @@ class RingElement:
 
     def integer_vector(self):
         """Numpy int64 vector, or None if some coefficient is not integral."""
-        out = np.zeros(len(self.coeffs), dtype=np.int64)
-        for i, c in enumerate(self.coeffs):
-            if not c.is_integer():
-                return None
-            out[i] = int(c.rational_value())
-        return out
+        ints = [exact_int(c) for c in self.coeffs]
+        if None in ints:
+            return None
+        return np.array(ints, dtype=np.int64)
 
     def __repr__(self):
         from .exact import format_cyc
@@ -130,7 +124,6 @@ def identity_coefficients(ring):
             raise RingError("no identity in R(x)C") from exc
         raise RingError("identity not unique") from exc
     ring.eCoeffs = [CycNum.from_rat(c) for c in sol]
-    ring.q = 1
     return ring.eCoeffs
 
 
@@ -170,6 +163,38 @@ def _first_mismatch(a, b):
     return tuple(int(x) for x in idx[0]) if len(idx) else None
 
 
+def assoc_witness(N, modulus):
+    """First (i, j, k, l) in C order at which (b_i b_j) b_k and b_i (b_j b_k)
+    differ in coefficient l (mod modulus unless it is None), or None.  Works in slabs
+    of i, so memory is O(n^3).  Every sum is bounded by max|N|^2 * n, which
+    picks the dtype: float64 below 2^53, int64 below 2^63, Python ints
+    above; a nonzero difference of two such sums cannot round or wrap to 0."""
+    N = np.asarray(N, dtype=np.int64)
+    if modulus is not None:
+        N = N % modulus
+    n = N.shape[0]
+    big = max(int(N.max()), -int(N.min())) if N.size else 0
+    bound = big * big * n
+    A = N.astype(np.float64 if bound < 2 ** 53 else
+                 np.int64 if bound < 2 ** 63 else object)
+    # only zero matters, so the sign-keeping fmod serves (much faster than %
+    # on floats); object arrays have no fmod
+    reduce = np.remainder if A.dtype == object else np.fmod
+    left = A.reshape(n, n * n)      # (m, kl): N[m, k, l]
+    right = A.reshape(n * n, n)     # (jk, m): N[j, k, m]
+    for i in range(n):
+        # lhs[j, kl] = sum_m N[i, j, m] N[m, k, l]
+        # rhs[jk, l] = sum_m N[j, k, m] N[i, m, l]
+        diff = (A[i] @ left).reshape(n, n, n) - (right @ A[i]).reshape(n, n, n)
+        if modulus is not None:
+            diff = reduce(diff, modulus)
+        bad = np.flatnonzero(diff)
+        if len(bad):
+            return (i,) + tuple(int(x) for x in
+                                np.unravel_index(bad[0], (n, n, n)))
+    return None
+
+
 def verify_axioms(ring):
     """Check, in order: commutativity, associativity, involution
     compatibility, identity existence, e~ = e, duality tau(b~_i b_j) = d_ij."""
@@ -182,9 +207,7 @@ def verify_axioms(ring):
     rep.add("commutativity", w is None, w)
 
     # regular-representation identity: (b_i b_j) b_k = b_i (b_j b_k)
-    lhs = np.einsum("ijm,mkl->ijkl", N, N)
-    rhs = np.einsum("jkm,iml->ijkl", N, N)
-    w = _first_mismatch(lhs, rhs)
+    w = assoc_witness(N, None)
     rep.add("associativity", w is None, w)
 
     w = _first_mismatch(N[np.ix_(tl, tl)][:, :, tl], N)
@@ -301,14 +324,19 @@ def subring_restrict(ring, S):
 #   zbrng 1 / n <n> / involution p_0 .. p_{n-1} / n blocks "N <i>" each with
 #   n lines of n integers (row j, column m)
 
+def ring_blocks(N):
+    """The n blocks "N i" of the text format, as a list of lines."""
+    lines = []
+    for i, block in enumerate(N.tolist()):
+        lines.append("N %d" % i)
+        lines.extend(" ".join(map(str, row)) for row in block)
+    return lines
+
+
 def ring_to_text(ring):
     lines = ["zbrng 1", "n %d" % ring.n,
              "involution " + " ".join(str(t) for t in ring.tilde)]
-    for i in range(ring.n):
-        lines.append("N %d" % i)
-        for j in range(ring.n):
-            lines.append(" ".join(str(int(v)) for v in ring.N[i, j]))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + ring_blocks(ring.N)) + "\n"
 
 
 def ring_from_text(text):
@@ -338,7 +366,7 @@ def ring_from_text(text):
                 at += 1
         if at != len(lines):
             raise FormatError("trailing content")
-    except (IndexError, ValueError) as exc:
+    except (IndexError, ValueError, OverflowError) as exc:
         if isinstance(exc, FormatError):
             raise
         raise FormatError("malformed ring file: %s" % exc) from exc

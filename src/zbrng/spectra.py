@@ -12,8 +12,8 @@ from math import lcm
 
 import numpy as np
 
-from .exact import (CycNum, ExactError, cyc_matrix_inverse, format_cyc,
-                    parse_cyc, rat_inverse)
+from .exact import (CycNum, ExactError, exact_int, format_cyc, mat_inverse,
+                    parse_cyc)
 from .rng_core import FormatError
 
 
@@ -22,7 +22,8 @@ class SpectraError(ValueError):
 
 
 class SMatrix:
-    """Square matrix over CycNum (exact) or complex floats (numeric)."""
+    """Square matrix over CycNum (exact) or complex floats (numeric).  An
+    exact matrix whose entries are all rational has order q = 1."""
 
     def __init__(self, mode, n, data, q=None):
         self.mode = mode
@@ -40,6 +41,9 @@ class SMatrix:
             raise SpectraError("s-matrix must be square")
         conv = [[e if isinstance(e, CycNum) else CycNum.from_rat(e) for e in r]
                 for r in rows]
+        if all(e.is_rational() for r in conv for e in r):
+            conv = [[CycNum.from_rat(e.rational_value()) for e in r]
+                    for r in conv]
         q = 1
         for r in conv:
             for e in r:
@@ -59,17 +63,50 @@ class SMatrix:
             return [self.rows[l][i] for l in range(self.n)]
         return self.array[:, i]
 
+    def _working_rows(self):
+        """Rows in the scalars the kernels compute with: Fractions when
+        q = 1, CycNums otherwise."""
+        if self.q == 1:
+            return [[e.rational_value() for e in row] for row in self.rows]
+        return self.rows
+
+    def working_columns(self):
+        """Columns in working scalars (complex arrays when numeric)."""
+        if self.mode == "numeric":
+            return list(self.array.T)
+        return [list(col) for col in zip(*self._working_rows())]
+
+    def inverse(self, tol):
+        """s^-1 in working scalars: exact Gauss-Jordan, or np.linalg.inv
+        after a singular-value guard scaled by tol (unused when exact)."""
+        if self.mode == "numeric":
+            sv = np.linalg.svd(self.array, compute_uv=False)
+            if sv[-1] <= tol * max(1.0, sv[0]):
+                raise SpectraError("singular matrix")
+            return np.linalg.inv(self.array)
+        try:
+            return mat_inverse(self._working_rows())
+        except ExactError as exc:
+            raise SpectraError("singular matrix") from exc
+
     def to_numeric(self):
         if self.mode == "numeric":
             return self.array
         return np.array([[e.embed() for e in row] for row in self.rows],
                         dtype=np.complex128)
 
-    def entry(self, l, i):
-        return self.rows[l][i] if self.mode == "exact" else self.array[l, i]
-
     def __repr__(self):
         return "SMatrix(%s, n=%d)" % (self.mode, self.n)
+
+
+def decompose(inv, w):
+    """Coefficients of w over the s-matrix columns, inv = SMatrix.inverse:
+    a list of exact scalars (zero entries of w are skipped), or inv @ w for a
+    numeric inverse, where w may hold one vector per column."""
+    if isinstance(inv, np.ndarray):
+        return inv @ w
+    nz = [l for l, x in enumerate(w) if x]
+    return [sum(row[l] * w[l] for l in nz) for row in inv]
 
 
 class VerlindeResult:
@@ -87,49 +124,27 @@ def verlinde_tensor(s, tol=1e-6):
     """N_ij^m = sum_l s_li s_lj s'_ml with s' = s^{-1}; errors if any entry
     is not an integer (within tol in numeric mode)."""
     n = s.n
+    inv = s.inverse(tol)
     if s.mode == "exact":
         N = np.zeros((n, n, n), dtype=np.int64)
-        if s.q == 1:
-            A = [[e.rational_value() for e in row] for row in s.rows]
-            Ainv = rat_inverse(A)
-            cols = [[A[l][i] for l in range(n)] for i in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    w = [cols[i][l] * cols[j][l] for l in range(n)]
-                    for m in range(n):
-                        c = sum(Ainv[m][l] * w[l] for l in range(n) if w[l])
-                        if c.denominator != 1:
-                            raise SpectraError(
-                                "non-integral structure constant at (%d,%d,%d)"
-                                % (i, j, m))
-                        N[i, j, m] = N[j, i, m] = c
-        else:
-            try:
-                Ainv = cyc_matrix_inverse(s.rows)
-            except ExactError as exc:
-                raise SpectraError("singular matrix") from exc
-            cols = [s.column(i) for i in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    w = [cols[i][l] * cols[j][l] for l in range(n)]
-                    for m in range(n):
-                        c = CycNum.from_rat(0)
-                        for l in range(n):
-                            if not w[l].is_zero():
-                                c = c + Ainv[m][l] * w[l]
-                        if not c.is_integer():
-                            raise SpectraError(
-                                "non-integral structure constant at (%d,%d,%d)"
-                                % (i, j, m))
-                        N[i, j, m] = N[j, i, m] = int(c.rational_value())
+        cols = s.working_columns()
+        for i in range(n):
+            for j in range(i, n):
+                w = [x * y for x, y in zip(cols[i], cols[j])]
+                for m, c in enumerate(decompose(inv, w)):
+                    v = exact_int(c)
+                    if v is None:
+                        raise SpectraError(
+                            "non-integral structure constant at (%d,%d,%d)"
+                            % (i, j, m))
+                    N[i, j, m] = N[j, i, m] = v
         return VerlindeResult(N, bool(np.all(N >= 0)), 0.0, "exact")
 
     a = s.array
-    sv = np.linalg.svd(a, compute_uv=False)
-    if sv[-1] <= tol * max(1.0, sv[0]):
-        raise SpectraError("singular matrix")
-    ainv = np.linalg.inv(a)
-    raw = np.einsum("li,lj,ml->ijm", a, a, ainv)
+    raw = np.empty((n, n, n), dtype=np.complex128)
+    for i in range(n):
+        # column j of a[:, i, None] * a is col_i * col_j
+        raw[i] = decompose(inv, a[:, i, None] * a).T
     rounded = np.round(raw.real)
     dev = float(np.max(np.abs(raw - rounded)))
     if dev > tol:
@@ -349,65 +364,31 @@ class _Decomposer:
     does not exist (non-integral constants)."""
 
     def __init__(self, s, tol):
-        self.s = s
-        self.tol = tol
+        self.n = s.n
+        self.cols = s.working_columns()
+        self.inv = s.inverse(tol)
         self.cache = {}
-        if s.mode == "exact":
-            if s.q == 1:
-                A = [[e.rational_value() for e in row] for row in s.rows]
-                self.cols = [[A[l][i] for l in range(s.n)]
-                             for i in range(s.n)]
-                self.Ainv = rat_inverse(A)
-            else:
-                try:
-                    self.Ainv = cyc_matrix_inverse(s.rows)
-                except ExactError as exc:
-                    raise SpectraError("singular matrix") from exc
-        else:
-            a = s.array
-            sv = np.linalg.svd(a, compute_uv=False)
-            if sv[-1] <= tol * max(1.0, sv[0]):
-                raise SpectraError("singular matrix")
-            self.Ainv = np.linalg.inv(a)
-            self.scale = max(1.0, float(np.max(np.abs(a))) ** 2)
+        self.cutoff = None
+        if s.mode == "numeric":
+            self.cutoff = tol * max(1.0, float(np.max(np.abs(s.array))) ** 2)
 
     def support(self, i, j):
         """Indices m with a nonzero coefficient in col_i * col_j."""
         key = (i, j) if i <= j else (j, i)
-        if key in self.cache:
-            return self.cache[key]
-        s, n = self.s, self.s.n
-        if s.mode == "exact":
-            if s.q == 1:
-                ci, cj = self.cols[key[0]], self.cols[key[1]]
-                w = [ci[l] * cj[l] for l in range(n)]
-                sup = frozenset(
-                    m for m in range(n)
-                    if sum(self.Ainv[m][l] * w[l] for l in range(n) if w[l]))
+        if key not in self.cache:
+            w = [x * y for x, y in zip(self.cols[key[0]], self.cols[key[1]])]
+            coeff = decompose(self.inv, w)
+            if self.cutoff is None:
+                sup = frozenset(m for m, c in enumerate(coeff) if c)
             else:
-                ci, cj = s.column(key[0]), s.column(key[1])
-                w = [ci[l] * cj[l] for l in range(n)]
-                sup = set()
-                for m in range(n):
-                    c = CycNum.from_rat(0)
-                    for l in range(n):
-                        if not w[l].is_zero():
-                            c = c + self.Ainv[m][l] * w[l]
-                    if not c.is_zero():
-                        sup.add(m)
-                sup = frozenset(sup)
-        else:
-            w = s.array[:, key[0]] * s.array[:, key[1]]
-            coeff = self.Ainv @ w
-            sup = frozenset(int(m) for m in
-                            np.nonzero(np.abs(coeff) >
-                                       self.tol * self.scale)[0])
-        self.cache[key] = sup
-        return sup
+                sup = frozenset(int(m) for m in
+                                np.nonzero(np.abs(coeff) > self.cutoff)[0])
+            self.cache[key] = sup
+        return self.cache[key]
 
     def closed(self, S):
         sset = set(S)
-        if len(sset) == self.s.n:
+        if len(sset) == self.n:
             return True
         return all(self.support(i, j) <= sset for i in S for j in S if i <= j)
 

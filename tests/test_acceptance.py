@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zbrng.exact import rat_inverse
+from zbrng.exact import mat_inverse
 from zbrng.generators import (exterior_square, fixture_ds3, gen_kronecker,
                               gen_paley, gen_sylvester, group_ring_smatrix,
                               kac_peterson_a1)
@@ -217,7 +217,7 @@ def test_13_heuristic_soundness():
         # independent soundness check: decompose column products exactly
         cols = [[Fraction(int(s28.rows[l][i].rational_value()))
                  for l in range(28)] for i in range(28)]
-        inv = rat_inverse([[cols[i][l] for i in range(28)]
+        inv = mat_inverse([[cols[i][l] for i in range(28)]
                            for l in range(28)])
         for S in got.sets:
             for i in S:

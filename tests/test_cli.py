@@ -82,6 +82,23 @@ def test_smatrix_nonassoc_witness(tmp_path, capsys):
     assert "associativity fails at" in out
 
 
+def test_verify_no_int64_wrap(tmp_path, capsys):
+    f = tmp_path / "wrap.zbrng"
+    f.write_text("zbrng 1\nn 2\ninvolution 0 1\nN 0\n%d 0\n0 %d\n"
+                 "N 1\n0 %d\n0 0\n" % (2 ** 33, 2 ** 32, 2 ** 32))
+    code, out, _ = run(capsys, "verify", str(f), "--machine")
+    assert code == 1
+    assert json.loads(out)["associativity"] == {"pass": False,
+                                                "witness": [0, 0, 1, 1]}
+
+
+def test_verify_huge_entry_exit2(tmp_path, capsys):
+    f = tmp_path / "huge.zbrng"
+    f.write_text("zbrng 1\nn 1\ninvolution 0\nN 0\n%d\n" % 2 ** 66)
+    code, _, err = run(capsys, "verify", str(f))
+    assert code == 2 and err.startswith("input error")
+
+
 def test_verlinde_emits_ring(z3_file, capsys):
     code, out, _ = run(capsys, "verlinde", str(z3_file[0]))
     assert code == 0

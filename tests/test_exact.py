@@ -3,10 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from zbrng.exact import (CycNum, ExactError, cyc_matrix_inverse,
-                         cyclotomic_poly, format_cyc, gf_echelon, gf_kernel,
-                         gf_rank, parse_cyc, rat_inverse, rat_kernel,
-                         rat_rank, rat_solve)
+from zbrng.exact import (CycNum, ExactError, cyclotomic_poly, format_cyc,
+                         gf_echelon, gf_kernel, gf_rank, mat_inverse,
+                         parse_cyc, rat_kernel, rat_rank, rat_solve)
 
 
 @pytest.mark.parametrize("q,coeffs", [
@@ -106,12 +105,12 @@ def test_rat_solve_and_inverse():
     A = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
     x = rat_solve(A, [Fraction(5), Fraction(10)])
     assert x == [Fraction(1), Fraction(3)]
-    Ainv = rat_inverse(A)
+    Ainv = mat_inverse(A)
     ident = [[sum(A[i][k] * Ainv[k][j] for k in range(2)) for j in range(2)]
              for i in range(2)]
     assert ident == [[1, 0], [0, 1]]
     with pytest.raises(ExactError):
-        rat_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+        mat_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
     with pytest.raises(ExactError):
         rat_solve([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
                   [Fraction(0), Fraction(1)])
@@ -134,7 +133,7 @@ def test_cyc_matrix_inverse():
     rows = [[one, one, one],
             [one, z, z * z],
             [one, z * z, z]]
-    inv = cyc_matrix_inverse(rows)
+    inv = mat_inverse(rows)
     for i in range(3):
         for j in range(3):
             acc = CycNum.from_rat(0)
@@ -142,7 +141,7 @@ def test_cyc_matrix_inverse():
                 acc = acc + rows[i][k] * inv[k][j]
             assert acc == CycNum.from_rat(int(i == j))
     with pytest.raises(ExactError):
-        cyc_matrix_inverse([[one, one], [one, one]])
+        mat_inverse([[one, one], [one, one]])
 
 
 def test_gf_linear_algebra():

@@ -171,6 +171,14 @@ def test_v_rank_values(paley12, sylvester16):
     assert v_rank(gen_sylvester(2)) == 2
 
 
+def test_v_rank_column_signs(paley12):
+    # column signs leave row 0 of the row-normalized matrix not all ones
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        signs = rng.choice([-1, 1], size=12)
+        assert v_rank(normalize_hadamard(paley12.array * signs)) == 10
+
+
 def test_v_rank_bound():
     for H in (gen_paley(19), gen_sylvester(2), gen_kronecker(
             gen_sylvester(2), np.array([[1, 1], [1, -1]]))):

@@ -1,9 +1,11 @@
-import numpy as np
-import pytest
+import itertools
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from zbrng.generators import group_ring_smatrix
-from zbrng.rng_core import (FormatError, RingElement, RingError,
+from zbrng.rng_core import (FormatError, RingElement, RingError, assoc_witness,
                             identity_coefficients, is_closed_subset, multiply,
                             ring_from_tensor, ring_from_text, ring_to_text,
                             search_involution, subring_restrict,
@@ -50,6 +52,81 @@ def test_verify_reports_witness():
     report = verify_axioms(ring)
     assert not report.all_pass
     assert any(a == "duality" for a, _ in report.failures())
+
+
+def full_einsum_witness(N, modulus=None):
+    """The first associativity mismatch of the two full n^4 int64 tensors."""
+    lhs = np.einsum("ijm,mkl->ijkl", N, N)
+    rhs = np.einsum("jkm,iml->ijkl", N, N)
+    if modulus is not None:
+        lhs, rhs = lhs % modulus, rhs % modulus
+    idx = np.argwhere(lhs != rhs)
+    return tuple(int(x) for x in idx[0]) if len(idx) else None
+
+
+def test_assoc_witness_matches_full_einsum(paley12_ring):
+    N = paley12_ring.N
+    assert assoc_witness(N, None) is None
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        bad = N.copy()
+        i, j, m = (int(x) for x in rng.integers(0, 12, size=3))
+        bad[i, j, m] += int(rng.integers(1, 4))
+        bad[j, i, m] = bad[i, j, m]
+        want = full_einsum_witness(bad)
+        assert want is not None
+        assert assoc_witness(bad, None) == want
+        assert assoc_witness(bad, 2) == full_einsum_witness(bad, 2)
+
+
+def test_assoc_witness_no_int64_wrap():
+    # (b0 b0) b1 has coefficient 2^65 at b1, b0 (b0 b1) has 2^64: equal
+    # modulo 2^64, so full int64 tensors wrap and see no failure
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[0, 0, 0] = 2 ** 33
+    N[0, 1, 1] = N[1, 0, 1] = 2 ** 32
+    assert full_einsum_witness(N) is None
+    assert assoc_witness(N, None) == (0, 0, 1, 1)
+    report = verify_axioms(ring_from_tensor(2, N, (0, 1)))
+    assert ("associativity", (0, 0, 1, 1)) in report.failures()
+
+
+def python_witness(N):
+    """The first associativity mismatch, summed over Python ints."""
+    T = N.tolist()
+    n = len(T)
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        if (sum(T[i][j][m] * T[m][k][l] for m in range(n))
+                != sum(T[j][k][m] * T[i][m][l] for m in range(n))):
+            return (i, j, k, l)
+    return None
+
+
+def fibonacci_tensor(k):
+    """C^2 with idempotents e_0, e_1, in the basis b_i = sum_a P[i, a] e_a
+    with P = [[F(k+1), F(k)], [F(k), F(k-1)]] of determinant +-1: associative,
+    with integer constants of size about F(k)^3 whose products cancel."""
+    F = [0, 1]
+    while len(F) < k + 2:
+        F.append(F[-1] + F[-2])
+    P = [[F[k + 1], F[k]], [F[k], F[k - 1]]]
+    sign = (-1) ** k
+    Q = [[sign * F[k - 1], -sign * F[k]], [-sign * F[k], sign * F[k + 1]]]
+    return np.array([[[sum(P[i][a] * P[j][a] * Q[a][m] for a in range(2))
+                       for m in range(2)] for j in range(2)]
+                     for i in range(2)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("k", [6, 15, 22])
+def test_assoc_witness_every_dtype(k):
+    # max|N|^2 * n falls in the float64, int64 and Python-int ranges; the sums
+    # cancel, so an inexact dtype would report false mismatches
+    N = fibonacci_tensor(k)
+    assert assoc_witness(N, None) is None
+    N[0, 0, 1] += 1
+    want = python_witness(N)
+    assert want is not None
+    assert assoc_witness(N, None) == want
 
 
 def test_identity_coefficients_group_ring():

@@ -1,13 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from zbrng.exact import CycNum
 from zbrng.generators import (fixture_ds3, gen_paley, group_ring_smatrix,
-                              exterior_square)
+                              exterior_square, kac_peterson_a1)
 from zbrng.hadamard import ring_from_hadamard
 from zbrng.rng_core import FormatError, is_closed_subset
 from zbrng.spectra import (SMatrix, SpectraError, closed_subset_heuristic,
-                           fourier_matrix, involution_from_smatrix,
+                           decompose, fourier_matrix, involution_from_smatrix,
                            mu_uniformity_check, row_orthogonality_check,
                            smatrix_from_tensor, smatrix_from_text,
                            smatrix_to_text, subring_smatrix, verlinde_tensor)
@@ -35,6 +37,34 @@ def test_smatrix_constructors():
         SMatrix.exact([[CycNum.from_rat(1)], []])
     with pytest.raises(SpectraError, match="square"):
         SMatrix.numeric(np.ones((2, 3)))
+
+
+def test_rational_tables_have_order_one():
+    s = group_ring_smatrix([2, 2, 2])
+    assert s.q == 1
+    assert all(isinstance(x, Fraction)
+               for col in s.working_columns() for x in col)
+    assert group_ring_smatrix([2, 3]).q == 6
+
+
+@pytest.mark.parametrize("s", [group_ring_smatrix([2, 3]), fixture_ds3()])
+def test_decompose_exact_columns(s):
+    inv = s.inverse(1e-8)
+    for i, col in enumerate(s.working_columns()):
+        assert decompose(inv, col) == [int(m == i) for m in range(s.n)]
+
+
+def test_decompose_numeric_columns():
+    s = kac_peterson_a1(3)
+    coeff = decompose(s.inverse(1e-8), s.array)
+    assert np.allclose(coeff, np.eye(s.n))
+
+
+def test_exact_inverse_singular():
+    z = CycNum.zeta(3)
+    for rows in ([[1, 1], [1, 1]], [[z, z], [1, 1]]):
+        with pytest.raises(SpectraError, match="singular matrix"):
+            SMatrix.exact(rows).inverse(1e-8)
 
 
 def test_verlinde_exact_group_ring():
