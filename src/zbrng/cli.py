@@ -18,12 +18,13 @@ from .spectra import (SMatrix, SpectraError, closed_subset_heuristic,
                       involution_from_smatrix, smatrix_from_tensor,
                       smatrix_from_text, smatrix_to_text, subring_smatrix,
                       verlinde_tensor)
-from .hadamard import (HadamardError, HadamardMatrix, census_values,
-                       equiv_screen, f2_algebra_check, had_closed_subsets,
-                       hadamard_from_text, hadamard_to_text, multiset_census,
-                       normalize_hadamard, profile, reconstruct_exact,
-                       reconstruct_mod3, ring_from_hadamard, ring_from_tensor,
-                       triangular_bound, v_rank, wmatrix)
+from .hadamard import (HadamardError, HadamardMatrix, PreconditionError,
+                       census_values, equiv_screen, f2_algebra_check,
+                       had_closed_subsets, hadamard_from_text,
+                       hadamard_to_text, multiset_census, normalize_hadamard,
+                       profile, reconstruct_exact, reconstruct_mod3,
+                       ring_from_hadamard, ring_from_tensor, triangular_bound,
+                       v_rank, wmatrix)
 from .quotients import (QuotientError, fannsc_lift, lift_to_text,
                         order2_quotient)
 from .generators import (exterior_square, fixture_ds3, gen_kronecker,
@@ -364,7 +365,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FormatError) as exc:
+    except (InputError, FormatError, PreconditionError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except DOMAIN_ERRORS as exc:

@@ -3,12 +3,20 @@
 Scalars live in Q(zeta_q).  A CycNum stores rational coefficients on the
 power basis zeta_q^0 .. zeta_q^{phi(q)-1}; reduction modulo the q-th
 cyclotomic polynomial makes the representation canonical, so equality of
-values is equality of coefficient dicts (at a common order).
+values is equality of coefficient dicts (at a common order).  A CycArray
+holds a whole array on the same basis as integer coefficients over one
+denominator; its inverse is computed modulo primes and certified exactly.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, cos, sin, pi, isqrt
+
+import numpy as np
+
+# Largest cyclotomic order a scalar may have.  Phi_q costs O(q^2) to build
+# and a coefficient array holds phi(q) integers per entry.
+MAX_ORDER = 1024
 
 
 class ExactError(ValueError):
@@ -83,8 +91,9 @@ class CycNum:
     __slots__ = ("q", "coeffs")
 
     def __init__(self, q, coeffs, reduce=True):
-        if q < 1:
-            raise ExactError("order must be positive")
+        if not 1 <= q <= MAX_ORDER:
+            raise ExactError("cyclotomic order %d outside 1..%d"
+                             % (q, MAX_ORDER))
         self.q = q
         self.coeffs = _reduce(q, coeffs) if reduce else coeffs
 
@@ -354,8 +363,8 @@ def parse_cyc(text):
         if pos < len(s) and s[pos] == "z":
             pos += 1
             q = read_int(signed=False)
-            if q < 1:
-                fail("order out of range")
+            if not 1 <= q <= MAX_ORDER:
+                fail("order out of range 1..%d" % MAX_ORDER)
             e = 1
             if pos < len(s) and s[pos] == "^":
                 pos += 1
@@ -566,3 +575,348 @@ def gf_kernel(rows, p):
             v[pc] = (-m[r][fc]) % p
         basis.append(v)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# arrays over Q(zeta_q): integer coefficient arrays over one denominator
+
+def _maxabs(a):
+    return int(np.max(np.abs(a))) if a.size else 0
+
+
+def _fit(a):
+    """An integer array in int64 when every entry fits, else in Python ints
+    (object dtype)."""
+    if a.dtype == object and _maxabs(a) < 2 ** 63:
+        return a.astype(np.int64)
+    return a
+
+
+@lru_cache(maxsize=None)
+def power_table(q):
+    """(q, phi(q)) integer array: row k holds zeta_q^k on the power basis."""
+    phi = cyclotomic_poly(q)
+    deg = len(phi) - 1
+    cur = [1] + [0] * (deg - 1)
+    rows = []
+    for _ in range(q):
+        rows.append(cur)
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c - top * f for c, f in zip(cur, phi)]
+    out = _fit(np.array(rows, dtype=object))
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _reduction(q):
+    """(2 phi - 1, phi) matrix taking a product of two power-basis
+    coefficient vectors (a convolution) back to the power basis."""
+    out = power_table(q)[np.arange(2 * _euler_phi(q) - 1) % q]
+    out.flags.writeable = False
+    return out
+
+
+class CycArray:
+    """Array over Q(zeta_q): num holds integer coefficients on the power
+    basis zeta^0 .. zeta^(phi-1) (last axis, reduced mod Phi_q, so equal
+    values have equal coefficients), over one positive denominator den.
+    num is int64 when a bound proves every value fits, Python ints (object
+    dtype) otherwise."""
+
+    __slots__ = ("q", "num", "den")
+
+    def __init__(self, q, num, den):
+        self.q = q
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def from_rows(cls, q, rows):
+        """Matrix of CycNums, all stored at order q."""
+        den = 1
+        for row in rows:
+            for e in row:
+                for c in e.coeffs.values():
+                    den = lcm(den, c.denominator)
+        num = np.zeros((len(rows), len(rows[0]), _euler_phi(q)), dtype=object)
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                for k, c in e.coeffs.items():
+                    num[i, j, k] = int(c * den)
+        return cls(q, _fit(num), den)
+
+    def __getitem__(self, idx):
+        """Indexing on the leading (entry) axes."""
+        return CycArray(self.q, self.num[idx], self.den)
+
+    @property
+    def T(self):
+        return CycArray(self.q, self.num.swapaxes(0, 1), self.den)
+
+    def _operands(self, other, terms):
+        """Both coefficient arrays in one dtype: int64 when the reduced
+        product, whose raw coefficients each sum terms * phi products,
+        provably fits, Python ints otherwise."""
+        if other.q != self.q:
+            raise ExactError("order mismatch")
+        phi = self.num.shape[-1]
+        bound = (terms * phi * _maxabs(self.num) * _maxabs(other.num)
+                 * (2 * phi - 1) * _maxabs(_reduction(self.q)))
+        dtype = np.int64 if bound < 2 ** 63 else object
+        return (self.num.astype(dtype, copy=False),
+                other.num.astype(dtype, copy=False))
+
+    def _reduced(self, raw, other):
+        red = _reduction(self.q).astype(raw.dtype, copy=False)
+        return CycArray(self.q, raw @ red, self.den * other.den)
+
+    def __mul__(self, other):
+        """Entrywise product, broadcasting the leading axes."""
+        a, b = self._operands(other, 1)
+        phi = a.shape[-1]
+        raw = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+                       + (2 * phi - 1,), dtype=a.dtype)
+        for e in range(phi):
+            raw[..., e:e + phi] += a[..., e:e + 1] * b
+        return self._reduced(raw, other)
+
+    def __matmul__(self, other):
+        """Matrix product of two 2-d arrays."""
+        a, b = self._operands(other, self.num.shape[1])
+        k, m, phi = a.shape
+        cols = b.shape[1]
+        flat = b.reshape(m, cols * phi)
+        raw = np.zeros((k, cols, 2 * phi - 1), dtype=a.dtype)
+        for e in range(phi):
+            raw[:, :, e:e + phi] += (a[:, :, e] @ flat).reshape(k, cols, phi)
+        return self._reduced(raw, other)
+
+    def is_nonzero(self):
+        return np.any(self.num != 0, axis=-1)
+
+    def integers(self):
+        """(values, ok): ok marks the entries that are rational integers,
+        values holds those integers (other positions are meaningless)."""
+        num = self.num
+        ok = (~np.any(num[..., 1:] != 0, axis=-1)
+              & (num[..., 0] % self.den == 0))
+        return num[..., 0] // self.den, ok
+
+    def conj(self):
+        table = power_table(self.q)
+        phi = table.shape[1]
+        flip = table[-np.arange(phi) % self.q]
+        dtype = (np.int64 if phi * _maxabs(self.num) * _maxabs(flip) < 2 ** 63
+                 else object)
+        return CycArray(self.q, self.num.astype(dtype) @ flip.astype(dtype),
+                        self.den)
+
+    def embed(self):
+        """Complex values, zeta_q = exp(2 pi i / q)."""
+        phi = self.num.shape[-1]
+        z = np.exp(2j * np.pi * np.arange(phi) / self.q)
+        return self.num.astype(np.float64) @ z / self.den
+
+    def intern(self):
+        """(ids, conj, zero): an int32 id per entry, equal exactly when the
+        values are equal; conj[k] is the id of the conjugate of value k
+        (values absent from the array get new ids); zero is the id of 0."""
+        phi = self.num.shape[-1]
+        table = {}
+        flat = self.num.reshape(-1, phi)
+        ids = np.array([table.setdefault(t, len(table))
+                        for t in map(tuple, flat.tolist())], dtype=np.int32)
+        distinct = np.array(list(table), dtype=flat.dtype).reshape(-1, phi)
+        conj = CycArray(self.q, distinct, 1).conj().num
+        conj_ids = np.array([table.setdefault(t, len(table))
+                             for t in map(tuple, conj.tolist())],
+                            dtype=np.int32)
+        zero = table.setdefault((0,) * phi, len(table))
+        return ids.reshape(self.num.shape[:-1]), conj_ids, zero
+
+    def inverse(self):
+        """Exact inverse of a square matrix by modular images (Dixon, Numer.
+        Math. 1982): for primes p = 1 (mod q) below 2^31, the images at the
+        phi(q) primitive q-th roots of unity of GF(p) are inverted and
+        interpolated back; the primes are combined by CRT, the rationals
+        recovered by reconstruction, and the result is returned only once
+        certify_inverse holds.  Raises ExactError("singular matrix") once
+        more primes were singular than can divide the norm of det, a nonzero
+        integer bounded by Hadamard's inequality."""
+        num = self.num
+        phi = num.shape[-1]
+        # |N(det)|^2 <= h2^phi, and each prime used exceeds 2^30
+        h2 = 1
+        for row in np.abs(num.astype(object)).sum(axis=-1).tolist():
+            h2 *= sum(x * x for x in row)
+        max_singular = phi * h2.bit_length() // 60
+        singular = used = 0
+        residues, modulus = None, 1
+        for p in _primes(self.q):
+            y = _inverse_mod(num, self.q, p)
+            if y is None:
+                singular += 1
+                if singular > max_singular:
+                    raise ExactError("singular matrix")
+                continue
+            if residues is None:
+                residues = y.astype(object)
+            else:
+                t = (y - residues % p) * pow(modulus, -1, p) % p
+                residues = residues + modulus * t
+            modulus *= p
+            used += 1
+            # reconstruct after 1, 2, 4, ... primes: linear total cost
+            if used & (used - 1):
+                continue
+            found = _reconstruct(residues, modulus)
+            if found is not None:
+                inv = CycArray(self.q, _fit(found[0] * self.den), found[1])
+                if certify_inverse(self, inv):
+                    return inv
+
+
+def certify_inverse(a, b):
+    """True iff a @ b is exactly the identity matrix."""
+    prod = a @ b
+    num = prod.num
+    eye = np.eye(num.shape[0], dtype=bool)
+    return (not np.any(num[..., 1:] != 0)
+            and bool(np.all(num[..., 0][eye] == prod.den))
+            and not np.any(num[..., 0][~eye] != 0))
+
+
+def _is_prime(m):
+    """Deterministic Miller-Rabin for m < 3,215,031,751."""
+    bases = (2, 3, 5, 7)
+    if m < 2:
+        return False
+    for b in bases:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in bases:
+        x = pow(b, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes(q):
+    """Primes p = 1 (mod q) between 2^30 and 2^31, largest first."""
+    step = lcm(q, 2)
+    p = (2 ** 31 - 2) // step * step + 1
+    while p > 2 ** 30:
+        if _is_prime(p):
+            yield p
+        p -= step
+
+
+@lru_cache(maxsize=16)
+def _nodes(q, p):
+    """Evaluation matrix V (V[t, e] = w_t^e for the primitive q-th roots
+    w_t of unity in GF(p), in order of exponent) and its inverse mod p,
+    whose column t is the Lagrange polynomial Phi_q(x) / ((x - w_t)
+    Phi_q'(w_t))."""
+    poly = cyclotomic_poly(q)
+    phi = len(poly) - 1
+    exps = (p - 1) // q
+    for a in range(2, p):
+        w = pow(a, exps, p)
+        if all(pow(w, q // r, p) != 1 for r in _prime_factors(q)):
+            break
+    roots = np.array([pow(w, t, p) for t in range(q) if gcd(t, q) == 1],
+                     dtype=np.int64)
+    V = np.ones((phi, phi), dtype=np.int64)
+    for e in range(1, phi):
+        V[:, e] = V[:, e - 1] * roots % p
+    # synthetic division of Phi_q by x - w_t for every t at once
+    quot = np.zeros((phi, phi), dtype=np.int64)
+    quot[:, phi - 1] = 1
+    for k in range(phi - 1, 0, -1):
+        quot[:, k - 1] = (poly[k] + roots * quot[:, k]) % p
+    deriv = np.zeros(phi, dtype=np.int64)
+    for k in range(phi):
+        deriv = (deriv + quot[:, k] * V[:, k]) % p
+    scale = np.array([pow(int(x), -1, p) for x in deriv], dtype=np.int64)
+    Vi = np.ascontiguousarray((quot * scale[:, None] % p).T)
+    V.flags.writeable = Vi.flags.writeable = False
+    return V, Vi
+
+
+def _apply_mod(V, A, p):
+    """out[t] = sum_e V[t, e] A[..., e] mod p, for residues below p."""
+    out = np.zeros((V.shape[0],) + A.shape[:-1], dtype=np.int64)
+    lead = (-1,) + (1,) * (A.ndim - 1)
+    for e in range(A.shape[-1]):
+        out = (out + V[:, e].reshape(lead) * A[..., e]) % p
+    return out
+
+
+def _inverse_mod(num, q, p):
+    """Coefficients mod p of the inverse of the integer coefficient matrix
+    num (n, n, phi(q)), or None when an image at a root of unity is
+    singular mod p."""
+    V, Vi = _nodes(q, p)
+    images = _gauss_jordan_mod(_apply_mod(V, (num % p).astype(np.int64), p), p)
+    if images is None:
+        return None
+    return np.moveaxis(_apply_mod(Vi, np.moveaxis(images, 0, -1), p), 0, -1)
+
+
+def _gauss_jordan_mod(A, p):
+    """Inverses mod p of a stack (b, n, n) of residue matrices, or None if
+    one is singular.  Residues stay below p < 2^31, so products fit int64."""
+    b, n, _ = A.shape
+    M = np.concatenate(
+        [A, np.broadcast_to(np.eye(n, dtype=np.int64), (b, n, n))], axis=2)
+    stack = np.arange(b)
+    for c in range(n):
+        nz = M[:, c:, c] != 0
+        if not nz.any(axis=1).all():
+            return None
+        r = c + nz.argmax(axis=1)
+        top = M[stack, r]
+        M[stack, r] = M[:, c]
+        inv = np.array([pow(int(x), -1, p) for x in top[:, c]], dtype=np.int64)
+        top = top * inv[:, None] % p
+        M[:, c] = top
+        f = M[:, :, c].copy()
+        f[:, c] = 0
+        M = (M - f[:, :, None] * top[:, None, :]) % p
+    return M[:, :, n:]
+
+
+def _reconstruct(x, modulus):
+    """Rational reconstruction over one common denominator: (Y, e) with
+    Y = e * x (mod modulus) and every |Y| and e at most sqrt(modulus / 2),
+    or None when no such pair is found."""
+    bound = isqrt(modulus // 2)
+    flat = x.ravel()
+    den = 1
+    while True:
+        v = flat * den % modulus
+        v = np.where(v > modulus // 2, v - modulus, v)
+        big = np.flatnonzero(np.abs(v) > bound)
+        if not big.size:
+            return v.reshape(x.shape), den
+        # half-extended Euclid on one residue that den does not clear yet
+        r0, r1, t0, t1 = modulus, int(v[big[0]]) % modulus, 0, 1
+        while r1 > bound:
+            k = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+        if t1 == 0 or den * abs(t1) > bound:
+            return None
+        den *= abs(t1)

@@ -21,6 +21,11 @@ class HadamardError(ValueError):
     pass
 
 
+class PreconditionError(HadamardError):
+    """The order of the input is outside the command's domain: bad input,
+    not a failed verification."""
+
+
 class HadamardMatrix:
     """Normalized +-1 matrix of order n = 4k with orthogonal rows and
     all-ones first column."""
@@ -113,9 +118,9 @@ def triangular_bound(k):
     """Partitions of the (k-3)/2-th triangular number into nonzero
     triangular numbers; bounds the census size for odd k."""
     if k % 2 == 0:
-        raise HadamardError("k must be odd")
+        raise PreconditionError("k must be odd")
     if k < 3:
-        raise HadamardError("k must be >= 3")
+        raise PreconditionError("k must be >= 3")
     j = (k - 3) // 2
     target = j * (j + 1) // 2
     parts = []
@@ -167,7 +172,7 @@ def had_closed_subsets(ring):
     n = ring.n
     k = int(ring.N[0, 0, 0])
     if k % 2 == 0:
-        raise HadamardError("k must be odd")
+        raise PreconditionError("k must be odd")
     sets = [(0,)] + [(0, i) for i in range(1, n)] + [tuple(range(n))]
     for S in sets:
         if not is_closed_subset(ring, S):
@@ -281,7 +286,7 @@ def reconstruct_mod3(tensor, k):
     returns a +-1 sign matrix equal to the source matrix up to row
     permutation."""
     if k % 3 != 1:
-        raise HadamardError("k must be 1 mod 3")
+        raise PreconditionError("k must be 1 mod 3")
     N = getattr(tensor, "N", tensor)
     N3 = np.asarray(N, dtype=np.int64) % 3
     n = N3.shape[0]

@@ -12,7 +12,7 @@ from math import gcd
 
 import numpy as np
 
-from .exact import CycNum, exact_int
+from .exact import CycArray, CycNum, exact_int, power_table
 from .rng_core import (RingError, assoc_witness, identity_coefficients,
                        ring_blocks)
 from .spectra import decompose
@@ -270,16 +270,21 @@ def fannsc_lift(s, cap=4096):
 
     lifted = PointedAlgebra(elems, prod=prod, mu=mu_table)
 
-    # exact integral decomposition of every g(h) h over the columns
+    # exact integral decomposition of every g(h) h over the columns; column
+    # w of W is g(h_w) zeta_Q^h_w on the power basis of Q(zeta_q)
     inv = s.inverse(tol=None)
-    roots = [1, -1] if s.q == 1 else [CycNum.zeta(Q) ** t for t in range(Q)]
-    E = np.zeros((m, n), dtype=np.int64)
-    for w, h in enumerate(elems):
-        for r, c in enumerate(decompose(inv, [g[h] * roots[t] for t in h])):
-            v = exact_int(c)
-            if v is None:
-                raise QuotientError("non-integral decomposition")
-            E[w, r] = v
+    t = np.arange(Q)
+    table = power_table(s.q)
+    if Q == s.q:
+        roots = table[t]
+    else:  # q odd: zeta_2q = -zeta_q^((q+1)/2)
+        roots = (np.where(t % 2, -1, 1)[:, None]
+                 * table[t * (s.q + 1) // 2 % s.q])
+    W = garr[None, :, None] * roots[np.array(elems).T]
+    vals, ok = decompose(inv, CycArray(s.q, W, 1)).integers()
+    if not ok.all():
+        raise QuotientError("non-integral decomposition")
+    E = vals.T.astype(np.int64)
 
     distinguished = [-1] * n
     for i in range(n):

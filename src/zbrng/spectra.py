@@ -12,8 +12,7 @@ from math import lcm
 
 import numpy as np
 
-from .exact import (CycNum, ExactError, exact_int, format_cyc, mat_inverse,
-                    parse_cyc)
+from .exact import CycArray, CycNum, ExactError, format_cyc, parse_cyc
 from .rng_core import FormatError
 
 
@@ -23,7 +22,12 @@ class SpectraError(ValueError):
 
 class SMatrix:
     """Square matrix over CycNum (exact) or complex floats (numeric).  An
-    exact matrix whose entries are all rational has order q = 1."""
+    exact matrix whose entries are all rational has order q = 1.
+
+    The kernels compute on `array`: a CycArray when exact, a complex ndarray
+    when numeric.  An exact matrix also keeps its CycNum `rows` and interns
+    its entries: `ids[l, i]` is equal exactly when the entries are, and
+    `conj_ids[ids[l, i]]` is the id of the conjugate entry."""
 
     def __init__(self, mode, n, data, q=None):
         self.mode = mode
@@ -31,6 +35,8 @@ class SMatrix:
         if mode == "exact":
             self.rows = data
             self.q = q
+            self.array = CycArray.from_rows(q, data)
+            self.ids, self.conj_ids, self.zero_id = self.array.intern()
         else:
             self.array = data
 
@@ -63,29 +69,17 @@ class SMatrix:
             return [self.rows[l][i] for l in range(self.n)]
         return self.array[:, i]
 
-    def _working_rows(self):
-        """Rows in the scalars the kernels compute with: Fractions when
-        q = 1, CycNums otherwise."""
-        if self.q == 1:
-            return [[e.rational_value() for e in row] for row in self.rows]
-        return self.rows
-
-    def working_columns(self):
-        """Columns in working scalars (complex arrays when numeric)."""
-        if self.mode == "numeric":
-            return list(self.array.T)
-        return [list(col) for col in zip(*self._working_rows())]
-
     def inverse(self, tol):
-        """s^-1 in working scalars: exact Gauss-Jordan, or np.linalg.inv
-        after a singular-value guard scaled by tol (unused when exact)."""
+        """s^-1 in the type of `array`: the certified modular inverse
+        (CycArray.inverse), or np.linalg.inv after a singular-value guard
+        scaled by tol (unused when exact)."""
         if self.mode == "numeric":
             sv = np.linalg.svd(self.array, compute_uv=False)
             if sv[-1] <= tol * max(1.0, sv[0]):
                 raise SpectraError("singular matrix")
             return np.linalg.inv(self.array)
         try:
-            return mat_inverse(self._working_rows())
+            return self.array.inverse()
         except ExactError as exc:
             raise SpectraError("singular matrix") from exc
 
@@ -99,14 +93,11 @@ class SMatrix:
         return "SMatrix(%s, n=%d)" % (self.mode, self.n)
 
 
-def decompose(inv, w):
-    """Coefficients of w over the s-matrix columns, inv = SMatrix.inverse:
-    a list of exact scalars (zero entries of w are skipped), or inv @ w for a
-    numeric inverse, where w may hold one vector per column."""
-    if isinstance(inv, np.ndarray):
-        return inv @ w
-    nz = [l for l, x in enumerate(w) if x]
-    return [sum(row[l] * w[l] for l in nz) for row in inv]
+def decompose(inv, W):
+    """Coefficients over the s-matrix columns of each column of W, with
+    inv = SMatrix.inverse and W of the same kind (CycArray or ndarray):
+    column k of the result decomposes column k of W."""
+    return inv @ W
 
 
 class VerlindeResult:
@@ -125,22 +116,20 @@ def verlinde_tensor(s, tol=1e-6):
     is not an integer (within tol in numeric mode)."""
     n = s.n
     inv = s.inverse(tol)
+    a = s.array
     if s.mode == "exact":
         N = np.zeros((n, n, n), dtype=np.int64)
-        cols = s.working_columns()
         for i in range(n):
-            for j in range(i, n):
-                w = [x * y for x, y in zip(cols[i], cols[j])]
-                for m, c in enumerate(decompose(inv, w)):
-                    v = exact_int(c)
-                    if v is None:
-                        raise SpectraError(
-                            "non-integral structure constant at (%d,%d,%d)"
-                            % (i, j, m))
-                    N[i, j, m] = N[j, i, m] = v
+            # column j - i holds the coefficients of col_i * col_j, j >= i
+            vals, ok = decompose(inv, a[:, i:] * a[:, i:i + 1]).integers()
+            if not ok.all():
+                j, m = np.argwhere(~ok.T)[0]
+                raise SpectraError(
+                    "non-integral structure constant at (%d,%d,%d)"
+                    % (i, i + j, m))
+            N[i, i:] = N[i:, i] = vals.T
         return VerlindeResult(N, bool(np.all(N >= 0)), 0.0, "exact")
 
-    a = s.array
     raw = np.empty((n, n, n), dtype=np.complex128)
     for i in range(n):
         # column j of a[:, i, None] * a is col_i * col_j
@@ -160,20 +149,12 @@ def row_orthogonality_check(s, tilde, tol=1e-9):
     """sum_i s_li s_{m,~i} = 0 for l != m.  Returns (ok, max deviation)."""
     n = s.n
     tl = list(tilde)
-    if s.mode == "exact":
-        worst = 0.0
-        ok = True
-        for l in range(n):
-            for m in range(l + 1, n):
-                t = CycNum.from_rat(0)
-                for i in range(n):
-                    t = t + s.rows[l][i] * s.rows[m][tl[i]]
-                if not t.is_zero():
-                    ok = False
-                    worst = max(worst, abs(t.embed()))
-        return ok, worst
     a = s.array
     g = a @ a[:, tl].T
+    if s.mode == "exact":
+        off = np.triu(g.is_nonzero(), 1)
+        return (not off.any(),
+                float(np.max(np.abs(g.embed()[off]), initial=0.0)))
     off = g - np.diag(np.diag(g))
     dev = float(np.max(np.abs(off))) if n > 1 else 0.0
     return dev <= tol, dev
@@ -207,12 +188,12 @@ def involution_from_smatrix(s, tol=1e-9):
     if s.mode == "exact":
         keys = {}
         for j in range(n):
-            key = tuple(e.key() for e in s.column(j))
+            key = s.ids[:, j].tobytes()
             if key in keys:
                 raise SpectraError("no conjugation permutation exists")
             keys[key] = j
         for i in range(n):
-            target = tuple(e.conj().key() for e in s.column(i))
+            target = s.conj_ids[s.ids[:, i]].tobytes()
             if target not in keys:
                 raise SpectraError("no conjugation permutation exists")
             perm.append(keys[target])
@@ -329,10 +310,9 @@ def _row_keys(s, cols, tol):
     """Hashable per-row keys of the column submatrix, plus nonzero flags."""
     keys, nonzero = [], []
     if s.mode == "exact":
-        for l in range(s.n):
-            ents = [s.rows[l][c] for c in cols]
-            keys.append(tuple(e.key() for e in ents))
-            nonzero.append(any(not e.is_zero() for e in ents))
+        sub = s.ids[:, cols]
+        keys = [row.tobytes() for row in sub]
+        nonzero = (sub != s.zero_id).any(axis=1).tolist()
     else:
         dec = max(1, int(round(-np.log10(max(tol, 1e-12)))))
         for l in range(s.n):
@@ -365,26 +345,27 @@ class _Decomposer:
 
     def __init__(self, s, tol):
         self.n = s.n
-        self.cols = s.working_columns()
+        self.a = s.array
         self.inv = s.inverse(tol)
-        self.cache = {}
+        self.slabs = {}
         self.cutoff = None
         if s.mode == "numeric":
             self.cutoff = tol * max(1.0, float(np.max(np.abs(s.array))) ** 2)
 
     def support(self, i, j):
         """Indices m with a nonzero coefficient in col_i * col_j."""
-        key = (i, j) if i <= j else (j, i)
-        if key not in self.cache:
-            w = [x * y for x, y in zip(self.cols[key[0]], self.cols[key[1]])]
-            coeff = decompose(self.inv, w)
+        if i > j:
+            i, j = j, i
+        if i not in self.slabs:
+            # every product col_i * col_j with j >= i at once
+            coeff = decompose(self.inv, self.a[:, i:] * self.a[:, i:i + 1])
             if self.cutoff is None:
-                sup = frozenset(m for m, c in enumerate(coeff) if c)
+                nonzero = coeff.is_nonzero()
             else:
-                sup = frozenset(int(m) for m in
-                                np.nonzero(np.abs(coeff) > self.cutoff)[0])
-            self.cache[key] = sup
-        return self.cache[key]
+                nonzero = np.abs(coeff) > self.cutoff
+            self.slabs[i] = [frozenset(np.flatnonzero(col).tolist())
+                             for col in nonzero.T]
+        return self.slabs[i][j - i]
 
     def closed(self, S):
         sset = set(S)
@@ -400,10 +381,8 @@ def closed_subset_heuristic(s, tol=1e-8):
     decomposition of its column products."""
     n = s.n
     if s.mode == "exact":
-        entry_keys = [[e.key() for e in row] for row in s.rows]
         def agree(l, m):
-            return tuple(c for c in range(n)
-                         if entry_keys[l][c] == entry_keys[m][c])
+            return tuple(np.flatnonzero(s.ids[l] == s.ids[m]).tolist())
     else:
         a = s.array
         scale = max(1.0, float(np.max(np.abs(a))))

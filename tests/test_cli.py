@@ -234,6 +234,41 @@ def test_had_equiv(paley12_file, tmp_path, capsys):
     assert code == 0 and out.strip() == "indistinguishable"
 
 
+def test_had_order_outside_domain_exit2(paley12_file, tmp_path, capsys):
+    s16 = tmp_path / "s16.had"
+    ring = tmp_path / "p12.zbrng"
+    assert main(["gen", "sylvester", "4", "-o", str(s16)]) == 0
+    assert main(["had", "ring", str(paley12_file), "-o", str(ring)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "had", "closed", str(s16))
+    assert (code, out) == (2, "")
+    assert err == "input error: k must be odd\n"
+    code, out, err = run(capsys, "had", "reconstruct3", str(ring))
+    assert (code, out) == (2, "")
+    assert err == "input error: k must be 1 mod 3\n"
+    s4 = tmp_path / "s4.had"
+    assert main(["gen", "sylvester", "2", "-o", str(s4)]) == 0
+    capsys.readouterr()
+    code, _, err = run(capsys, "had", "census", str(s4))
+    assert code == 2 and err == "input error: k must be >= 3\n"
+
+
+def test_cyclotomic_order_bound_exit2(tmp_path, capsys):
+    f = tmp_path / "big.smat"
+    f.write_text("smatrix 1\nn 1 1\nz100000000\n")
+    code, out, err = run(capsys, "verlinde", str(f))
+    assert code == 2 and out == ""
+    assert "order out of range 1..1024" in err
+    # orders within the bound that combine to one above it
+    f.write_text("smatrix 1\nn 2 2\n1 z31\n1 z37\n")
+    code, _, err = run(capsys, "verlinde", str(f))
+    assert code == 2 and "cyclotomic order 1147 outside 1..1024" in err
+    code, _, err = run(capsys, "gen", "group", "31", "37")
+    assert code == 2 and "input error" in err
+    f.write_text("smatrix 1\nn 1 1\nz1024\n")
+    assert run(capsys, "closed", str(f), "--machine")[:2] == (0, "[[0]]\n")
+
+
 def test_gen_outputs_reload(tmp_path, capsys):
     for argv, n in ((["gen", "sylvester", "3"], 8),
                     (["gen", "paley", "7"], 8)):

@@ -1,15 +1,21 @@
+import time
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from zbrng.exact import CycNum
+from zbrng.exact import (CycArray, CycNum, ExactError, certify_inverse,
+                         exact_int, format_cyc, mat_inverse)
 from zbrng.generators import (fixture_ds3, gen_paley, group_ring_smatrix,
                               exterior_square, kac_peterson_a1)
 from zbrng.hadamard import ring_from_hadamard
+from zbrng.quotients import fannsc_lift
 from zbrng.rng_core import FormatError, is_closed_subset
-from zbrng.spectra import (SMatrix, SpectraError, closed_subset_heuristic,
-                           decompose, fourier_matrix, involution_from_smatrix,
+from zbrng.spectra import (SMatrix, SpectraError, _Decomposer,
+                           closed_subset_heuristic, decompose,
+                           fourier_matrix, involution_from_smatrix,
                            mu_uniformity_check, row_orthogonality_check,
                            smatrix_from_tensor, smatrix_from_text,
                            smatrix_to_text, subring_smatrix, verlinde_tensor)
@@ -42,16 +48,18 @@ def test_smatrix_constructors():
 def test_rational_tables_have_order_one():
     s = group_ring_smatrix([2, 2, 2])
     assert s.q == 1
-    assert all(isinstance(x, Fraction)
-               for col in s.working_columns() for x in col)
+    # one power-basis coefficient per entry: the entries are rationals
+    assert s.array.q == 1 and s.array.num.shape == (8, 8, 1)
     assert group_ring_smatrix([2, 3]).q == 6
 
 
 @pytest.mark.parametrize("s", [group_ring_smatrix([2, 3]), fixture_ds3()])
 def test_decompose_exact_columns(s):
     inv = s.inverse(1e-8)
-    for i, col in enumerate(s.working_columns()):
-        assert decompose(inv, col) == [int(m == i) for m in range(s.n)]
+    for i in range(s.n):
+        vals, ok = decompose(inv, s.array[:, i:i + 1]).integers()
+        assert ok.all()
+        assert vals[:, 0].tolist() == [int(m == i) for m in range(s.n)]
 
 
 def test_decompose_numeric_columns():
@@ -222,3 +230,327 @@ def test_exterior_square_fixture_row_orthogonal():
     ring = ring_from_smatrix(e6)
     s_back = smatrix_from_tensor(ring)
     assert np.array_equal(verlinde_tensor(s_back).tensor, ring.N)
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the coefficient-array kernels against the per-entry
+# Gauss-Jordan (mat_inverse) and CycNum/Fraction arithmetic they replaced
+
+def oracle_inverse(s):
+    rows = ([[e.rational_value() for e in row] for row in s.rows]
+            if s.q == 1 else s.rows)
+    return mat_inverse(rows)
+
+
+def oracle_decompose(inv, w):
+    nz = [l for l, x in enumerate(w) if x]
+    return [sum(row[l] * w[l] for l in nz) for row in inv]
+
+
+def oracle_product(s, i, j):
+    rows = ([[e.rational_value() for e in row] for row in s.rows]
+            if s.q == 1 else s.rows)
+    return [row[i] * row[j] for row in rows]
+
+
+def oracle_verlinde(s):
+    """The tensor, or the message of the first non-integral constant in
+    (i, j >= i, m) order."""
+    n, inv = s.n, oracle_inverse(s)
+    N = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i, n):
+            w = oracle_product(s, i, j)
+            for m, c in enumerate(oracle_decompose(inv, w)):
+                v = exact_int(c)
+                if v is None:
+                    return ("non-integral structure constant at (%d,%d,%d)"
+                            % (i, j, m))
+                N[i, j, m] = N[j, i, m] = v
+    return N
+
+
+def oracle_support(s, inv, i, j):
+    return frozenset(m for m, c in enumerate(
+        oracle_decompose(inv, oracle_product(s, i, j))) if c)
+
+
+def oracle_closed_family(s):
+    """closed_subset_heuristic with CycNum keys and per-pair supports."""
+    n, inv = s.n, oracle_inverse(s)
+    keys = [[e.key() for e in row] for row in s.rows]
+
+    def pair_test(cols):
+        rows = {tuple(keys[l][c] for c in cols) for l in range(n)
+                if any(not s.rows[l][c].is_zero() for c in cols)}
+        return len(rows) == len(cols)
+
+    family = set()
+    for l in range(n):
+        for m in range(l, n):
+            cand = tuple(c for c in range(n) if keys[l][c] == keys[m][c])
+            if cand and pair_test(cand):
+                family.add(cand)
+    while True:
+        members = sorted(family)
+        new = set()
+        for x in range(len(members)):
+            for y in range(x + 1, len(members)):
+                inter = tuple(sorted(set(members[x]) & set(members[y])))
+                if inter and inter not in family and pair_test(inter):
+                    new.add(inter)
+        if not new:
+            break
+        family |= new
+    return [S for S in sorted(family, key=lambda t: (len(t), t))
+            if len(S) == n or all(oracle_support(s, inv, i, j) <= set(S)
+                                  for i in S for j in S if i <= j)]
+
+
+def oracle_involution(s):
+    keys = {tuple(e.key() for e in s.column(j)): j for j in range(s.n)}
+    return tuple(keys.get(tuple(e.conj().key() for e in s.column(i)))
+                 for i in range(s.n))
+
+
+def permuted_table(orders, perm):
+    s = group_ring_smatrix(orders)
+    return SMatrix.exact([[row[c] for c in perm] for row in s.rows])
+
+
+@st.composite
+def group_tables(draw, max_order=12):
+    orders = draw(st.lists(st.integers(2, 7), min_size=1, max_size=3)
+                  .filter(lambda o: prod(o) <= max_order))
+    perm = draw(st.permutations(range(prod(orders))))
+    return permuted_table(orders, perm)
+
+
+def paley12_table():
+    return smatrix_from_tensor(ring_from_hadamard(gen_paley(11)))
+
+
+def check_against_oracle(s):
+    want = oracle_verlinde(s)
+    if isinstance(want, str):
+        with pytest.raises(SpectraError) as exc:
+            verlinde_tensor(s)
+        assert str(exc.value) == want
+    else:
+        assert np.array_equal(verlinde_tensor(s).tensor, want)
+    dec = _Decomposer(s, 1e-8)
+    inv = oracle_inverse(s)
+    for i in range(s.n):
+        for j in range(s.n):
+            assert dec.support(i, j) == oracle_support(s, inv, i, j)
+    sets = closed_subset_heuristic(s).sets
+    assert sets == oracle_closed_family(s)
+    for S in sets:
+        check_subring_against_oracle(s, S)
+
+
+def check_subring_against_oracle(s, S):
+    """subring_smatrix keeps the distinct nonzero rows of the submatrix."""
+    seen, want = set(), []
+    for row in s.rows:
+        sub = [row[c] for c in S]
+        key = tuple(e.key() for e in sub)
+        if any(not e.is_zero() for e in sub) and key not in seen:
+            seen.add(key)
+            want.append(tuple(format_cyc(e) for e in sub))
+    if len(want) != len(S):
+        with pytest.raises(SpectraError, match="read-off failed"):
+            subring_smatrix(s, S)
+        return
+    got = subring_smatrix(s, S)
+    assert sorted(tuple(format_cyc(e) for e in row)
+                  for row in got.rows) == sorted(want)
+
+
+@settings(max_examples=12, deadline=None)
+@given(group_tables())
+def test_kernels_match_oracle_group_tables(s):
+    check_against_oracle(s)
+    assert involution_from_smatrix(s) == oracle_involution(s)
+    a = s.array
+    assert certify_inverse(a, s.inverse(1e-8))
+    # the interned ids see exactly the equalities of the CycNum keys
+    keys = [[e.key() for e in row] for row in s.rows]
+    flat = [k for row in keys for k in row]
+    ids = s.ids.ravel().tolist()
+    assert all((ids[x] == ids[y]) == (flat[x] == flat[y])
+               for x in range(len(ids)) for y in range(len(ids)))
+
+
+def test_kernels_match_oracle_paley12():
+    s = paley12_table()
+    assert s.q == 1
+    check_against_oracle(s)
+
+
+def test_kernels_match_oracle_non_integral_ext2():
+    s = exterior_square(group_ring_smatrix([2, 2, 2]))
+    assert s.q == 1 and isinstance(oracle_verlinde(s), str)
+    check_against_oracle(s)
+
+
+def small_tables():
+    """Square matrices of order <= 4, entries a + b zeta_q, q in 1, 3, 4."""
+    def entries(q):
+        return st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(
+            lambda ab: CycNum(q, {0: Fraction(ab[0]), 1: Fraction(ab[1])}))
+    return st.tuples(st.sampled_from([1, 3, 4]), st.integers(1, 4)).flatmap(
+        lambda qn: st.lists(st.lists(entries(qn[0]), min_size=qn[1],
+                                     max_size=qn[1]),
+                            min_size=qn[1], max_size=qn[1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_tables())
+# its first non-integral constant in (i, j, m) order is not the first in
+# (i, m, j) order
+@example([[1, 3, 3], [3, -3, -2], [2, -3, -1]])
+def test_random_tables_match_oracle(rows):
+    s = SMatrix.exact(rows)
+    try:
+        inv = oracle_inverse(s)
+    except ExactError:
+        with pytest.raises(SpectraError, match="singular matrix"):
+            s.inverse(1e-8)
+        with pytest.raises(SpectraError, match="singular matrix"):
+            verlinde_tensor(s)
+        return
+    got = s.inverse(1e-8)
+    for m in range(s.n):
+        for l in range(s.n):
+            coeffs = {e: Fraction(int(c), got.den)
+                      for e, c in enumerate(got.num[m, l].tolist()) if c}
+            assert CycNum(s.q, coeffs) == inv[m][l]
+    want = oracle_verlinde(s)
+    if isinstance(want, str):
+        with pytest.raises(SpectraError) as exc:
+            verlinde_tensor(s)
+        assert str(exc.value) == want
+    else:
+        assert np.array_equal(verlinde_tensor(s).tensor, want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(group_tables(max_order=8), st.data())
+def test_singular_cyclotomic_matrix(s, data):
+    # replace a row by a multiple of another row: det = 0
+    rows = [list(r) for r in s.rows]
+    l, m = data.draw(st.lists(st.integers(0, s.n - 1), min_size=2,
+                              max_size=2, unique=True))
+    scale = CycNum.zeta(s.q, data.draw(st.integers(0, s.q))) * 2
+    rows[m] = [scale * e for e in rows[l]]
+    with pytest.raises(SpectraError, match="singular matrix"):
+        SMatrix.exact(rows).inverse(1e-8)
+
+
+def test_subring_block_diagonal_skips_zero_rows():
+    # characters of Z/2 x Z/3 as a product of rings: each factor's rows
+    # vanish on the other factor's columns
+    a, b = group_ring_smatrix([2]).rows, group_ring_smatrix([3]).rows
+    zero = CycNum.from_rat(0)
+    s = SMatrix.exact([list(r) + [zero] * 3 for r in a]
+                      + [[zero] * 2 + list(r) for r in b])
+    for S in ((0, 1), (2, 3, 4), (0, 2)):
+        check_subring_against_oracle(s, S)
+    assert subring_smatrix(s, (2, 3, 4)).n == 3
+
+
+def test_inverse_primes_that_mislead_or_divide_det():
+    # 1/2^31 is 1 modulo the first prime 2^31 - 1: only the certificate
+    # rejects that reconstruction
+    assert SMatrix.exact([[2 ** 31]]).inverse(1e-8).den == 2 ** 31
+    # the first prime divides det, so its image is singular
+    inv = SMatrix.exact([[2 ** 31 - 1]]).inverse(1e-8)
+    assert (inv.num.tolist(), inv.den) == ([[[1]]], 2 ** 31 - 1)
+
+
+def test_inverse_needs_several_primes(monkeypatch):
+    import zbrng.exact as exact
+    calls = []
+    real = exact._inverse_mod
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+    monkeypatch.setattr(exact, "_inverse_mod", counting)
+    big = 2 ** 40 + 15
+    z = CycNum.zeta(5)
+    rows = [[big, 1, 0], [z, 1, 3], [1, z * z, 2 ** 33]]
+    s = SMatrix.exact(rows)
+    inv = s.inverse(1e-8)
+    assert len(calls) >= 2 and len(set(calls)) == len(calls)
+    # denominators beyond one prime's reconstruction bound
+    assert inv.den > 2 ** 16
+    want = mat_inverse(s.rows)
+    for m in range(3):
+        for l in range(3):
+            coeffs = {e: Fraction(int(c), inv.den)
+                      for e, c in enumerate(inv.num[m, l].tolist()) if c}
+            assert CycNum(s.q, coeffs) == want[m][l]
+
+
+def test_python_int_coefficients_match_oracle():
+    # entries beyond int64 keep Python-int coefficient arrays
+    z = CycNum.zeta(3)
+    s = SMatrix.exact([[2 ** 70, 3, z], [5, z, 1], [1, 2 ** 65 * z, 7]])
+    assert s.array.num.dtype == object
+    inv = s.inverse(1e-8)
+    want = oracle_inverse(s)
+    for m in range(3):
+        for l in range(3):
+            coeffs = {e: Fraction(int(c), inv.den)
+                      for e, c in enumerate(inv.num[m, l].tolist()) if c}
+            assert CycNum(s.q, coeffs) == want[m][l]
+    with pytest.raises(SpectraError) as exc:
+        verlinde_tensor(s)
+    assert str(exc.value) == oracle_verlinde(s)
+
+
+def test_corrupted_inverse_fails_certificate():
+    s = permuted_table([3, 5], list(range(15))[::-1])
+    inv = s.inverse(1e-8)
+    assert certify_inverse(s.array, inv)
+    for pos in [(0, 0, 0), (3, 7, 5), (14, 2, 1)]:
+        bad = CycArray(inv.q, inv.num.copy(), inv.den)
+        bad.num[pos] += 1
+        assert not certify_inverse(s.array, bad)
+    assert not certify_inverse(s.array, CycArray(inv.q, inv.num, inv.den + 1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: permuted_table([2, 3], [3, 0, 5, 1, 4, 2]),
+    lambda: permuted_table([4], [2, 0, 3, 1]),
+    lambda: permuted_table([3, 3], [8, 1, 4, 0, 6, 2, 7, 5, 3]),
+    lambda: group_ring_smatrix([2, 2, 2]),
+    paley12_table,
+], ids=["z6", "z4", "z3xz3", "z2cubed", "paley12"])
+def test_lift_embedding_matches_oracle(make):
+    s = make()
+    L = fannsc_lift(s)
+    Q = L.group_order
+    inv = oracle_inverse(s)
+    roots = [1, -1] if s.q == 1 else [CycNum.zeta(Q) ** t for t in range(Q)]
+    for w, h in enumerate(L.lifted.labels):
+        g = int(L.scalars[w])
+        want = [exact_int(c) for c in
+                oracle_decompose(inv, [g * roots[t] for t in h])]
+        assert L.embedding[w].tolist() == want
+
+
+def test_exact_runtime_bounds():
+    """Verlinde, the closed-subset search and the subring read-off on the
+    Z/3 x Z/5 table each finish within 1 s."""
+    s = permuted_table([3, 5], [7, 12, 0, 3, 14, 9, 1, 5, 11, 2, 8, 13, 4,
+                                10, 6])
+    sub = [c for c in range(15) if s.rows[5][c] == 1]
+    for fn, args in ((verlinde_tensor, ()), (closed_subset_heuristic, ()),
+                     (subring_smatrix, (sub,))):
+        t0 = time.perf_counter()
+        fn(s, *args)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0, "%s took %.2fs" % (fn.__name__, elapsed)
