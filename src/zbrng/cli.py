@@ -21,10 +21,10 @@ from .spectra import (SMatrix, SpectraError, closed_subset_heuristic,
 from .hadamard import (HadamardError, HadamardMatrix, PreconditionError,
                        census_values, equiv_screen, f2_algebra_check,
                        had_closed_subsets, hadamard_from_text,
-                       hadamard_to_text, multiset_census, normalize_hadamard,
-                       profile, reconstruct_exact, reconstruct_mod3,
-                       ring_from_hadamard, ring_from_tensor, triangular_bound,
-                       v_rank, wmatrix)
+                       hadamard_to_text, hadamard_type, multiset_census,
+                       normalize_hadamard, profile, reconstruct_exact,
+                       reconstruct_mod3, ring_from_hadamard, ring_from_tensor,
+                       triangular_bound, v_rank, wmatrix)
 from .quotients import (QuotientError, fannsc_lift, lift_to_text,
                         order2_quotient)
 from .generators import (exterior_square, fixture_ds3, gen_kronecker,
@@ -236,8 +236,10 @@ def cmd_had_reconstruct(args):
 
 def cmd_had_reconstruct3(args):
     ring = as_ring(load_any(args.file))
-    rows = reconstruct_mod3(ring.N % 3, ring.n // 4)
-    return emit(args, hadamard_to_text(rows))
+    k = ring.n // 4
+    if k % 3 == 1:              # else reconstruct_mod3 rejects k first
+        hadamard_type(ring)
+    return emit(args, hadamard_to_text(reconstruct_mod3(ring.N % 3, k)))
 
 
 def cmd_had_f2(args):

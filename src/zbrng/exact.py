@@ -394,8 +394,8 @@ def format_cyc(a):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra: rational kernel, rank and solve; one inverse over
-# Fractions or CycNums
+# exact linear algebra: rational solve; one inverse over Fractions or
+# CycNums
 
 def _int_rows(entries):
     """Scale each row to integers (clears denominators, divides by gcd)."""
@@ -445,33 +445,6 @@ def _echelon(m):
         if r == rows:
             break
     return pivots
-
-
-def rat_kernel(M):
-    """Exact basis of the right kernel of M; list of Fraction vectors."""
-    m = _int_rows([[Fraction(x) for x in row] for row in M])
-    cols = len(m[0])
-    pivots = _echelon(m)
-    pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        # back-substitute pivot rows (echelon, so bottom-up)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = Fraction(0)
-            for c in range(pc + 1, cols):
-                if v[c]:
-                    s += m[r][c] * v[c]
-            v[pc] = -s / m[r][pc]
-        basis.append(v)
-    return basis
-
-
-def rat_rank(M):
-    return len(_echelon(_int_rows([[Fraction(x) for x in row] for row in M])))
 
 
 def rat_solve(A, b):
@@ -532,49 +505,39 @@ def mat_inverse(rows):
 # ---------------------------------------------------------------------------
 # linear algebra over GF(p), p prime
 
-def gf_echelon(rows, p):
-    """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
-    m = [[int(x) % p for x in row] for row in rows]
-    if not m:
-        return m, []
-    cols = len(m[0])
+def rref_mod(A, p):
+    """(R, pivots): the reduced row echelon form mod p of an integer matrix
+    (int64 entries) and its pivot columns; the rank is len(pivots).  Entries
+    stay residues below p and each update subtracts one product below p^2,
+    so int64 is exact for p < 2^31."""
+    R = np.array(A, dtype=np.int64) % p
     pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(x * inv) % p for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+    for c in range(R.shape[1]):
+        r = len(pivots)
+        if r == R.shape[0]:
             break
-    return m, pivots
+        nz = np.flatnonzero(R[r:, c])
+        if not nz.size:
+            continue
+        R[[r, r + nz[0]]] = R[[r + nz[0], r]]
+        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
+        f = R[:, c].copy()
+        f[r] = 0
+        R = (R - f[:, None] * R[r]) % p
+        pivots.append(c)
+    return R, pivots
 
 
-def gf_rank(rows, p):
-    return len(gf_echelon(rows, p)[1])
-
-
-def gf_kernel(rows, p):
-    """Right kernel basis mod p (vectors of ints in [0, p))."""
-    m, pivots = gf_echelon(rows, p)
-    cols = len(m[0]) if m else 0
-    pivset = set(pivots)
-    basis = []
-    for fc in (c for c in range(cols) if c not in pivset):
-        v = [0] * cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = (-m[r][fc]) % p
-        basis.append(v)
-    return basis
+def kernel_mod(A, p):
+    """Basis of the right kernel of A mod p, one residue vector per row: the
+    vector of free column c has 1 at c and minus column c of R at the
+    pivots."""
+    R, pivots = rref_mod(A, p)
+    free = np.setdiff1d(np.arange(R.shape[1]), pivots)
+    K = np.zeros((len(free), R.shape[1]), dtype=np.int64)
+    K[np.arange(len(free)), free] = 1
+    K[:, pivots] = -R[:len(pivots), free].T % p
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +718,7 @@ class CycArray:
         max_singular = phi * h2.bit_length() // 60
         singular = used = 0
         residues, modulus = None, 1
-        for p in _primes(self.q):
+        for p in primes(self.q, 31):
             y = _inverse_mod(num, self.q, p)
             if y is None:
                 singular += 1
@@ -814,11 +777,12 @@ def _is_prime(m):
     return True
 
 
-def _primes(q):
-    """Primes p = 1 (mod q) between 2^30 and 2^31, largest first."""
+def primes(q, bits):
+    """Primes p = 1 (mod q) between 2^(bits-1) and 2^bits, largest first;
+    bits <= 31 keeps them within the range _is_prime decides."""
     step = lcm(q, 2)
-    p = (2 ** 31 - 2) // step * step + 1
-    while p > 2 ** 30:
+    p = (2 ** bits - 2) // step * step + 1
+    while p > 2 ** (bits - 1):
         if _is_prime(p):
             yield p
         p -= step

@@ -6,13 +6,12 @@ exact and mod-3 reconstruction of the matrix from the tensor, the dimension
 Indices are 0-based throughout; column 0 is the all-ones column.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import numpy as np
 
-from .exact import gf_kernel, gf_rank, rat_kernel
+from .exact import kernel_mod, primes, rref_mod
 from .rng_core import (FormatError, assoc_witness, is_closed_subset,
                        ring_from_tensor)
 
@@ -209,135 +208,119 @@ def wmatrix(ring, i):
 # ---------------------------------------------------------------------------
 # reconstruction
 
-def pm_split_rows(N, k):
-    """Exact common-eigenspace splitting of the matrices M_i = N_i^T with
-    eigenvalues +-k; returns the sorted character rows (entries +-k)."""
-    n = N.shape[0]
-    M = [[[int(N[i, j, m]) for j in range(n)] for m in range(n)]
-         for i in range(n)]
-
-    def matvec(i, v):
-        return [sum(M[i][m][j] * v[j] for j in range(n) if v[j])
-                for m in range(n)]
-
-    spaces = [[[Fraction(int(r == c)) for r in range(n)] for c in range(n)]]
-    spaces = [list(map(list, zip(*spaces[0])))]  # columns as vectors
-    for i in range(n):
-        if all(len(sp) == 1 for sp in spaces):
-            break
-        nxt = []
-        for cols in spaces:
-            d = len(cols)
-            if d == 1:
-                nxt.append(cols)
-                continue
-            img = [matvec(i, v) for v in cols]
-            rows_p = [[img[c][r] - k * cols[c][r] for c in range(d)]
-                      for r in range(n)]
-            rows_m = [[img[c][r] + k * cols[c][r] for c in range(d)]
-                      for r in range(n)]
-            kp = rat_kernel(rows_p)
-            km = rat_kernel(rows_m)
-            if len(kp) + len(km) != d:
-                raise HadamardError("non-+-k eigenvalue at basis %d" % i)
-            for ker in (kp, km):
-                if not ker:
-                    continue
-                nxt.append([[sum(co[c] * cols[c][r] for c in range(d))
-                             for r in range(n)] for co in ker])
-        spaces = nxt
-    if any(len(sp) != 1 for sp in spaces):
-        raise HadamardError("splitting stalls")
-
-    rows = []
-    for cols in spaces:
-        v = cols[0]
-        p = next(r for r in range(n) if v[r])
-        row = []
-        for i in range(n):
-            chi = Fraction(matvec(i, v)[p], 1) / v[p]
-            if chi.denominator != 1 or abs(chi) != k:
-                raise HadamardError("non-+-k eigenvalue at basis %d" % i)
-            row.append(int(chi))
-        rows.append(row)
-    rows.sort()
-    return rows
-
-
-def reconstruct_exact(ring, k=None):
-    """Recover the Hadamard matrix from its ring tensor, up to row
-    permutation, by exact rational +-k eigenspace splitting."""
+def hadamard_type(ring):
+    """k of a ring of Hadamard type: tilde = identity, b_i^2 = k b_0 with
+    k >= 1 and N_0 = k I.  Raises PreconditionError otherwise: the ring is
+    outside the domain of the +-k splitting."""
     N, n = ring.N, ring.n
-    if k is None:
-        k = int(N[0, 0, 0])
     if list(ring.tilde) != list(range(n)):
-        raise HadamardError("tilde must be identity")
+        raise PreconditionError("tilde must be identity")
+    k = int(N[0, 0, 0])
     want = np.zeros(n, dtype=np.int64)
     want[0] = k
-    if any(not np.array_equal(N[i, i], want) for i in range(n)):
-        raise HadamardError("b_i^2 != k b_0")
-    rows = pm_split_rows(N, k)
-    a = np.array(rows, dtype=np.int64) // k
-    return normalize_hadamard(a)
+    if k < 1 or any(not np.array_equal(N[i, i], want) for i in range(n)):
+        raise PreconditionError("b_i^2 != k b_0")
+    if not np.array_equal(N[0], k * np.eye(n, dtype=np.int64)):
+        raise PreconditionError("N_0 != k I")
+    return k
 
 
-def reconstruct_mod3(tensor, k):
-    """Same splitting over GF(3), eigenvalues +-1 (valid when k = 1 mod 3);
+def split_pm(N, k, p):
+    """Common-eigenspace splitting over GF(p) of the commuting matrices
+    M_i = N_i^T with eigenvalues +-k, for an odd prime p not dividing k.
+    Returns the sign rows (+1 where the character is k, -1 where it is -k
+    mod p), sorted.  Values are residues below p and every product sums at
+    most n terms below p^2, so n * p^2 < 2^63 keeps int64 exact."""
+    n = N.shape[0]
+    kp = k % p
+    spaces = [np.eye(n, dtype=np.int64)]     # one basis vector per row
+    for i in range(n):
+        if all(len(B) == 1 for B in spaces):
+            break
+        Ni = N[i] % p
+        nxt = []
+        for B in spaces:
+            if len(B) == 1:
+                nxt.append(B)
+                continue
+            img = B @ Ni % p                    # row r: M_i applied to B[r]
+            kers = [kernel_mod((img - e * B).T, p) for e in (kp, p - kp)]
+            if sum(map(len, kers)) != len(B):
+                raise HadamardError("non-+-k eigenvalue at basis %d" % i)
+            nxt += [K @ B % p for K in kers if len(K)]
+        spaces = nxt
+    if any(len(B) != 1 for B in spaces):
+        raise HadamardError("splitting stalls")
+
+    # character i of eigenvector v, read at its first nonzero coordinate c:
+    # (M_i v)_c / v_c = sum_j N_ijc v_j / v_c
+    V = np.concatenate(spaces)
+    c = (V != 0).argmax(axis=1)
+    chi = np.array([(N[:, :, cr] % p) @ v for v, cr in zip(V, c)]) % p
+    inv = [pow(int(x), -1, p) for x in V[np.arange(n), c]]
+    chi = chi * np.array(inv, dtype=np.int64)[:, None] % p
+    signs = (chi == kp).astype(np.int64) - (chi == p - kp)
+    bad = np.argwhere(signs == 0)
+    if len(bad):
+        raise HadamardError("non-+-k eigenvalue at basis %d" % bad[0][1])
+    return signs[np.lexsort(signs.T[::-1])]
+
+
+def _is_character_table(N, k, signs):
+    """True iff the rows s = k * signs are n distinct characters over Z:
+    s_ki s_kj = sum_m N_ijm s_km for all k, i, j."""
+    n = len(signs)
+    if len(np.unique(signs, axis=0)) != n:
+        return False
+    # |sum_m N_ijm s_km| <= n max|N| k, and k^2 <= that bound too
+    big = max(int(N.max()), -int(N.min()))
+    dtype = np.int64 if n * big * k < 2 ** 63 else object
+    s = signs.astype(dtype) * k
+    lhs = (s[:, :, None] * s[:, None, :]).reshape(n, n * n)
+    return np.array_equal(lhs, s @ N.astype(dtype).reshape(n * n, n).T)
+
+
+def character_signs(ring):
+    """(k, signs) for a ring of Hadamard type: its characters are the rows
+    of k * signs, sorted.  split_pm runs at primes p not dividing 2k with
+    n * p^2 < 2^63, and a result is returned only when the integer check
+    _is_character_table holds.  A prime that does not divide det(s / k), a
+    nonzero integer of absolute value at most n^(n/2) (Hadamard's
+    inequality), splits a genuine character table s; so failure is reported
+    only after more primes failed than can divide it."""
+    k = hadamard_type(ring)
+    N, n = ring.N, ring.n
+    bits = (63 - n.bit_length()) // 2        # n * p^2 < 2^63 for p < 2^bits
+    # c failed primes above 2^(bits-1) dividing det: 2^(2 c (bits-1)) < n^n
+    max_failed = (n ** n).bit_length() // (2 * (bits - 1))
+    failed = 0
+    for p in primes(1, bits):
+        if k % p == 0:
+            continue
+        try:
+            signs = split_pm(N, k, p)
+            if _is_character_table(N, k, signs):
+                return k, signs
+            raise HadamardError("rows fail the integer character check")
+        except HadamardError:
+            failed += 1
+            if failed > max_failed:
+                raise
+
+
+def reconstruct_exact(ring):
+    """Recover the Hadamard matrix from its ring tensor, up to row
+    permutation, by certified +-k eigenspace splitting."""
+    return normalize_hadamard(character_signs(ring)[1])
+
+
+def reconstruct_mod3(N, k):
+    """The splitting over GF(3), eigenvalues +-1 (valid when k = 1 mod 3);
     returns a +-1 sign matrix equal to the source matrix up to row
     permutation."""
     if k % 3 != 1:
         raise PreconditionError("k must be 1 mod 3")
-    N = getattr(tensor, "N", tensor)
-    N3 = np.asarray(N, dtype=np.int64) % 3
-    n = N3.shape[0]
-    M = [N3[i].T.tolist() for i in range(n)]
-
-    def matvec(i, v):
-        return [sum(M[i][m][j] * v[j] for j in range(n)) % 3
-                for m in range(n)]
-
-    spaces = [[[int(r == c) for r in range(n)] for c in range(n)]]
-    for i in range(n):
-        if all(len(sp) == 1 for sp in spaces):
-            break
-        nxt = []
-        for cols in spaces:
-            d = len(cols)
-            if d == 1:
-                nxt.append(cols)
-                continue
-            img = [matvec(i, v) for v in cols]
-            rows_p = [[(img[c][r] - cols[c][r]) % 3 for c in range(d)]
-                      for r in range(n)]
-            rows_m = [[(img[c][r] + cols[c][r]) % 3 for c in range(d)]
-                      for r in range(n)]
-            kp = gf_kernel(rows_p, 3)
-            km = gf_kernel(rows_m, 3)
-            if len(kp) + len(km) != d:
-                raise HadamardError("splitting stalls")
-            for ker in (kp, km):
-                if not ker:
-                    continue
-                nxt.append([[sum(co[c] * cols[c][r] for c in range(d)) % 3
-                             for r in range(n)] for co in ker])
-        spaces = nxt
-    if any(len(sp) != 1 for sp in spaces):
-        raise HadamardError("splitting stalls")
-
-    rows = []
-    for cols in spaces:
-        v = cols[0]
-        p = next(r for r in range(n) if v[r])
-        vp_inv = pow(v[p], -1, 3)
-        row = []
-        for i in range(n):
-            chi = (matvec(i, v)[p] * vp_inv) % 3
-            if chi not in (1, 2):
-                raise HadamardError("splitting stalls")
-            row.append(1 if chi == 1 else -1)
-        rows.append(row)
-    rows.sort()
-    return np.array(rows, dtype=np.int64)
+    return split_pm(N, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +352,7 @@ def v_rank(H):
     """Rank over GF(2) of v_ij = (1 - s_ij)/2 once the columns are scaled so
     that row 0 is all ones too; at most 4k-2."""
     a = H.array * H.array[0]
-    v = ((1 - a) // 2).tolist()
-    r = gf_rank(v, 2)
+    r = len(rref_mod((1 - a) // 2, 2)[1])
     if r > H.n - 2:
         raise HadamardError("rank bound violated")
     return r

@@ -13,6 +13,7 @@ from math import lcm
 import numpy as np
 
 from .exact import CycArray, CycNum, ExactError, format_cyc, parse_cyc
+from .hadamard import PreconditionError, character_signs
 from .rng_core import FormatError
 
 
@@ -224,34 +225,18 @@ def _orthonormal(cols):
     return q[:, keep]
 
 
-def _hadamard_type(ring):
-    """k if the tensor matches b_i^2 = k b_0, N_0 = k I, tilde = id."""
-    N, n = ring.N, ring.n
-    if list(ring.tilde) != list(range(n)):
-        return None
-    k = int(N[0, 0, 0])
-    if k < 1:
-        return None
-    want = np.zeros(n, dtype=np.int64)
-    want[0] = k
-    if any(not np.array_equal(N[i, i], want) for i in range(n)):
-        return None
-    if not np.array_equal(N[0], k * np.eye(n, dtype=np.int64)):
-        return None
-    return k
-
-
 def smatrix_from_tensor(ring, tol=1e-8):
     """Characters of the ring as rows, by iterative common-eigenspace
-    splitting of the commuting regular-representation matrices; exact +-k
-    path for Hadamard-type tensors, numeric otherwise."""
+    splitting of the commuting regular-representation matrices; the
+    certified +-k path (hadamard.character_signs) for Hadamard-type tensors,
+    numeric otherwise."""
     n, N = ring.n, ring.N
-    k = _hadamard_type(ring)
-    if k is not None:
-        from .hadamard import pm_split_rows
-        rows = pm_split_rows(N, k)
-        rows.sort()
-        return SMatrix.exact([[int(v) for v in row] for row in rows])
+    try:
+        k, signs = character_signs(ring)
+    except PreconditionError:
+        pass                                # not of Hadamard type: numeric
+    else:
+        return SMatrix.exact((k * signs).tolist())
 
     M = [N[i].T.astype(np.complex128) for i in range(n)]
     spaces = [np.eye(n, dtype=np.complex128)]
@@ -308,17 +293,15 @@ def smatrix_from_tensor(ring, tol=1e-8):
 
 def _row_keys(s, cols, tol):
     """Hashable per-row keys of the column submatrix, plus nonzero flags."""
-    keys, nonzero = [], []
     if s.mode == "exact":
         sub = s.ids[:, cols]
         keys = [row.tobytes() for row in sub]
         nonzero = (sub != s.zero_id).any(axis=1).tolist()
     else:
         dec = max(1, int(round(-np.log10(max(tol, 1e-12)))))
-        for l in range(s.n):
-            ents = s.array[l, cols]
-            keys.append(tuple(np.round(ents, dec).tolist()))
-            nonzero.append(bool(np.max(np.abs(ents)) > tol))
+        sub = s.array[:, cols]
+        keys = list(map(tuple, np.round(sub, dec).tolist()))
+        nonzero = (np.max(np.abs(sub), axis=1) > tol).tolist()
     return keys, nonzero
 
 

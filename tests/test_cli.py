@@ -253,6 +253,19 @@ def test_had_order_outside_domain_exit2(paley12_file, tmp_path, capsys):
     assert code == 2 and err == "input error: k must be >= 3\n"
 
 
+def test_had_reconstruct_non_hadamard_type_exit2(tmp_path, capsys):
+    # the Z/4 ring has a nontrivial involution: outside the +-k splitting
+    smat = tmp_path / "g4.smat"
+    ring = tmp_path / "z4.zbrng"
+    assert main(["gen", "group", "4", "-o", str(smat)]) == 0
+    assert main(["verlinde", str(smat), "-o", str(ring)]) == 0
+    capsys.readouterr()
+    for cmd in ("reconstruct", "reconstruct3"):
+        code, out, err = run(capsys, "had", cmd, str(ring))
+        assert (code, out) == (2, "")
+        assert err == "input error: tilde must be identity\n"
+
+
 def test_cyclotomic_order_bound_exit2(tmp_path, capsys):
     f = tmp_path / "big.smat"
     f.write_text("smatrix 1\nn 1 1\nz100000000\n")

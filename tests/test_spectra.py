@@ -13,7 +13,7 @@ from zbrng.generators import (fixture_ds3, gen_paley, group_ring_smatrix,
 from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import fannsc_lift
 from zbrng.rng_core import FormatError, is_closed_subset
-from zbrng.spectra import (SMatrix, SpectraError, _Decomposer,
+from zbrng.spectra import (SMatrix, SpectraError, _Decomposer, _row_keys,
                            closed_subset_heuristic, decompose,
                            fourier_matrix, involution_from_smatrix,
                            mu_uniformity_check, row_orthogonality_check,
@@ -540,6 +540,20 @@ def test_lift_embedding_matches_oracle(make):
         want = [exact_int(c) for c in
                 oracle_decompose(inv, [g * roots[t] for t in h])]
         assert L.embedding[w].tolist() == want
+
+
+def test_numeric_row_keys_match_per_row_rounding():
+    # the column submatrix is rounded once; the keys are those of rounding
+    # one row at a time
+    s = kac_peterson_a1(12)
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        cols = rng.choice(s.n, size=rng.integers(1, s.n + 1),
+                          replace=False).tolist()
+        keys, nonzero = _row_keys(s, cols, 1e-8)
+        rows = [s.array[l, cols] for l in range(s.n)]
+        assert keys == [tuple(np.round(r, 8).tolist()) for r in rows]
+        assert nonzero == [bool(np.max(np.abs(r)) > 1e-8) for r in rows]
 
 
 def test_exact_runtime_bounds():
