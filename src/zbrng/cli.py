@@ -236,9 +236,7 @@ def cmd_had_reconstruct(args):
 
 def cmd_had_reconstruct3(args):
     ring = as_ring(load_any(args.file))
-    k = ring.n // 4
-    if k % 3 == 1:              # else reconstruct_mod3 rejects k first
-        hadamard_type(ring)
+    k = hadamard_type(ring)
     return emit(args, hadamard_to_text(reconstruct_mod3(ring.N % 3, k)))
 
 
@@ -367,7 +365,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FormatError, PreconditionError) as exc:
+    except (InputError, FormatError, PreconditionError, OverflowError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except DOMAIN_ERRORS as exc:

@@ -7,12 +7,11 @@ The lifted algebra is monomial (x_v x_w = mu * x_{vw}), so it is stored as an
 index table plus a scalar table instead of a dense m^3 tensor.
 """
 
-from collections import deque
 from math import gcd
 
 import numpy as np
 
-from .exact import CycArray, CycNum, exact_int, power_table
+from .exact import CycArray, exact_int, power_table
 from .rng_core import (RingError, assoc_witness, identity_coefficients,
                        ring_blocks)
 from .spectra import decompose
@@ -48,9 +47,8 @@ class PointedAlgebra:
         if self.m > limit:
             raise QuotientError("dense tensor too large (m=%d)" % self.m)
         N = np.zeros((self.m, self.m, self.m), dtype=np.int64)
-        for i in range(self.m):
-            for j in range(self.m):
-                N[i, j, self.prod[i, j]] = self.mu[i, j]
+        i, j = np.indices((self.m, self.m))
+        N[i, j, self.prod] = self.mu
         return N
 
     def __repr__(self):
@@ -137,15 +135,129 @@ def order2_quotient(R, d):
 # ---------------------------------------------------------------------------
 # the nonnegative semigroup lift
 
-def _root_exponent(w, Q):
-    """t with w = zeta_Q^t, by scanning; None if w is not such a root."""
-    z = CycNum.zeta(Q) if Q > 1 else CycNum.from_rat(1)
-    cur = CycNum.from_rat(1)
-    for t in range(Q):
-        if w == cur:
-            return t
-        cur = cur * z
-    return None
+# Every table of the lift is built a slab of rows at a time.
+_SLAB = 64
+
+
+def _exact_dtype(bound):
+    """int64 when every value is provably below bound, Python ints
+    (object dtype) otherwise."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
+def _held(a, what):
+    """a as int64; OverflowError when some entry does not fit."""
+    if a.dtype == object and a.size and max(int(a.max()),
+                                            -int(a.min())) >= 2 ** 63:
+        raise OverflowError("%s exceed int64" % what)
+    return a.astype(np.int64, copy=False)
+
+
+def _roots(q, Q):
+    """(Q, phi(q)) array: row t holds zeta_Q^t on the power basis of
+    Q(zeta_q), for Q = q or Q = 2q with q odd."""
+    t = np.arange(Q)
+    table = power_table(q)
+    if Q == q:
+        return table[t]
+    # q odd: zeta_2q = -zeta_q^((q+1)/2)
+    return np.where(t % 2, -1, 1)[:, None] * table[t * (q + 1) // 2 % q]
+
+
+def _columns(s, roots):
+    """(gens, mus) with s[l, i] = mus[i] * zeta_Q^gens[i, l], classifying
+    each distinct entry (interned id) once."""
+    phi = roots.shape[1]
+    exponent = {tuple(r): t for t, r in enumerate(roots.tolist())}
+    ids = s.ids
+    texp = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
+    mu_of = np.zeros(len(texp), dtype=object)
+    uniq, first = np.unique(ids, return_index=True)
+    for k, at in zip(uniq.tolist(), first.tolist()):
+        f = s.rows[at // s.n][at % s.n].root_of_unity_factor()
+        if f is not None:
+            mu_of[k], w = f
+            key = tuple(w.coeffs.get(e, 0) for e in range(phi))
+            texp[k] = exponent.get(key, -1)
+    T, M = texp[ids], mu_of[ids]
+    if np.any(T < 0) or np.any(M != M[0]):
+        raise QuotientError("column not of root-of-unity type")
+    return T.T, M[0].tolist()
+
+
+def _row_keys(rows):
+    """One exact key per row of exponents: a void view of the big-endian
+    rows as uint16 (exponents are below Q <= 2 * MAX_ORDER = 2048), so keys
+    sort as the exponent tuples do."""
+    rows = np.ascontiguousarray(rows, dtype=">u2")
+    return rows.view(np.dtype((np.void, 2 * rows.shape[1]))).ravel()
+
+
+def _key_rows(keys, n):
+    """The exponent rows (int64, width n) of keys made by _row_keys."""
+    return np.frombuffer(keys.tobytes(), dtype=">u2").reshape(-1, n).astype(
+        np.int64)
+
+
+def _lookup(keys, idx, want):
+    """idx of each key of `want` in the sorted nonempty `keys`, -1 where
+    absent."""
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(keys[pos] == want, idx[pos], -1)
+
+
+def _cayley(gens, Q, cap):
+    """H = <rows of gens> in (Z/Q)^n, breadth first, with its neighbour
+    table.  Returns (elems, sizes, parent, via, gen_index, nbr): the m x n
+    exponent rows in the order (word length, exponent tuple); the size of
+    each word-length level; for each element a of length >= 2 a parent and
+    a generator with a = parent + gens[via] (at length 1, parent -1 and
+    a = gens[via]); the index of each generator; nbr[a, i] = index(a +
+    gens[i]).  Raises once |H| > cap.  Candidates are made a slab of
+    generators or elements at a time, at most about cap rows at once."""
+    n = gens.shape[1]
+    keys, via, gen_index = np.unique(_row_keys(gens), return_index=True,
+                                     return_inverse=True)
+    if len(keys) > cap:
+        raise QuotientError("|H| exceeds cap (%d)" % cap)
+    levels, parents, vias = [keys], [np.full(len(keys), -1)], [via]
+    known, known_idx = keys, np.arange(len(keys))
+    start, m = 0, len(keys)
+    while True:
+        frontier = _key_rows(levels[-1], n)
+        f = len(frontier)
+        step = max(1, cap // f)
+        new = keys[:0]
+        par = gen = np.zeros(0, dtype=np.int64)
+        for lo in range(0, len(gens), step):
+            cand = (frontier[None] + gens[lo:lo + step, None]) % Q
+            ck = _row_keys(cand.reshape(-1, n))
+            miss = np.flatnonzero(_lookup(known, known_idx, ck) < 0)
+            new, keep = np.unique(np.concatenate([new, ck[miss]]),
+                                  return_index=True)
+            par = np.concatenate([par, start + miss % f])[keep]
+            gen = np.concatenate([gen, lo + miss // f])[keep]
+            if m + len(new) > cap:
+                raise QuotientError("|H| exceeds cap (%d)" % cap)
+        if not len(new):
+            break
+        levels.append(new)
+        parents.append(par)
+        vias.append(gen)
+        pos = np.searchsorted(known, new)
+        known = np.insert(known, pos, new)
+        known_idx = np.insert(known_idx, pos, np.arange(m, m + len(new)))
+        start, m = m, m + len(new)
+
+    elems = _key_rows(np.concatenate(levels), n)
+    nbr = np.empty((m, len(gens)), dtype=np.int64)
+    rows = max(1, cap // len(gens))
+    for lo in range(0, m, rows):
+        cand = (elems[lo:lo + rows, None] + gens[None]) % Q
+        nbr[lo:lo + rows] = _lookup(known, known_idx, _row_keys(
+            cand.reshape(-1, n))).reshape(-1, len(gens))
+    return (elems, [len(k) for k in levels], np.concatenate(parents),
+            np.concatenate(vias), gen_index, nbr)
 
 
 class LiftPresentation:
@@ -185,118 +297,75 @@ def fannsc_lift(s, cap=4096):
         raise QuotientError("exact s-matrix required")
     n = s.n
     Q = s.q if s.q % 2 == 0 else 2 * s.q
+    roots = _roots(s.q, Q)
+    gens, mus = _columns(s, roots)
 
-    mus = []
-    gens = []
-    for i in range(n):
-        col = s.column(i)
-        mu_i = None
-        exps = []
-        for e in col:
-            f = e.root_of_unity_factor()
-            if f is None:
-                raise QuotientError("column not of root-of-unity type")
-            mu, w = f
-            if mu_i is None:
-                mu_i = mu
-            elif mu_i != mu:
-                raise QuotientError("column not of root-of-unity type")
-            t = _root_exponent(w.to_order(Q) if Q % w.q == 0 else w, Q)
-            if t is None:
-                raise QuotientError("column not of root-of-unity type")
-            exps.append(t)
-        mus.append(int(mu_i))
-        gens.append(tuple(exps))
-
-    def mult(a, b):
-        return tuple((x + y) % Q for x, y in zip(a, b))
-
-    # breadth-first enumeration of H with word-length distances
-    dist = {}
-    frontier = []
-    for v in gens:
-        if v not in dist:
-            if len(dist) >= cap:
-                raise QuotientError("|H| exceeds cap (%d)" % cap)
-            dist[v] = 1
-            frontier.append(v)
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for v in gens:
-                hv = mult(h, v)
-                if hv not in dist:
-                    if len(dist) >= cap:
-                        raise QuotientError("|H| exceeds cap (%d)" % cap)
-                    dist[hv] = dist[h] + 1
-                    nxt.append(hv)
-        frontier = nxt
-
-    # g(h) = gcd of word scalars, by relaxation to the fixpoint
-    g = {h: 0 for h in dist}
-    for v, mu in zip(gens, mus):
-        g[v] = gcd(g[v], mu)
-    work = deque(set(gens))
-    while work:
-        h = work.popleft()
-        for v, mu in zip(gens, mus):
-            hv = mult(h, v)
-            nd = gcd(g[hv], g[h] * mu)
-            if nd != g[hv]:
-                g[hv] = nd
-                work.append(hv)
-
-    elems = sorted(dist, key=lambda h: (dist[h], h))
-    index = {h: w for w, h in enumerate(elems)}
+    elems, sizes, parent, via, gen_index, nbr = _cayley(gens, Q, cap)
     m = len(elems)
-    garr = np.array([g[h] for h in elems], dtype=np.int64)
+    bounds = np.cumsum([0] + sizes)
+    dists = np.repeat(np.arange(1, len(sizes) + 1), sizes)
 
-    if Q == 2 and n <= 20:
-        codes = np.array([sum(b << t for t, b in enumerate(h))
-                          for h in elems], dtype=np.int64)
-        lut = np.full(1 << n, -1, dtype=np.int64)
-        lut[codes] = np.arange(m)
-        prod = lut[np.bitwise_xor.outer(codes, codes)]
-    else:
-        prod = np.zeros((m, m), dtype=np.int64)
-        for a in range(m):
-            for b in range(a, m):
-                prod[a, b] = prod[b, a] = index[mult(elems[a], elems[b])]
-    num = garr[:, None] * garr[None, :]
-    den = garr[prod]
-    if np.any(num % den):
-        raise QuotientError("scalar table not integral")
-    mu_table = num // den
+    # product table along the breadth-first parents: a = parent + v_via
+    prod = np.empty((m, m), dtype=np.int64)
+    prod[:sizes[0]] = nbr[:, via[:sizes[0]]].T
+    for a0, a1 in zip(bounds[1:-1], bounds[2:]):
+        for lo in range(a0, a1, _SLAB):
+            sl = slice(lo, min(lo + _SLAB, a1))
+            prod[sl] = nbr[prod[parent[sl]], via[sl, None]]
 
-    lifted = PointedAlgebra(elems, prod=prod, mu=mu_table)
+    # g(h) = gcd of word scalars: start from the breadth-first word and relax
+    # to the fixpoint; every value stays below max(mu)^(depth + 1)
+    mu_arr = np.array(mus, dtype=_exact_dtype(max(mus) ** (len(sizes) + 1)))
+    g = np.zeros(m, dtype=mu_arr.dtype)
+    for i, w in enumerate(gen_index.tolist()):
+        g[w] = gcd(g[w], mus[i])
+    for a0, a1 in zip(bounds[1:-1], bounds[2:]):
+        g[a0:a1] = g[parent[a0:a1]] * mu_arr[via[a0:a1]]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            t = nbr[:, i]
+            relaxed = np.gcd(g[t], g * mu_arr[i])
+            if np.any(relaxed != g[t]):
+                g[t] = relaxed
+                changed = True
+    garr = _held(g, "lift scalars")
+
+    # mu[a, b] = g(a) g(b) / g(ab)
+    gmax = int(garr.max())
+    gd = garr.astype(_exact_dtype(gmax * gmax))
+    mu_table = np.empty((m, m), dtype=np.int64)
+    for lo in range(0, m, _SLAB):
+        num = gd[lo:lo + _SLAB, None] * gd[None, :]
+        den = gd[prod[lo:lo + _SLAB]]
+        if np.any(num % den):
+            raise QuotientError("scalar table not integral")
+        mu_table[lo:lo + _SLAB] = _held(num // den, "lift constants")
+
+    labels = [tuple(h) for h in elems.tolist()]
+    lifted = PointedAlgebra(labels, prod=prod, mu=mu_table)
 
     # exact integral decomposition of every g(h) h over the columns; column
     # w of W is g(h_w) zeta_Q^h_w on the power basis of Q(zeta_q)
     inv = s.inverse(tol=None)
-    t = np.arange(Q)
-    table = power_table(s.q)
-    if Q == s.q:
-        roots = table[t]
-    else:  # q odd: zeta_2q = -zeta_q^((q+1)/2)
-        roots = (np.where(t % 2, -1, 1)[:, None]
-                 * table[t * (s.q + 1) // 2 % s.q])
-    W = garr[None, :, None] * roots[np.array(elems).T]
+    dt = _exact_dtype(gmax * int(np.max(np.abs(roots))))
+    W = garr.astype(dt)[None, :, None] * roots.astype(dt)[elems.T]
     vals, ok = decompose(inv, CycArray(s.q, W, 1)).integers()
     if not ok.all():
         raise QuotientError("non-integral decomposition")
-    E = vals.T.astype(np.int64)
+    E = _held(vals.T, "decomposition coefficients")
 
     distinguished = [-1] * n
     for i in range(n):
-        w = index[gens[i]]
-        if g[gens[i]] == mus[i]:
+        w = int(gen_index[i])
+        if garr[w] == mus[i]:
             row = E[w]
             if row[i] == 1 and np.count_nonzero(row) == 1:
                 distinguished[i] = w
     if any(w < 0 for w in distinguished) or len(set(distinguished)) != n:
         raise QuotientError("distinguished set incomplete")
 
-    dists = np.array([dist[h] for h in elems], dtype=np.int64)
     return LiftPresentation(lifted, E, tuple(distinguished), garr, dists, Q)
 
 
@@ -321,6 +390,24 @@ def quotient_verify(L, R, chunk=64):
     return True
 
 
+def _monomial_rows(prod, mu):
+    """The rows "p:mu p:mu ..." of a monomial product table, a slab of rows
+    at a time; each distinct (p, mu) cell of a slab is formatted once."""
+    m = prod.shape[1]
+    heads = np.array(["%d:" % p for p in range(m)], dtype=object)
+    lines = []
+    for lo in range(0, len(prod), _SLAB):
+        block = prod[lo:lo + _SLAB]
+        values, rank = np.unique(mu[lo:lo + _SLAB], return_inverse=True)
+        # one key per (p, mu) cell, below _SLAB * m^2
+        cells, at = np.unique(rank.reshape(block.shape) * m + block,
+                              return_inverse=True)
+        tails = np.array([str(v) for v in values.tolist()], dtype=object)
+        text = heads[cells % m] + tails[cells // m]
+        lines += [" ".join(row) for row in text[at.reshape(-1, m)].tolist()]
+    return lines
+
+
 def lift_to_text(L, dense_limit=128):
     """Lifted tensor in block format (no involution line, the lift carries
     none), then one ideal line per non-distinguished basis element giving its
@@ -332,9 +419,7 @@ def lift_to_text(L, dense_limit=128):
         lines += ring_blocks(alg.dense_tensor(limit=dense_limit))
     else:
         lines = ["zbrng-monomial 1", "n %d" % alg.m]
-        for i in range(alg.m):
-            lines.append(" ".join("%d:%d" % (alg.prod[i, j], alg.mu[i, j])
-                                  for j in range(alg.m)))
+        lines += _monomial_rows(alg.prod, alg.mu)
     lines.append("distinguished " + " ".join(str(w) for w in L.distinguished))
     dset = set(L.distinguished)
     for w in range(alg.m):
@@ -342,4 +427,5 @@ def lift_to_text(L, dense_limit=128):
             lines.append("w%s : %s" % (
                 L.label_str(w),
                 " ".join(str(int(x)) for x in L.embedding[w])))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)

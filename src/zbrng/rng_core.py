@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exact import CycNum, ExactError, exact_int, rat_solve
+from .exact import CycNum, ExactError, exact_int, primes, rat_solve
 
 
 class RingError(ValueError):
@@ -165,29 +165,48 @@ def _first_mismatch(a, b):
 
 def assoc_witness(N, modulus):
     """First (i, j, k, l) in C order at which (b_i b_j) b_k and b_i (b_j b_k)
-    differ in coefficient l (mod modulus unless it is None), or None.  Works in slabs
-    of i, so memory is O(n^3).  Every sum is bounded by max|N|^2 * n, which
-    picks the dtype: float64 below 2^53, int64 below 2^63, Python ints
-    above; a nonzero difference of two such sums cannot round or wrap to 0."""
+    differ in coefficient l (mod modulus unless it is None), or None.  Works
+    in slabs of i, so memory is O(n^3).  Every sum is bounded by
+    max|N|^2 * n, which picks the dtype: float64 below 2^53, int64 below
+    2^63; a nonzero difference of two such sums cannot round or wrap to 0.
+    Above 2^63 (no modulus) the difference, at most 2 max|N|^2 n in size, is
+    zero exactly when it is zero modulo each of a few primes p with
+    n p^2 < 2^53 whose product exceeds that size; each prime is one float64
+    pass, and the witness is the first index nonzero modulo any of them."""
     N = np.asarray(N, dtype=np.int64)
     if modulus is not None:
         N = N % modulus
     n = N.shape[0]
     big = max(int(N.max()), -int(N.min())) if N.size else 0
     bound = big * big * n
-    A = N.astype(np.float64 if bound < 2 ** 53 else
-                 np.int64 if bound < 2 ** 63 else object)
-    # only zero matters, so the sign-keeping fmod serves (much faster than %
-    # on floats); object arrays have no fmod
-    reduce = np.remainder if A.dtype == object else np.fmod
+    if bound < 2 ** 63:
+        A = N.astype(np.float64 if bound < 2 ** 53 else np.int64)
+        return _assoc_scan(A, modulus, n)
+    if modulus is not None:
+        raise ValueError("modulus too large: (modulus-1)^2 * n >= 2^63")
+    best, product = None, 1
+    for p in primes(1, (53 - n.bit_length()) // 2):
+        stop = n if best is None else best[0] + 1
+        w = _assoc_scan((N % p).astype(np.float64), p, stop)
+        if w is not None and (best is None or w < best):
+            best = w
+        product *= p
+        if product > 2 * bound:
+            return best
+
+
+def _assoc_scan(A, modulus, stop):
+    """assoc_witness on an exact float64 or int64 tensor, over i < stop."""
+    n = A.shape[0]
     left = A.reshape(n, n * n)      # (m, kl): N[m, k, l]
     right = A.reshape(n * n, n)     # (jk, m): N[j, k, m]
-    for i in range(n):
+    for i in range(stop):
         # lhs[j, kl] = sum_m N[i, j, m] N[m, k, l]
         # rhs[jk, l] = sum_m N[j, k, m] N[i, m, l]
         diff = (A[i] @ left).reshape(n, n, n) - (right @ A[i]).reshape(n, n, n)
         if modulus is not None:
-            diff = reduce(diff, modulus)
+            # only zero matters, so the sign-keeping fmod serves
+            diff = np.fmod(diff, modulus)
         bad = np.flatnonzero(diff)
         if len(bad):
             return (i,) + tuple(int(x) for x in

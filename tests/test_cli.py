@@ -214,6 +214,22 @@ def test_had_reconstruct3(tmp_path, capsys):
     assert got.shape == (16, 16)
 
 
+def test_had_reconstruct3_takes_the_rings_k(tmp_path, capsys):
+    # the (Z/2)^3 ring is of Hadamard type with k = N_000 = 1 (n // 4 = 2)
+    smat = tmp_path / "g8.smat"
+    ring = tmp_path / "g8.zbrng"
+    assert main(["gen", "group", "2", "2", "2", "-o", str(smat)]) == 0
+    assert main(["verlinde", str(smat), "-o", str(ring)]) == 0
+    capsys.readouterr()
+    code, exact, _ = run(capsys, "had", "reconstruct", str(ring))
+    assert code == 0
+    code, out, err = run(capsys, "had", "reconstruct3", str(ring))
+    assert (code, err) == (0, "")
+    assert out == exact
+    H = hadamard_from_text(out).astype(np.int64)
+    assert np.array_equal(H @ H.T, 8 * np.eye(8, dtype=np.int64))
+
+
 def test_had_f2(capsys):
     code, out, _ = run(capsys, "had", "f2", "3")
     assert code == 0 and out.strip() == "f2 ok"

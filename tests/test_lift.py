@@ -1,0 +1,375 @@
+"""The array semigroup lift (breadth-first enumeration on exponent rows, the
+neighbour-table product, per-id column classification, the slab writer)
+against the tuple-based lift and writer it replaced; exact scalars past
+int64; an exhaustive structural check of the product table; runtime bounds."""
+
+import time
+from collections import deque
+from itertools import zip_longest
+from math import gcd
+
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings, strategies as st
+
+from zbrng.cli import main
+from zbrng.exact import CycArray, CycNum, power_table
+from zbrng.generators import gen_paley, group_ring_smatrix
+from zbrng.hadamard import ring_from_hadamard
+from zbrng.quotients import (LiftPresentation, PointedAlgebra, QuotientError,
+                             fannsc_lift, lift_to_text)
+from zbrng.rng_core import ring_blocks
+from zbrng.spectra import SMatrix, decompose, smatrix_from_tensor
+
+
+# ---------------------------------------------------------------------------
+# oracle: the tuple-based lift and the cell-by-cell writer, as they were
+
+def _root_exponent(w, Q):
+    z = CycNum.zeta(Q) if Q > 1 else CycNum.from_rat(1)
+    cur = CycNum.from_rat(1)
+    for t in range(Q):
+        if w == cur:
+            return t
+        cur = cur * z
+    return None
+
+
+def oracle_lift(s, cap=4096):
+    if s.mode != "exact":
+        raise QuotientError("exact s-matrix required")
+    n = s.n
+    Q = s.q if s.q % 2 == 0 else 2 * s.q
+
+    mus = []
+    gens = []
+    for i in range(n):
+        col = s.column(i)
+        mu_i = None
+        exps = []
+        for e in col:
+            f = e.root_of_unity_factor()
+            if f is None:
+                raise QuotientError("column not of root-of-unity type")
+            mu, w = f
+            if mu_i is None:
+                mu_i = mu
+            elif mu_i != mu:
+                raise QuotientError("column not of root-of-unity type")
+            t = _root_exponent(w.to_order(Q) if Q % w.q == 0 else w, Q)
+            if t is None:
+                raise QuotientError("column not of root-of-unity type")
+            exps.append(t)
+        mus.append(int(mu_i))
+        gens.append(tuple(exps))
+
+    def mult(a, b):
+        return tuple((x + y) % Q for x, y in zip(a, b))
+
+    dist = {}
+    frontier = []
+    for v in gens:
+        if v not in dist:
+            if len(dist) >= cap:
+                raise QuotientError("|H| exceeds cap (%d)" % cap)
+            dist[v] = 1
+            frontier.append(v)
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for v in gens:
+                hv = mult(h, v)
+                if hv not in dist:
+                    if len(dist) >= cap:
+                        raise QuotientError("|H| exceeds cap (%d)" % cap)
+                    dist[hv] = dist[h] + 1
+                    nxt.append(hv)
+        frontier = nxt
+
+    g = {h: 0 for h in dist}
+    for v, mu in zip(gens, mus):
+        g[v] = gcd(g[v], mu)
+    work = deque(set(gens))
+    while work:
+        h = work.popleft()
+        for v, mu in zip(gens, mus):
+            hv = mult(h, v)
+            nd = gcd(g[hv], g[h] * mu)
+            if nd != g[hv]:
+                g[hv] = nd
+                work.append(hv)
+
+    elems = sorted(dist, key=lambda h: (dist[h], h))
+    index = {h: w for w, h in enumerate(elems)}
+    m = len(elems)
+    garr = np.array([g[h] for h in elems], dtype=np.int64)
+
+    if Q == 2 and n <= 20:
+        codes = np.array([sum(b << t for t, b in enumerate(h))
+                          for h in elems], dtype=np.int64)
+        lut = np.full(1 << n, -1, dtype=np.int64)
+        lut[codes] = np.arange(m)
+        prod = lut[np.bitwise_xor.outer(codes, codes)]
+    else:
+        prod = np.zeros((m, m), dtype=np.int64)
+        for a in range(m):
+            for b in range(a, m):
+                prod[a, b] = prod[b, a] = index[mult(elems[a], elems[b])]
+    num = garr[:, None] * garr[None, :]
+    den = garr[prod]
+    if np.any(num % den):
+        raise QuotientError("scalar table not integral")
+    mu_table = num // den
+
+    lifted = PointedAlgebra(elems, prod=prod, mu=mu_table)
+
+    inv = s.inverse(tol=None)
+    t = np.arange(Q)
+    table = power_table(s.q)
+    if Q == s.q:
+        roots = table[t]
+    else:
+        roots = (np.where(t % 2, -1, 1)[:, None]
+                 * table[t * (s.q + 1) // 2 % s.q])
+    W = garr[None, :, None] * roots[np.array(elems).T]
+    vals, ok = decompose(inv, CycArray(s.q, W, 1)).integers()
+    if not ok.all():
+        raise QuotientError("non-integral decomposition")
+    E = vals.T.astype(np.int64)
+
+    distinguished = [-1] * n
+    for i in range(n):
+        w = index[gens[i]]
+        if g[gens[i]] == mus[i]:
+            row = E[w]
+            if row[i] == 1 and np.count_nonzero(row) == 1:
+                distinguished[i] = w
+    if any(w < 0 for w in distinguished) or len(set(distinguished)) != n:
+        raise QuotientError("distinguished set incomplete")
+
+    dists = np.array([dist[h] for h in elems], dtype=np.int64)
+    return LiftPresentation(lifted, E, tuple(distinguished), garr, dists, Q)
+
+
+def oracle_dense(alg):
+    N = np.zeros((alg.m, alg.m, alg.m), dtype=np.int64)
+    for i in range(alg.m):
+        for j in range(alg.m):
+            N[i, j, alg.prod[i, j]] = alg.mu[i, j]
+    return N
+
+
+def oracle_text(L, dense_limit=128):
+    alg = L.lifted
+    if alg.m <= dense_limit:
+        lines = ["zbrng 1", "n %d" % alg.m]
+        lines += ring_blocks(oracle_dense(alg))
+    else:
+        lines = ["zbrng-monomial 1", "n %d" % alg.m]
+        for i in range(alg.m):
+            lines.append(" ".join("%d:%d" % (alg.prod[i, j], alg.mu[i, j])
+                                  for j in range(alg.m)))
+    lines.append("distinguished " + " ".join(str(w) for w in L.distinguished))
+    dset = set(L.distinguished)
+    for w in range(alg.m):
+        if w not in dset:
+            lines.append("w%s : %s" % (
+                L.label_str(w),
+                " ".join(str(int(x)) for x in L.embedding[w])))
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# differential tests
+
+def outcome(fn, s, cap=4096):
+    try:
+        return fn(s, cap=cap)
+    except QuotientError as exc:
+        return str(exc)
+
+
+def first_difference(a, b):
+    """(line, a's line, b's line) at the first differing line, or None; a
+    short report where a plain == would make pytest diff megabytes."""
+    for k, (x, y) in enumerate(zip_longest(a.splitlines(), b.splitlines())):
+        if x != y:
+            return k, (x or "")[:60], (y or "")[:60]
+    return None
+
+
+def assert_same_lift(s):
+    want = outcome(oracle_lift, s)
+    got = outcome(fannsc_lift, s)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.lifted.labels == want.lifted.labels
+    assert all(type(x) is int for h in got.lifted.labels for x in h)
+    for name in ("scalars", "distances", "embedding"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), name
+    assert np.array_equal(got.lifted.prod, want.lifted.prod)
+    assert np.array_equal(got.lifted.mu, want.lifted.mu)
+    assert got.lifted.mu.dtype == np.int64
+    assert got.distinguished == want.distinguished
+    assert got.group_order == want.group_order
+    assert first_difference(lift_to_text(got), oracle_text(want)) is None
+    if got.lifted.m <= 128:
+        assert np.array_equal(got.lifted.dense_tensor(),
+                              oracle_dense(want.lifted))
+    m = got.lifted.m
+    with pytest.raises(QuotientError, match=r"exceeds cap \(%d\)" % (m - 1)):
+        fannsc_lift(s, cap=m - 1)
+    assert outcome(oracle_lift, s, cap=m - 1) == "|H| exceeds cap (%d)" % (
+        m - 1)
+    assert fannsc_lift(s, cap=m).lifted.m == m
+
+
+def transformed(s, rows, cols, scales):
+    """s with rows and columns permuted and column i multiplied by
+    scales[i] (an integer, possibly negative)."""
+    return SMatrix.exact([[s.rows[r][c] * scales[c] for c in cols]
+                          for r in rows])
+
+
+@st.composite
+def group_tables(draw):
+    orders = draw(st.lists(st.integers(2, 9), min_size=1, max_size=3)
+                  .filter(lambda o: int(np.prod(o)) <= 16))
+    s = group_ring_smatrix(orders)
+    n = s.n
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    scales = draw(st.lists(st.sampled_from([1, 1, 1, -1, 2, -3]),
+                           min_size=n, max_size=n))
+    return transformed(s, rows, cols, scales)
+
+
+@settings(max_examples=20, deadline=None)
+@given(group_tables())
+def test_lift_matches_oracle_on_group_tables(s):
+    assert_same_lift(s)
+
+
+@pytest.mark.parametrize("orders", [[3], [5], [9], [2, 3], [3, 3], [4, 2],
+                                    [7], [6], [8], [2, 2, 2], [3, 5]])
+def test_lift_matches_oracle_on_fixed_group_tables(orders):
+    assert_same_lift(group_ring_smatrix(orders))
+
+
+@pytest.fixture(scope="module")
+def paley12_smatrix():
+    return smatrix_from_tensor(ring_from_hadamard(gen_paley(11)))
+
+
+# each example costs about a second, so a failure is reported unshrunk
+@settings(max_examples=3, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.data())
+def test_lift_matches_oracle_on_scrambled_paley12(paley12_smatrix, data):
+    rows = data.draw(st.permutations(range(12)))
+    cols = data.draw(st.permutations(range(12)))
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=12,
+                               max_size=12))
+    assert_same_lift(transformed(paley12_smatrix, rows, cols, signs))
+
+
+def test_lift_column_classification_errors():
+    z = CycNum.zeta(3)
+    one = CycNum.from_rat(1)
+    bad = [
+        [[one, one], [one, z + one]],           # 1 + zeta_3 is a root, -z^2
+        [[one, CycNum.from_rat(2)], [one, one]],   # two moduli in a column
+        [[one, CycNum.from_rat(0)], [one, one]],   # a zero entry
+        [[one, one + one / 2], [one, one]],        # not an integer modulus
+    ]
+    for rows in bad:
+        s = SMatrix.exact(rows)
+        assert outcome(fannsc_lift, s) == outcome(oracle_lift, s)
+    s = SMatrix.numeric(np.eye(2))
+    with pytest.raises(QuotientError, match="exact s-matrix required"):
+        fannsc_lift(s)
+
+
+# ---------------------------------------------------------------------------
+# exact scalars
+
+def scaled_z2(c):
+    return SMatrix.exact([[c, c], [c, -c]])
+
+
+@pytest.mark.parametrize("c", [3, 2 ** 32, 2 ** 40, 2 ** 62])
+def test_lift_scalars_past_int64(c):
+    # g = (c, c); mu = c * c / c = c, whose numerator c^2 wraps in int64
+    L = fannsc_lift(scaled_z2(c))
+    assert L.scalars.tolist() == [c, c]
+    assert L.lifted.mu.tolist() == [[c, c], [c, c]]
+    assert L.lifted.prod.tolist() == [[0, 1], [1, 0]]
+    text = lift_to_text(L)
+    assert text == ("zbrng 1\nn 2\nN 0\n%d 0\n0 %d\nN 1\n0 %d\n%d 0\n"
+                    "distinguished 0 1\n" % (c, c, c, c))
+
+
+def test_lift_cli_scalars_past_int64(tmp_path, capsys):
+    f = tmp_path / "c.smat"
+    for c in (2 ** 32, 2 ** 40):
+        f.write_text("smatrix 1\nn 2 2\n%d %d\n%d -%d\n" % (c, c, c, c))
+        assert main(["lift", str(f)]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[2:5] == ["N 0", "%d 0" % c, "0 %d" % c]
+    f.write_text("smatrix 1\nn 2 2\n%d %d\n%d -%d\n" % ((2 ** 70,) * 4))
+    assert main(["lift", str(f)]) == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == "input error: lift scalars exceed int64\n"
+
+
+@pytest.mark.parametrize("scales", [(1, 2, -1), (1, 3, -2), (1, -1, 2),
+                                    (1, -2, 3)])
+def test_lift_gcd_relaxation_reaches_fixpoint(scales):
+    # Z/3 with rescaled columns: g(h) from the breadth-first words alone
+    # stays above the gcd over all words, and its scalar table is then not
+    # integral; the fixpoint fails later, like the oracle
+    s = transformed(group_ring_smatrix([3]), range(3), range(3), scales)
+    assert outcome(fannsc_lift, s) == outcome(oracle_lift, s)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive structure and runtime
+
+def check_structure(L):
+    """labels[prod[a, b]] = labels[a] + labels[b] (mod Q) and
+    mu[a, b] g(ab) = g(a) g(b) for every pair."""
+    alg, Q, g = L.lifted, L.group_order, L.scalars
+    lab = np.array(alg.labels)
+    for lo in range(0, alg.m, 128):
+        a = slice(lo, lo + 128)
+        want = (lab[a, None, :] + lab[None, :, :]) % Q
+        assert np.array_equal(lab[alg.prod[a]], want)
+        assert np.array_equal(alg.mu[a] * g[alg.prod[a]],
+                              g[a, None] * g[None, :])
+    assert (alg.mu >= 1).all()
+
+
+@pytest.mark.parametrize("q", [11, 23])
+def test_lift_structure_exhaustive(q):
+    L = fannsc_lift(smatrix_from_tensor(ring_from_hadamard(gen_paley(q))))
+    assert L.lifted.m == {11: 1024, 23: 2048}[q]
+    check_structure(L)
+    if q == 11:
+        assert first_difference(lift_to_text(L), oracle_text(L)) is None
+
+
+def test_lift_paley24_runtime():
+    s = smatrix_from_tensor(ring_from_hadamard(gen_paley(23)))
+    t0 = time.perf_counter()
+    text = lift_to_text(fannsc_lift(s))
+    elapsed = time.perf_counter() - t0
+    assert text.startswith("zbrng-monomial 1\nn 2048\n")
+    assert elapsed < 2.0, elapsed
+
+
+def test_dense_tensor_matches_loop():
+    L = fannsc_lift(group_ring_smatrix([2, 3]))
+    assert np.array_equal(L.lifted.dense_tensor(), oracle_dense(L.lifted))

@@ -1,9 +1,11 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from zbrng.exact import primes
 from zbrng.generators import group_ring_smatrix
 from zbrng.rng_core import (FormatError, RingElement, RingError, assoc_witness,
                             identity_coefficients, is_closed_subset, multiply,
@@ -127,6 +129,61 @@ def test_assoc_witness_every_dtype(k):
     want = python_witness(N)
     assert want is not None
     assert assoc_witness(N, None) == want
+
+
+def test_assoc_witness_big_entries_match_python():
+    # max|N|^2 * n >= 2^63: the difference is taken modulo several primes
+    rng = np.random.default_rng(11)
+    for trial in range(12):
+        n = int(rng.integers(2, 6))
+        scale = 2 ** int(rng.integers(31, 62))
+        N = cyclic_tensor(n) * scale
+        if trial % 3:
+            for _ in range(int(rng.integers(1, 3))):
+                i, j, m = (int(x) for x in rng.integers(0, n, size=3))
+                N[i, j, m] += int(rng.choice([1, -1, 2 ** 20, scale // 2]))
+                N[j, i, m] = N[i, j, m]
+        assert assoc_witness(N, None) == python_witness(N)
+
+
+def test_assoc_witness_zero_modulo_first_primes():
+    # at (0, 0, 1, 1) the difference is b (a - b) = p1 p2, which vanishes
+    # modulo the first two primes of the passes and not modulo the third;
+    # the later mismatch at (0, 0, 2, 2), 2b - 2, is seen by every prime
+    p1, p2 = itertools.islice(primes(1, (53 - (3).bit_length()) // 2), 2)
+    b = p1 * p2
+    N = np.zeros((3, 3, 3), dtype=np.int64)
+    N[0, 0, 0] = b + 1
+    N[0, 1, 1] = N[1, 0, 1] = b
+    N[0, 2, 2] = N[2, 0, 2] = 2
+    assert python_witness(N) == (0, 0, 1, 1)
+    assert assoc_witness(N, None) == (0, 0, 1, 1)
+    N[0, 2, 2] = N[2, 0, 2] = 0
+    assert assoc_witness(N, None) == python_witness(N) == (0, 0, 1, 1)
+    N[0, 0, 0] = b
+    assert python_witness(N) is None
+    assert assoc_witness(N, None) is None
+
+
+def test_assoc_witness_big_entries_runtime():
+    # the Z/32 group law scaled by 2^29: max|N|^2 * n = 2^63
+    N = cyclic_tensor(32) * 2 ** 29
+    t0 = time.perf_counter()
+    assert assoc_witness(N, None) is None
+    bad = N.copy()
+    bad[3, 5, 7] += 1
+    bad[5, 3, 7] += 1
+    i, j, k, l = assoc_witness(bad, None)
+    assert time.perf_counter() - t0 < 1.0
+    # a genuine mismatch, summed over Python ints
+    T = bad.tolist()
+    assert (sum(T[i][j][m] * T[m][k][l] for m in range(32))
+            != sum(T[j][k][m] * T[i][m][l] for m in range(32)))
+
+
+def test_assoc_witness_modulus_bound():
+    with pytest.raises(ValueError, match="modulus too large"):
+        assoc_witness(cyclic_tensor(4) * (2 ** 40 - 1), 2 ** 40)
 
 
 def test_identity_coefficients_group_ring():
