@@ -377,6 +377,9 @@ def main(argv=None):
     except ValueError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("input error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -547,6 +547,12 @@ def _maxabs(a):
     return int(np.max(np.abs(a))) if a.size else 0
 
 
+def int_dtype(bound):
+    """int64 when every value is provably below bound, Python ints (object
+    dtype) otherwise."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
 def _fit(a):
     """An integer array in int64 when every entry fits, else in Python ints
     (object dtype)."""
@@ -597,19 +603,23 @@ class CycArray:
         self.den = den
 
     @classmethod
-    def from_rows(cls, q, rows):
-        """Matrix of CycNums, all stored at order q."""
-        den = 1
-        for row in rows:
-            for e in row:
-                for c in e.coeffs.values():
-                    den = lcm(den, c.denominator)
-        num = np.zeros((len(rows), len(rows[0]), _euler_phi(q)), dtype=object)
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                for k, c in e.coeffs.items():
-                    num[i, j, k] = int(c * den)
-        return cls(q, _fit(num), den)
+    def from_rows(cls, rows):
+        """Matrix of CycNums (or rationals) at the order of the field they
+        share: the lcm of their orders, or 1 when every entry is rational."""
+        flat = [e if isinstance(e, CycNum) else CycNum.from_rat(e)
+                for row in rows for e in row]
+        q = (1 if all(e.is_rational() for e in flat)
+             else lcm(*(e.q for e in flat)))
+        # a rational entry has exponent 0 only, whatever its order
+        flat = [e if e.q == q else
+                CycNum(q, {k * q // e.q: c for k, c in e.coeffs.items()})
+                for e in flat]
+        den = lcm(*(c.denominator for e in flat for c in e.coeffs.values()))
+        num = np.zeros((len(flat), _euler_phi(q)), dtype=object)
+        for x, e in enumerate(flat):
+            for k, c in e.coeffs.items():
+                num[x, k] = int(c * den)
+        return cls(q, _fit(num.reshape(len(rows), len(rows[0]), -1)), den)
 
     def __getitem__(self, idx):
         """Indexing on the leading (entry) axes."""
@@ -618,6 +628,12 @@ class CycArray:
     @property
     def T(self):
         return CycArray(self.q, self.num.swapaxes(0, 1), self.den)
+
+    def entry(self, l, i):
+        """Entry (l, i) of a matrix as a CycNum at order q."""
+        return CycNum(self.q, {k: Fraction(c, self.den) for k, c in
+                               enumerate(self.num[l, i].tolist()) if c},
+                      reduce=False)
 
     def _operands(self, other, terms):
         """Both coefficient arrays in one dtype: int64 when the reduced
@@ -628,7 +644,7 @@ class CycArray:
         phi = self.num.shape[-1]
         bound = (terms * phi * _maxabs(self.num) * _maxabs(other.num)
                  * (2 * phi - 1) * _maxabs(_reduction(self.q)))
-        dtype = np.int64 if bound < 2 ** 63 else object
+        dtype = int_dtype(bound)
         return (self.num.astype(dtype, copy=False),
                 other.num.astype(dtype, copy=False))
 
@@ -645,6 +661,15 @@ class CycArray:
         for e in range(phi):
             raw[..., e:e + phi] += a[..., e:e + 1] * b
         return self._reduced(raw, other)
+
+    def __sub__(self, other):
+        """Entrywise difference of two arrays over one order and one
+        denominator, in Python ints when int64 cannot hold it."""
+        if (other.q, other.den) != (self.q, self.den):
+            raise ExactError("order or denominator mismatch")
+        dtype = int_dtype(_maxabs(self.num) + _maxabs(other.num))
+        return CycArray(self.q, self.num.astype(dtype, copy=False)
+                        - other.num.astype(dtype, copy=False), self.den)
 
     def __matmul__(self, other):
         """Matrix product of two 2-d arrays."""
@@ -672,8 +697,7 @@ class CycArray:
         table = power_table(self.q)
         phi = table.shape[1]
         flip = table[-np.arange(phi) % self.q]
-        dtype = (np.int64 if phi * _maxabs(self.num) * _maxabs(flip) < 2 ** 63
-                 else object)
+        dtype = int_dtype(phi * _maxabs(self.num) * _maxabs(flip))
         return CycArray(self.q, self.num.astype(dtype) @ flip.astype(dtype),
                         self.den)
 
@@ -752,7 +776,7 @@ def certify_inverse(a, b):
             and not np.any(num[..., 0][~eye] != 0))
 
 
-def _is_prime(m):
+def is_prime(m):
     """Deterministic Miller-Rabin for m < 3,215,031,751."""
     bases = (2, 3, 5, 7)
     if m < 2:
@@ -779,11 +803,11 @@ def _is_prime(m):
 
 def primes(q, bits):
     """Primes p = 1 (mod q) between 2^(bits-1) and 2^bits, largest first;
-    bits <= 31 keeps them within the range _is_prime decides."""
+    bits <= 31 keeps them within the range is_prime decides."""
     step = lcm(q, 2)
     p = (2 ** bits - 2) // step * step + 1
     while p > 2 ** (bits - 1):
-        if _is_prime(p):
+        if is_prime(p):
             yield p
         p -= step
 

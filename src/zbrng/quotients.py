@@ -11,14 +11,20 @@ from math import gcd
 
 import numpy as np
 
-from .exact import CycArray, exact_int, power_table
+from .exact import CycArray, exact_int, int_dtype
 from .rng_core import (RingError, assoc_witness, identity_coefficients,
                        ring_blocks)
-from .spectra import decompose
+from .spectra import SpectraError, decompose, root_columns, unit_roots
 
 
 class QuotientError(ValueError):
     pass
+
+
+# Largest monomial algebra expanded to a dense m^3 tensor (and written as
+# ring blocks); triples sampled by verify_pointed on a monomial algebra.
+_DENSE_LIMIT = 128
+_SAMPLES = 512
 
 
 class PointedAlgebra:
@@ -41,10 +47,10 @@ class PointedAlgebra:
             return int(self.tensor[i, j, t])
         return int(self.mu[i, j]) if int(self.prod[i, j]) == t else 0
 
-    def dense_tensor(self, limit=128):
+    def dense_tensor(self):
         if self.tensor is not None:
             return self.tensor
-        if self.m > limit:
+        if self.m > _DENSE_LIMIT:
             raise QuotientError("dense tensor too large (m=%d)" % self.m)
         N = np.zeros((self.m, self.m, self.m), dtype=np.int64)
         i, j = np.indices((self.m, self.m))
@@ -56,9 +62,9 @@ class PointedAlgebra:
         return "PointedAlgebra(m=%d, %s)" % (self.m, kind)
 
 
-def verify_pointed(alg, samples=512, seed=0):
+def verify_pointed(alg):
     """Commutativity and associativity; exhaustive for dense tensors,
-    exhaustive pairs + sampled triples for monomial algebras."""
+    exhaustive pairs + _SAMPLES sampled triples for monomial algebras."""
     if not alg.monomial:
         N = alg.tensor
         if not np.array_equal(N, N.transpose(1, 0, 2)):
@@ -67,9 +73,9 @@ def verify_pointed(alg, samples=512, seed=0):
     prod, mu = alg.prod, alg.mu
     if not (np.array_equal(prod, prod.T) and np.array_equal(mu, mu.T)):
         return False
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     m = alg.m
-    tri = rng.integers(0, m, size=(samples, 3))
+    tri = rng.integers(0, m, size=(_SAMPLES, 3))
     for i, j, k in tri:
         ij = prod[i, j]
         jk = prod[j, k]
@@ -139,50 +145,12 @@ def order2_quotient(R, d):
 _SLAB = 64
 
 
-def _exact_dtype(bound):
-    """int64 when every value is provably below bound, Python ints
-    (object dtype) otherwise."""
-    return np.int64 if bound < 2 ** 63 else object
-
-
 def _held(a, what):
     """a as int64; OverflowError when some entry does not fit."""
     if a.dtype == object and a.size and max(int(a.max()),
                                             -int(a.min())) >= 2 ** 63:
         raise OverflowError("%s exceed int64" % what)
     return a.astype(np.int64, copy=False)
-
-
-def _roots(q, Q):
-    """(Q, phi(q)) array: row t holds zeta_Q^t on the power basis of
-    Q(zeta_q), for Q = q or Q = 2q with q odd."""
-    t = np.arange(Q)
-    table = power_table(q)
-    if Q == q:
-        return table[t]
-    # q odd: zeta_2q = -zeta_q^((q+1)/2)
-    return np.where(t % 2, -1, 1)[:, None] * table[t * (q + 1) // 2 % q]
-
-
-def _columns(s, roots):
-    """(gens, mus) with s[l, i] = mus[i] * zeta_Q^gens[i, l], classifying
-    each distinct entry (interned id) once."""
-    phi = roots.shape[1]
-    exponent = {tuple(r): t for t, r in enumerate(roots.tolist())}
-    ids = s.ids
-    texp = np.full(int(ids.max()) + 1, -1, dtype=np.int64)
-    mu_of = np.zeros(len(texp), dtype=object)
-    uniq, first = np.unique(ids, return_index=True)
-    for k, at in zip(uniq.tolist(), first.tolist()):
-        f = s.rows[at // s.n][at % s.n].root_of_unity_factor()
-        if f is not None:
-            mu_of[k], w = f
-            key = tuple(w.coeffs.get(e, 0) for e in range(phi))
-            texp[k] = exponent.get(key, -1)
-    T, M = texp[ids], mu_of[ids]
-    if np.any(T < 0) or np.any(M != M[0]):
-        raise QuotientError("column not of root-of-unity type")
-    return T.T, M[0].tolist()
 
 
 def _row_keys(rows):
@@ -296,9 +264,12 @@ def fannsc_lift(s, cap=4096):
     if s.mode != "exact":
         raise QuotientError("exact s-matrix required")
     n = s.n
-    Q = s.q if s.q % 2 == 0 else 2 * s.q
-    roots = _roots(s.q, Q)
-    gens, mus = _columns(s, roots)
+    Q, roots = unit_roots(s.q)
+    try:
+        T, M = root_columns(s)
+    except SpectraError as exc:
+        raise QuotientError(str(exc)) from exc
+    gens, mus = T.T, M[0].tolist()
 
     elems, sizes, parent, via, gen_index, nbr = _cayley(gens, Q, cap)
     m = len(elems)
@@ -315,7 +286,7 @@ def fannsc_lift(s, cap=4096):
 
     # g(h) = gcd of word scalars: start from the breadth-first word and relax
     # to the fixpoint; every value stays below max(mu)^(depth + 1)
-    mu_arr = np.array(mus, dtype=_exact_dtype(max(mus) ** (len(sizes) + 1)))
+    mu_arr = np.array(mus, dtype=int_dtype(max(mus) ** (len(sizes) + 1)))
     g = np.zeros(m, dtype=mu_arr.dtype)
     for i, w in enumerate(gen_index.tolist()):
         g[w] = gcd(g[w], mus[i])
@@ -334,7 +305,7 @@ def fannsc_lift(s, cap=4096):
 
     # mu[a, b] = g(a) g(b) / g(ab)
     gmax = int(garr.max())
-    gd = garr.astype(_exact_dtype(gmax * gmax))
+    gd = garr.astype(int_dtype(gmax * gmax))
     mu_table = np.empty((m, m), dtype=np.int64)
     for lo in range(0, m, _SLAB):
         num = gd[lo:lo + _SLAB, None] * gd[None, :]
@@ -349,7 +320,7 @@ def fannsc_lift(s, cap=4096):
     # exact integral decomposition of every g(h) h over the columns; column
     # w of W is g(h_w) zeta_Q^h_w on the power basis of Q(zeta_q)
     inv = s.inverse(tol=None)
-    dt = _exact_dtype(gmax * int(np.max(np.abs(roots))))
+    dt = int_dtype(gmax * int(np.max(np.abs(roots))))
     W = garr.astype(dt)[None, :, None] * roots.astype(dt)[elems.T]
     vals, ok = decompose(inv, CycArray(s.q, W, 1)).integers()
     if not ok.all():
@@ -369,7 +340,7 @@ def fannsc_lift(s, cap=4096):
     return LiftPresentation(lifted, E, tuple(distinguished), garr, dists, Q)
 
 
-def quotient_verify(L, R, chunk=64):
+def quotient_verify(L, R):
     """True iff the distinguished rows are exactly the basis of R and the
     embedding is multiplicative on every pair of lifted basis elements."""
     E = L.embedding
@@ -380,8 +351,8 @@ def quotient_verify(L, R, chunk=64):
         return False
     N = R.N
     prod, mu = L.lifted.prod, L.lifted.mu
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
+    for lo in range(0, m, _SLAB):
+        hi = min(lo + _SLAB, m)
         T = np.einsum("xi,ijt->xjt", E[lo:hi], N)
         P = np.einsum("xjt,yj->xyt", T, E)
         want = mu[lo:hi, :, None] * E[prod[lo:hi]]
@@ -408,15 +379,15 @@ def _monomial_rows(prod, mu):
     return lines
 
 
-def lift_to_text(L, dense_limit=128):
+def lift_to_text(L):
     """Lifted tensor in block format (no involution line, the lift carries
     none), then one ideal line per non-distinguished basis element giving its
     decomposition over the target basis.  Lifts too large for dense text get
     the monomial product table (index:scalar pairs) instead."""
     alg = L.lifted
-    if alg.m <= dense_limit:
+    if alg.m <= _DENSE_LIMIT:
         lines = ["zbrng 1", "n %d" % alg.m]
-        lines += ring_blocks(alg.dense_tensor(limit=dense_limit))
+        lines += ring_blocks(alg.dense_tensor())
     else:
         lines = ["zbrng-monomial 1", "n %d" % alg.m]
         lines += _monomial_rows(alg.prod, alg.mu)

@@ -8,6 +8,7 @@ is integral).
 """
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -241,23 +242,16 @@ def verify_axioms(ring):
         rep.add("duality", False, "no identity")
         return rep
 
-    w = next((i for i in range(n) if e[i].conj() != e[tl[i]]), None)
+    # e is rational (N is integral), so e = num / den and conj(e) = e
+    den = lcm(*(c.rational_value().denominator for c in e))
+    num = np.array([int(c.rational_value() * den) for c in e], dtype=object)
+    w = next((i for i in range(n) if num[i] != num[tl[i]]), None)
     rep.add("e~ = e", w is None, w)
 
-    # tau(b~_i b_j) = sum_m conj(e_m) N[~i, j, m]
-    w = None
-    for i in range(n):
-        for j in range(n):
-            t = CycNum.from_rat(0)
-            for m in range(n):
-                v = int(N[tl[i], j, m])
-                if v:
-                    t = t + e[m].conj() * v
-            if t != int(i == j):
-                w = (i, j)
-                break
-        if w:
-            break
+    # tau(b~_i b_j) = sum_m conj(e_m) N[~i, j, m] = delta_ij
+    t = N[tl].astype(object) @ num
+    t[np.diag_indices(n)] -= den
+    w = _first_mismatch(t, 0)
     rep.add("duality", w is None, w)
     return rep
 

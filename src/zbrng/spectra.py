@@ -7,12 +7,11 @@ so the componentwise product of columns i and j decomposes over the columns
 with coefficients N_ij^m.
 """
 
-from fractions import Fraction
-from math import lcm
+from functools import cached_property
 
 import numpy as np
 
-from .exact import CycArray, CycNum, ExactError, format_cyc, parse_cyc
+from .exact import CycArray, ExactError, format_cyc, parse_cyc, power_table
 from .hadamard import PreconditionError, character_signs
 from .rng_core import FormatError
 
@@ -22,52 +21,53 @@ class SpectraError(ValueError):
 
 
 class SMatrix:
-    """Square matrix over CycNum (exact) or complex floats (numeric).  An
-    exact matrix whose entries are all rational has order q = 1.
+    """Square matrix held as `array`: a CycArray over Q(zeta_q) (exact; at
+    q = 1 when every non-constant coefficient is zero) or a complex ndarray
+    (numeric).  Exact entries are interned: `ids[l, i]` is equal exactly
+    when the entries are, and `conj_ids[ids[l, i]]` is the id of the
+    conjugate entry; `rows` and `column` view them as CycNums, built once."""
 
-    The kernels compute on `array`: a CycArray when exact, a complex ndarray
-    when numeric.  An exact matrix also keeps its CycNum `rows` and interns
-    its entries: `ids[l, i]` is equal exactly when the entries are, and
-    `conj_ids[ids[l, i]]` is the id of the conjugate entry."""
-
-    def __init__(self, mode, n, data, q=None):
-        self.mode = mode
-        self.n = n
-        if mode == "exact":
-            self.rows = data
-            self.q = q
-            self.array = CycArray.from_rows(q, data)
-            self.ids, self.conj_ids, self.zero_id = self.array.intern()
+    def __init__(self, array):
+        if isinstance(array, CycArray):
+            if not np.any(array.num[..., 1:]):
+                array = CycArray(1, array.num[..., :1], array.den)
+            self.mode = "exact"
+            self.q = array.q
+            self.n = array.num.shape[0]
+            self.ids, self.conj_ids, self.zero_id = array.intern()
         else:
-            self.array = data
+            self.mode = "numeric"
+            self.n = array.shape[0]
+        self.array = array
 
     @classmethod
     def exact(cls, rows):
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise SpectraError("s-matrix must be square")
-        conv = [[e if isinstance(e, CycNum) else CycNum.from_rat(e) for e in r]
-                for r in rows]
-        if all(e.is_rational() for r in conv for e in r):
-            conv = [[CycNum.from_rat(e.rational_value()) for e in r]
-                    for r in conv]
-        q = 1
-        for r in conv:
-            for e in r:
-                q = lcm(q, e.q)
-        conv = [[e.to_order(q) for e in r] for r in conv]
-        return cls("exact", n, conv, q=q)
+        return cls(CycArray.from_rows(rows))
 
     @classmethod
     def numeric(cls, array):
         a = np.asarray(array, dtype=np.complex128)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise SpectraError("s-matrix must be square")
-        return cls("numeric", a.shape[0], a)
+        return cls(a)
+
+    @cached_property
+    def values(self):
+        """One CycNum per interned id of an exact matrix, in id order."""
+        first = np.unique(self.ids, return_index=True)[1]
+        return [self.array.entry(*divmod(int(at), self.n)) for at in first]
+
+    @cached_property
+    def rows(self):
+        values = self.values
+        return [[values[k] for k in row] for row in self.ids.tolist()]
 
     def column(self, i):
         if self.mode == "exact":
-            return [self.rows[l][i] for l in range(self.n)]
+            return [row[i] for row in self.rows]
         return self.array[:, i]
 
     def inverse(self, tol):
@@ -87,11 +87,42 @@ class SMatrix:
     def to_numeric(self):
         if self.mode == "numeric":
             return self.array
-        return np.array([[e.embed() for e in row] for row in self.rows],
-                        dtype=np.complex128)
+        return self.array.embed()
 
     def __repr__(self):
         return "SMatrix(%s, n=%d)" % (self.mode, self.n)
+
+
+def unit_roots(q):
+    """(Q, roots): the roots of unity of Q(zeta_q) are the powers of
+    zeta_Q, Q = q for even q and 2q for odd q; row t of roots holds zeta_Q^t
+    on the power basis."""
+    if q % 2 == 0:
+        return q, power_table(q)
+    # q odd: zeta_2q^t = (-1)^t zeta_q^(t (q+1)/2)
+    t = np.arange(2 * q)
+    return 2 * q, (np.where(t % 2, -1, 1)[:, None]
+                   * power_table(q)[t * (q + 1) // 2 % q])
+
+
+def root_columns(s):
+    """(T, M) for an exact s with every column of root-of-unity type:
+    s[l, i] = M[l, i] * zeta_Q^T[l, i] (Q from unit_roots) with M a positive
+    integer constant on each column.  Each distinct entry (interned id) is
+    factored once and its root looked up in the table of unit_roots."""
+    roots = unit_roots(s.q)[1]
+    exponent = {tuple(r): t for t, r in enumerate(roots.tolist())}
+    factors = [e.root_of_unity_factor() for e in s.values]
+    if None in factors:
+        raise SpectraError("column not of root-of-unity type")
+    mu_of = np.array([mu for mu, _ in factors], dtype=object)
+    texp = np.array([exponent[tuple(w.coeffs.get(x, 0) for x in
+                                    range(roots.shape[1]))]
+                     for _, w in factors], dtype=np.int64)
+    T, M = texp[s.ids], mu_of[s.ids]
+    if np.any(M != M[:1]):
+        raise SpectraError("column not of root-of-unity type")
+    return T, M
 
 
 def decompose(inv, W):
@@ -236,7 +267,7 @@ def smatrix_from_tensor(ring, tol=1e-8):
     except PreconditionError:
         pass                                # not of Hadamard type: numeric
     else:
-        return SMatrix.exact((k * signs).tolist())
+        return SMatrix(CycArray(1, (k * signs)[:, :, None], 1))
 
     M = [N[i].T.astype(np.complex128) for i in range(n)]
     spaces = [np.eye(n, dtype=np.complex128)]
@@ -419,38 +450,22 @@ def subring_smatrix(s, S, tol=1e-8):
     if len(picked) != len(S):
         raise SpectraError("subring read-off failed: %d distinct nonzero rows,"
                            " expected %d" % (len(picked), len(S)))
-    if s.mode == "exact":
-        rows = [[s.rows[l][c] for c in S] for l in picked]
-        rows.sort(key=lambda r: tuple(
-            (round(e.embed().real, 6), round(e.embed().imag, 6)) for e in r))
-        return SMatrix.exact(rows)
-    rows = s.array[np.ix_(picked, S)]
+    rows = s.to_numeric()[np.ix_(picked, S)]
     order = sorted(range(len(picked)), key=lambda r: tuple(
         (round(rows[r, c].real, 6), round(rows[r, c].imag, 6))
         for c in range(len(S))))
-    return SMatrix.numeric(rows[order])
+    return SMatrix(s.array[np.ix_([picked[r] for r in order], S)])
 
 
 def mu_uniformity_check(s, tol=1e-8):
     """Common |mu| when every column is mu_i times a root-of-unity vector."""
-    n = s.n
-    mus = []
     if s.mode == "exact":
-        for i in range(n):
-            col_mu = None
-            for e in s.column(i):
-                f = e.root_of_unity_factor()
-                if f is None:
-                    raise SpectraError("column not of root-of-unity type")
-                if col_mu is None:
-                    col_mu = f[0]
-                elif col_mu != f[0]:
-                    raise SpectraError("column not of root-of-unity type")
-            mus.append(col_mu)
+        mus = root_columns(s)[1][0].tolist()
     else:
+        mus = []
         a = np.abs(s.array)
         scale = max(1.0, float(np.max(a)))
-        for i in range(n):
+        for i in range(s.n):
             col = a[:, i]
             mu = float(np.mean(col))
             if np.max(np.abs(col - mu)) > tol * scale or mu <= tol:
@@ -470,8 +485,8 @@ def mu_uniformity_check(s, tol=1e-8):
 def smatrix_to_text(s):
     if s.mode == "exact":
         lines = ["smatrix 1", "n %d %d" % (s.n, s.n)]
-        for row in s.rows:
-            lines.append(" ".join(format_cyc(e) for e in row))
+        text = np.array([format_cyc(e) for e in s.values], dtype=object)
+        lines += [" ".join(row) for row in text[s.ids].tolist()]
     else:
         lines = ["smatrix-numeric 1", "n %d %d" % (s.n, s.n)]
         for row in s.array:

@@ -343,3 +343,64 @@ def test_deterministic_output(paley12_file, capsys):
     a = run(capsys, "had", "profile", str(paley12_file))
     b = run(capsys, "had", "profile", str(paley12_file))
     assert a == b
+
+
+def test_generator_and_f2_bounds_exit2(tmp_path, capsys):
+    """Every generator writes order <= 1024 and, exact, at most 2^24
+    coefficients; had f2 takes 1 <= k <= 24; each violation exits 2 before
+    anything large is allocated."""
+    files = {}
+    for name, argv in (("s32", "sylvester 5"), ("s64", "sylvester 6"),
+                       ("g46", "group 2 23"), ("g45", "group 5 9"),
+                       ("h48", "paley 47")):
+        files[name] = str(tmp_path / name)
+        assert main(["gen"] + argv.split() + ["-o", files[name]]) == 0
+    capsys.readouterr()
+    for argv, msg in (
+            (["gen", "sylvester", "11"], "order 2^11 above 1024"),
+            (["gen", "sylvester", "40"], "order 2^40 above 1024"),
+            (["gen", "paley", "1031"], "order 1032 above 1024"),
+            (["gen", "kronecker", files["s64"], files["s32"]],
+             "order 2048 above 1024"),
+            (["gen", "group"] + ["2"] * 16, "order 65536 above 1024"),
+            (["gen", "group", "4", "4", "4", "4", "5"],
+             "order 1280 above 1024"),
+            (["gen", "group", "7", "9", "11"],
+             "order 693 with 360 coefficients per entry above 2^24 "
+             "coefficients"),
+            (["gen", "kp", "1024"], "order 1025 above 1024"),
+            (["gen", "ext2", files["g46"]], "order 1035 above 1024"),
+            (["gen", "ext2", files["h48"]], "order 1128 above 1024"),
+            (["gen", "ext2", files["g45"]],
+             "order 990 with 24 coefficients per entry above 2^24 "
+             "coefficients"),
+            (["had", "f2", "0"], "k must be in 1..24"),
+            (["had", "f2", "-1"], "k must be in 1..24"),
+            (["had", "f2", "25"], "k must be in 1..24")):
+        assert run(capsys, *argv) == (2, "", "input error: %s\n" % msg), argv
+    assert run(capsys, "had", "f2", "1") == (0, "f2 ok\n", "")
+
+
+def test_generator_size_edges():
+    from zbrng.generators import _check_size, gen_sylvester
+    from zbrng.hadamard import PreconditionError, f2_tensor
+    _check_size(1024, 1)
+    _check_size(1024, 16)                   # exactly 2^24 coefficients
+    _check_size(256, 256)
+    for args in ((1025, 1), (1024, 17), (257, 256)):
+        with pytest.raises(ValueError, match="above"):
+            _check_size(*args)
+    assert gen_sylvester(10).n == 1024
+    assert f2_tensor(24).shape == (96, 96, 96)
+    with pytest.raises(PreconditionError):
+        f2_tensor(25)
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    import zbrng.cli as cli
+
+    def huge(m):
+        raise MemoryError()
+    monkeypatch.setattr(cli, "gen_sylvester", huge)
+    assert run(capsys, "gen", "sylvester", "3") == (
+        2, "", "input error: out of memory\n")

@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zbrng.exact import primes
-from zbrng.generators import group_ring_smatrix
-from zbrng.rng_core import (FormatError, RingElement, RingError, assoc_witness,
-                            identity_coefficients, is_closed_subset, multiply,
+from zbrng.exact import CycNum, primes
+from zbrng.generators import gen_paley, group_ring_smatrix
+from zbrng.hadamard import ring_from_hadamard
+from zbrng.rng_core import (FormatError, FusionRing, RingElement, RingError,
+                            assoc_witness, identity_coefficients,
+                            is_closed_subset, multiply,
                             ring_from_tensor, ring_from_text, ring_to_text,
                             search_involution, subring_restrict,
                             tau_power_search, trace_eval, verify_axioms)
@@ -54,6 +57,77 @@ def test_verify_reports_witness():
     report = verify_axioms(ring)
     assert not report.all_pass
     assert any(a == "duality" for a, _ in report.failures())
+
+
+def oracle_e_duality(ring):
+    """The "e~ = e" and "duality" entries as the CycNum loops computed them:
+    the first i with conj(e_i) != e_~i, the first (i, j) in C order with
+    tau(b~_i b_j) != delta_ij."""
+    n, N, tl = ring.n, ring.N, list(ring.tilde)
+    try:
+        e = identity_coefficients(ring)
+    except RingError:
+        return [("e~ = e", False, "no identity"),
+                ("duality", False, "no identity")]
+    w1 = next((i for i in range(n) if e[i].conj() != e[tl[i]]), None)
+    w2 = None
+    for i in range(n):
+        for j in range(n):
+            t = CycNum.from_rat(0)
+            for m in range(n):
+                if N[tl[i], j, m]:
+                    t = t + e[m].conj() * int(N[tl[i], j, m])
+            if t != int(i == j):
+                w2 = (i, j)
+                break
+        if w2:
+            break
+    return [("e~ = e", w1 is None, w1), ("duality", w2 is None, w2)]
+
+
+def ring_tensors():
+    """Integral tensors with an identity that is not b_0 in general: group
+    rings and Paley 12, relabelled, scaled by 1, 2 or 3."""
+    out = [verlinde_tensor(group_ring_smatrix(o)).tensor
+           for o in ([3], [4], [2, 3], [5], [2, 2])]
+    out.append(ring_from_hadamard(gen_paley(11)).N)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_verify_e_and_duality_match_cycnum_loops(data):
+    N = data.draw(st.sampled_from(ring_tensors()))
+    n = len(N)
+    p = np.array(data.draw(st.permutations(range(n))))
+    N = data.draw(st.sampled_from([1, 2, 3])) * N[np.ix_(p, p, p)]
+    # an involution: pairs of a shuffled basis, the rest fixed
+    order = data.draw(st.permutations(range(n)))
+    pairs = data.draw(st.integers(0, n // 2))
+    tilde = list(range(n))
+    for a, b in zip(order[:pairs], order[pairs:2 * pairs]):
+        tilde[a], tilde[b] = b, a
+    if data.draw(st.booleans()):             # perturb one constant
+        i, j, m = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+        N = N.copy()
+        N[i, j, m] += data.draw(st.sampled_from([-1, 1]))
+    ring = FusionRing(n, N, tuple(tilde))
+    got = [x for x in verify_axioms(ring).entries
+           if x[0] in ("e~ = e", "duality")]
+    want = oracle_e_duality(FusionRing(n, N, tuple(tilde)))
+    assert got == want
+    assert all(type(x) is int for _, _, w in got if isinstance(w, tuple)
+               for x in w)
+
+
+def test_verify_duality_witness_order():
+    # one perturbed constant: tau(b~_3 b_1) = 1, the transpose stays 0
+    N = cyclic_tensor(5)
+    N[2, 1, 0] += 1
+    tilde = tuple((-i) % 5 for i in range(5))
+    want = oracle_e_duality(FusionRing(5, N, tilde))
+    assert want[1] == ("duality", False, (3, 1))
+    assert verify_axioms(FusionRing(5, N, tilde)).entries[-2:] == want
 
 
 def full_einsum_witness(N, modulus=None):
