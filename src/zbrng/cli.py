@@ -24,8 +24,8 @@ from .hadamard import (HadamardError, HadamardMatrix, PreconditionError,
                        hadamard_to_text, hadamard_type, multiset_census,
                        normalize_hadamard, profile, reconstruct_exact,
                        reconstruct_mod3, ring_from_hadamard, ring_from_tensor,
-                       triangular_bound, v_rank, wmatrix)
-from .quotients import (QuotientError, fannsc_lift, lift_to_text,
+                       triangular_bound, triple_product, v_rank, wmatrix)
+from .quotients import (QuotientError, fannsc_lift, lift_lines,
                         order2_quotient)
 from .generators import (exterior_square, fixture_ds3, gen_kronecker,
                          gen_paley, gen_sylvester, group_ring_smatrix,
@@ -86,13 +86,16 @@ def as_hadamard(obj):
 
 
 def emit(args, text):
+    """Write text, one string or an iterable of strings written piece by
+    piece, to the -o file or to stdout."""
+    pieces = [text] if isinstance(text, str) else text
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         print("wrote %s" % out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return 0
 
 
@@ -172,7 +175,7 @@ def cmd_quotient2(args):
 def cmd_lift(args):
     s = as_smatrix(load_any(args.file), args.tol)
     L = fannsc_lift(s, cap=args.cap)
-    return emit(args, lift_to_text(L))
+    return emit(args, lift_lines(L))
 
 
 def cmd_had_ring(args):
@@ -181,9 +184,8 @@ def cmd_had_ring(args):
     if args.check_parity:
         # N_ij^m = k - 2|xi_i . xi_j . xi_m| on pairwise-distinct nonzero
         # triples (inclusion-exclusion from |xi_i| = 2k, |xi_i . xi_j| = k)
-        X = (H.array == -1).astype(np.int64).T
-        inter = np.einsum("iq,jq,mq->ijm", X, X, X)
-        i, j, m = np.indices(ring.N.shape)
+        inter = triple_product(H.array == -1)
+        i, j, m = np.ix_(*[np.arange(H.n)] * 3)
         mask = ((i != j) & (j != m) & (i != m)
                 & (i != 0) & (j != 0) & (m != 0))
         ok = np.array_equal(ring.N[mask], (H.k - 2 * inter)[mask])

@@ -6,7 +6,6 @@ exact and mod-3 reconstruction of the matrix from the tensor, the dimension
 Indices are 0-based throughout; column 0 is the all-ones column.
 """
 
-from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -61,10 +60,21 @@ def xi_sets(H):
             for i in range(H.n)]
 
 
+def triple_product(a):
+    """T[i, j, m] = sum_l a_li a_lj a_lm for an integer matrix with entries
+    in {-1, 0, 1}, as int64: one float64 BLAS product of the pair columns
+    a_i a_j with a, exact because every sum has at most len(a) unit terms."""
+    f = np.asarray(a, dtype=np.float64)
+    rows, n = f.shape
+    pairs = (f[:, :, None] * f[:, None, :]).reshape(rows, n * n)
+    T = pairs.T @ f
+    del pairs                           # before the int64 copy of T
+    return T.astype(np.int64).reshape(n, n, n)
+
+
 def ring_from_hadamard(H):
     """Tensor N_ij^m = (1/4) sum_l s_li s_lj s_lm; tilde = identity."""
-    a = H.array
-    raw = np.einsum("li,lj,lm->ijm", a, a, a)
+    raw = triple_product(H.array)
     if np.any(raw % 4):
         raise HadamardError("non-integral structure constants (corrupt input)")
     N = raw // 4
@@ -88,29 +98,40 @@ class Profile:
 
 
 def profile(H):
+    """Counts of |sum_q s_qi s_qj s_ql s_qm| over the column quadruples
+    i < j < l < m.  Each is the inner product of the pair columns (i, j) and
+    (l, m); for each j one float64 BLAS block takes the pairs (i, j), i < j,
+    against the pairs (l, m), l > j, a suffix of the pairs in combinations
+    order.  The sums are at most n in absolute value, so float64 is exact.
+    Raises on a value not congruent to 4k mod 8 at the lexicographically
+    first such quadruple."""
     a = H.array
     n, k = H.n, H.k
-    pairs = list(combinations(range(n), 2))
-    pidx = {pq: t for t, pq in enumerate(pairs)}
-    pmat = np.array([a[:, i] * a[:, j] for i, j in pairs], dtype=np.int64)
-    gram = pmat @ pmat.T
-    counts = {}
-    for i, j, l, m in combinations(range(n), 4):
-        p = int(abs(gram[pidx[(i, j)], pidx[(l, m)]]))
-        if (p - 4 * k) % 8:
-            raise HadamardError(
-                "profile congruence violation at columns (%d,%d,%d,%d)"
-                % (i, j, l, m))
-        counts[p] = counts.get(p, 0) + 1
-    prof = Profile(counts, n, k)
-    assert prof.total() == comb(n, 4)
+    I, J = np.triu_indices(n, 1)                # combinations order
+    pmat = (a.T[I] * a.T[J]).astype(np.float64)     # row t: pair t
+    start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    bad = (np.arange(n + 1) - 4 * k) % 8 != 0
+    counts = np.zeros(n + 1, dtype=np.int64)
+    witness = None
+    for j in range(1, n - 2):
+        # the pairs (i, j) for i < j sit at start[i] + j - i - 1
+        left = pmat[start[:j] + j - np.arange(j) - 1]
+        block = np.abs(left @ pmat[start[j + 1]:].T).astype(np.int64)
+        c = np.bincount(block.ravel(), minlength=n + 1)
+        counts += c
+        if c[bad].any():
+            hit = bad[block]
+            i, t = np.unravel_index(np.argmax(hit), hit.shape)
+            t += start[j + 1]
+            quad = (int(i), j, int(I[t]), int(J[t]))
+            witness = quad if witness is None else min(witness, quad)
+    if witness is not None:
+        raise HadamardError(
+            "profile congruence violation at columns (%d,%d,%d,%d)" % witness)
+    prof = Profile({p: c for p, c in enumerate(counts.tolist()) if c}, n, k)
+    if prof.total() != comb(n, 4):
+        raise HadamardError("profile does not cover every quadruple once")
     return prof
-
-
-def sum_squares_check(ring, i, j):
-    """sum_m (N_ij^m)^2 == k^2, a consequence of N_i^2 = k^2 I."""
-    k = int(ring.N[0, 0, 0])
-    return int(np.sum(ring.N[i, j].astype(np.int64) ** 2)) == k * k
 
 
 def triangular_bound(k):
@@ -140,18 +161,19 @@ def multiset_census(ring):
     distinct nonzero i, j, encoded as count vectors indexed by value."""
     N, n = ring.N, ring.n
     k = int(N[0, 0, 0])
-    out = set()
-    for i in range(1, n):
-        for j in range(i + 1, n):
-            counts = [0] * (k + 1)
-            for m in range(n):
-                if m in (0, i, j):
-                    continue
-                v = abs(int(N[i, j, m]))
-                if v > k:
-                    raise HadamardError("entry exceeds k")
-                counts[v] += 1
-            out.add(tuple(counts))
+    I, J = np.triu_indices(n - 1, 1)
+    I, J = I + 1, J + 1
+    rows = np.arange(len(I))
+    V = N[I, J]
+    np.abs(V, out=V)
+    V[:, 0] = V[rows, I] = V[rows, J] = k       # m in {0, i, j}: never > k
+    if np.any(V > k):
+        raise HadamardError("entry exceeds k")
+    V[:, 0] = V[rows, I] = V[rows, J] = k + 1   # a value the counts drop
+    width = k + 2
+    V += rows[:, None] * width
+    counts = np.bincount(V.ravel(), minlength=len(I) * width).reshape(-1, width)
+    out = set(map(tuple, np.unique(counts[:, :-1], axis=0).tolist()))
     if k % 2 and k >= 3 and len(out) > triangular_bound(k):
         raise HadamardError("census exceeds triangular bound")
     return out

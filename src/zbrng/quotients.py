@@ -366,7 +366,6 @@ def _monomial_rows(prod, mu):
     at a time; each distinct (p, mu) cell of a slab is formatted once."""
     m = prod.shape[1]
     heads = np.array(["%d:" % p for p in range(m)], dtype=object)
-    lines = []
     for lo in range(0, len(prod), _SLAB):
         block = prod[lo:lo + _SLAB]
         values, rank = np.unique(mu[lo:lo + _SLAB], return_inverse=True)
@@ -375,8 +374,28 @@ def _monomial_rows(prod, mu):
                               return_inverse=True)
         tails = np.array([str(v) for v in values.tolist()], dtype=object)
         text = heads[cells % m] + tails[cells // m]
-        lines += [" ".join(row) for row in text[at.reshape(-1, m)].tolist()]
-    return lines
+        yield from (" ".join(row) for row in text[at.reshape(-1, m)].tolist())
+
+
+def lift_lines(L):
+    """The lines of lift_to_text, each ending in a newline, produced as they
+    are formatted so that a writer never holds the whole text."""
+    alg = L.lifted
+    if alg.m <= _DENSE_LIMIT:
+        yield "zbrng 1\n"
+        body = ring_blocks(alg.dense_tensor())
+    else:
+        yield "zbrng-monomial 1\n"
+        body = _monomial_rows(alg.prod, alg.mu)
+    yield "n %d\n" % alg.m
+    yield from (ln + "\n" for ln in body)
+    yield "distinguished " + " ".join(str(w) for w in L.distinguished) + "\n"
+    dset = set(L.distinguished)
+    for w in range(alg.m):
+        if w not in dset:
+            yield "w%s : %s\n" % (
+                L.label_str(w),
+                " ".join(str(int(x)) for x in L.embedding[w]))
 
 
 def lift_to_text(L):
@@ -384,19 +403,4 @@ def lift_to_text(L):
     none), then one ideal line per non-distinguished basis element giving its
     decomposition over the target basis.  Lifts too large for dense text get
     the monomial product table (index:scalar pairs) instead."""
-    alg = L.lifted
-    if alg.m <= _DENSE_LIMIT:
-        lines = ["zbrng 1", "n %d" % alg.m]
-        lines += ring_blocks(alg.dense_tensor())
-    else:
-        lines = ["zbrng-monomial 1", "n %d" % alg.m]
-        lines += _monomial_rows(alg.prod, alg.mu)
-    lines.append("distinguished " + " ".join(str(w) for w in L.distinguished))
-    dset = set(L.distinguished)
-    for w in range(alg.m):
-        if w not in dset:
-            lines.append("w%s : %s" % (
-                L.label_str(w),
-                " ".join(str(int(x)) for x in L.embedding[w])))
-    lines.append("")
-    return "\n".join(lines)
+    return "".join(lift_lines(L))

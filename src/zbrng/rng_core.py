@@ -7,12 +7,12 @@ exists in the complexification (its coefficients are rational here since N
 is integral).
 """
 
-from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
-from .exact import CycNum, ExactError, exact_int, primes, rat_solve
+from .exact import (CycNum, ExactError, exact_int, int_dtype, primes,
+                    rat_solve, rref_mod)
 
 
 class RingError(ValueError):
@@ -110,20 +110,49 @@ def ring_from_tensor(n, N, tilde):
 
 
 def identity_coefficients(ring):
-    """Solve (sum_i e_i b_i) b_j = b_j for all j: n^2 exact linear conditions
-    on the n unknowns e_i."""
-    n = ring.n
-    rows, rhs = [], []
-    for j in range(n):
-        for m in range(n):
-            rows.append([Fraction(int(ring.N[i, j, m])) for i in range(n)])
-            rhs.append(Fraction(int(j == m)))
+    """Solve (sum_i e_i b_i) b_j = b_j for all j: the n^2 linear conditions
+    A e = b with A[(j, m), i] = N_ijm and b = vec(I).
+
+    The rows of [A|b] independent mod a prime p < 2^31 (the pivots of
+    rref_mod on [A|b]^T) are independent over Q, and rat_solve runs on them
+    alone.  When A has full rank mod p, its solution is the only candidate
+    and is certified against all n^2 equations over Z.  Otherwise more
+    primes are tried.  A prime fails only by dividing a nonzero minor of
+    [A|b]; by Hadamard's inequality, with column norms at most n max|N_i|
+    and n, that minor is below 2^bits, so at most bits // 30 primes above
+    2^30 divide it.  After that many failures the largest pivot set spans
+    the row space of [A|b] over Q, and rat_solve on it decides as on the
+    full system."""
+    n, N = ring.n, ring.N
+    A = N.reshape(n, n * n).T                       # row (j, m), column i
+    b = np.eye(n, dtype=np.int64).reshape(n * n)
+    Ab = np.column_stack([A, b])
+    big = [max(int(Ni.max()), -int(Ni.min())) for Ni in N]
+    bits = sum((n * x).bit_length() for x in big) + n.bit_length()
+    rows, failed = [], 0
+    for p in primes(1, 31):
+        piv = rref_mod(Ab.T, p)[1]
+        if len(rref_mod(A[piv], p)[1]) == n:
+            rows = piv
+            break
+        rows = max(rows, piv, key=len)
+        failed += 1
+        if failed > bits // 30:
+            break
     try:
-        sol = rat_solve(rows, rhs)
+        sol = rat_solve(A[rows].tolist(), b[rows].tolist())
     except ExactError as exc:
         if "inconsistent" in str(exc):
             raise RingError("no identity in R(x)C") from exc
         raise RingError("identity not unique") from exc
+    # A num = den b over Z; every sum is at most n max|N| max|num|, and den
+    # is one of them when the certificate holds
+    den = lcm(*(c.denominator for c in sol))
+    num = [int(c * den) for c in sol]
+    dtype = int_dtype(max(n * max(big) * max(map(abs, num)), den))
+    lhs = np.array(num, dtype=dtype) @ N.reshape(n, n * n).astype(dtype)
+    if not np.array_equal(lhs, den * b.astype(dtype)):
+        raise RingError("no identity in R(x)C")
     ring.eCoeffs = [CycNum.from_rat(c) for c in sol]
     return ring.eCoeffs
 

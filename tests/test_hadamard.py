@@ -8,7 +8,7 @@ from zbrng.hadamard import (FormatError, HadamardError, HadamardMatrix,
                             hadamard_to_text, multiset_census,
                             normalize_hadamard, profile, reconstruct_exact,
                             reconstruct_mod3, ring_from_hadamard,
-                            sum_squares_check, triangular_bound, v_rank,
+                            triangular_bound, v_rank,
                             wmatrix, xi_sets)
 from zbrng.rng_core import is_closed_subset, verify_axioms
 
@@ -64,9 +64,9 @@ def test_four_distinct_entries(paley12_ring):
 
 
 def test_sum_squares(paley12_ring):
-    for i in range(12):
-        for j in range(12):
-            assert sum_squares_check(paley12_ring, i, j)
+    # sum_m (N_ij^m)^2 = k^2, a consequence of N_i^2 = k^2 I
+    assert np.array_equal((paley12_ring.N ** 2).sum(axis=2),
+                          np.full((12, 12), 9))
 
 
 def test_profile_paley12(paley12):

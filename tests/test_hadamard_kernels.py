@@ -1,0 +1,361 @@
+"""Differential tests of the array kernels for the Hadamard invariants and
+the ring identity against the loop implementations they replaced, kept here
+as oracles."""
+
+import time
+import tracemalloc
+from fractions import Fraction
+from itertools import combinations
+from math import comb
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from zbrng.cli import main
+from zbrng.exact import ExactError, primes, rat_solve
+from zbrng.generators import gen_kronecker, gen_paley, gen_sylvester
+from zbrng.hadamard import (HadamardError, HadamardMatrix, hadamard_to_text,
+                            multiset_census, normalize_hadamard, profile,
+                            ring_from_hadamard, triangular_bound,
+                            triple_product)
+from zbrng.rng_core import FusionRing, RingError, identity_coefficients
+
+
+# ---------------------------------------------------------------------------
+# oracles: the loop implementations
+
+def oracle_profile(H):
+    """Counts over combinations of columns, raising at the first quadruple
+    in combinations order that breaks the mod-8 congruence."""
+    a = H.array
+    n, k = H.n, H.k
+    pairs = list(combinations(range(n), 2))
+    pidx = {pq: t for t, pq in enumerate(pairs)}
+    pmat = np.array([a[:, i] * a[:, j] for i, j in pairs], dtype=np.int64)
+    gram = pmat @ pmat.T
+    counts = {}
+    for i, j, l, m in combinations(range(n), 4):
+        p = int(abs(gram[pidx[(i, j)], pidx[(l, m)]]))
+        if (p - 4 * k) % 8:
+            raise HadamardError(
+                "profile congruence violation at columns (%d,%d,%d,%d)"
+                % (i, j, l, m))
+        counts[p] = counts.get(p, 0) + 1
+    assert sum(counts.values()) == comb(n, 4)
+    return counts
+
+
+def oracle_census(ring):
+    N, n = ring.N, ring.n
+    k = int(N[0, 0, 0])
+    out = set()
+    for i in range(1, n):
+        for j in range(i + 1, n):
+            counts = [0] * (k + 1)
+            for m in range(n):
+                if m in (0, i, j):
+                    continue
+                v = abs(int(N[i, j, m]))
+                if v > k:
+                    raise HadamardError("entry exceeds k")
+                counts[v] += 1
+            out.add(tuple(counts))
+    if k % 2 and k >= 3 and len(out) > triangular_bound(k):
+        raise HadamardError("census exceeds triangular bound")
+    return out
+
+
+def oracle_triple(a):
+    return np.einsum("li,lj,lm->ijm", a, a, a)
+
+
+def oracle_parity(H, N):
+    X = (H.array == -1).astype(np.int64).T
+    inter = np.einsum("iq,jq,mq->ijm", X, X, X)
+    i, j, m = np.indices(N.shape)
+    mask = ((i != j) & (j != m) & (i != m)
+            & (i != 0) & (j != 0) & (m != 0))
+    return np.array_equal(N[mask], (H.k - 2 * inter)[mask])
+
+
+def oracle_identity(N):
+    """The full n^2-equation Fraction solve: the coefficients, or the
+    RingError message."""
+    n = N.shape[0]
+    rows, rhs = [], []
+    for j in range(n):
+        for m in range(n):
+            rows.append([Fraction(int(N[i, j, m])) for i in range(n)])
+            rhs.append(Fraction(int(j == m)))
+    try:
+        return rat_solve(rows, rhs)
+    except ExactError as exc:
+        if "inconsistent" in str(exc):
+            return "no identity in R(x)C"
+        return "identity not unique"
+
+
+def identity_or_message(N):
+    try:
+        e = identity_coefficients(FusionRing(N.shape[0], N, None))
+    except RingError as exc:
+        return str(exc)
+    return [c.rational_value() for c in e]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HadamardError as exc:
+        return "error: %s" % exc
+
+
+# ---------------------------------------------------------------------------
+# scrambled Hadamard matrices
+
+H2 = np.array([[1, 1], [1, -1]])
+BASES = [gen_paley(11), gen_paley(19), gen_paley(23), gen_sylvester(3),
+         gen_sylvester(4), gen_kronecker(H2, gen_paley(11)),
+         gen_kronecker(gen_sylvester(2), H2)]
+
+
+@st.composite
+def scrambled(draw):
+    """A base matrix with rows and columns permuted and rows and columns
+    negated, then row-normalized: rings with negative structure constants."""
+    base = draw(st.sampled_from(BASES)).array
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = len(base)
+    a = base[rng.permutation(n)][:, rng.permutation(n)]
+    a = a * rng.choice([-1, 1], size=(n, 1)) * rng.choice([-1, 1], size=n)
+    return normalize_hadamard(a)
+
+
+KERNELS = settings(max_examples=30, deadline=None,
+                   suppress_health_check=[HealthCheck.too_slow])
+
+
+@KERNELS
+@given(scrambled())
+def test_profile_matches_loop(H):
+    assert profile(H).counts == oracle_profile(H)
+
+
+@KERNELS
+@given(scrambled())
+def test_census_matches_loop(H):
+    ring = ring_from_hadamard(H)
+    assert multiset_census(ring) == oracle_census(ring)
+
+
+@KERNELS
+@given(H=scrambled())
+def test_ring_tensor_and_parity_match_einsum(tmp_path_factory, H):
+    raw = oracle_triple(H.array)
+    assert np.array_equal(triple_product(H.array), raw)
+    assert np.array_equal(ring_from_hadamard(H).N, raw // 4)
+    minus = (H.array == -1).astype(np.int64)
+    assert np.array_equal(triple_product(minus), oracle_triple(minus))
+    path = tmp_path_factory.mktemp("parity") / "h.had"
+    path.write_text(hadamard_to_text(H))
+    want = oracle_parity(H, raw // 4)
+    assert main(["had", "ring", str(path), "--check-parity"]) == (0 if want
+                                                                 else 1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(scrambled())
+def test_identity_matches_full_solve_on_hadamard(H):
+    N = ring_from_hadamard(H).N
+    assert identity_or_message(N) == oracle_identity(N) == [
+        Fraction(1, H.k)] + [0] * (H.n - 1)
+
+
+# ---------------------------------------------------------------------------
+# profile: congruence witness on hand-built matrices
+
+def test_profile_witness_is_lexicographically_first():
+    # one row per support; a quadruple's value is 1 exactly when it lies in
+    # one support, and 4k = 16 wants 0 mod 8.  The violations sit in the
+    # blocks j = 2, 9 and 12: the first block, the last block and the first
+    # in combinations order are three different quadruples.
+    a = np.zeros((16, 16), dtype=np.int64)
+    for row, support in enumerate([(0, 9, 10, 11), (1, 2, 3, 4),
+                                   (5, 12, 13, 14)]):
+        a[row, list(support)] = 1
+    H = HadamardMatrix(a)
+    with pytest.raises(HadamardError, match=r"\(0,9,10,11\)"):
+        profile(H)
+    assert outcome(profile, H) == outcome(oracle_profile, H)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([8, 12, 16]), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 3))
+def test_profile_witness_matches_loop(n, seed, flips):
+    # a Hadamard matrix with a few entries negated, not re-normalized
+    rng = np.random.default_rng(seed)
+    a = {8: gen_sylvester(3), 12: gen_paley(11),
+         16: gen_sylvester(4)}[n].array.copy()
+    for _ in range(flips):
+        a[rng.integers(n), rng.integers(n)] *= -1
+    H = HadamardMatrix(a)
+    assert outcome(lambda X: profile(X).counts, H) == \
+        outcome(oracle_profile, H)
+
+
+# ---------------------------------------------------------------------------
+# census: the "entry exceeds k" tensor and masked entries
+
+def test_census_entry_exceeds_k(paley12_ring):
+    N = paley12_ring.N.copy()
+    N[2, 5, 7] = N[5, 2, 7] = 4                   # k = 3, m = 7 unmasked
+    ring = FusionRing(12, N, tuple(range(12)))
+    with pytest.raises(HadamardError, match="entry exceeds k"):
+        multiset_census(ring)
+    with pytest.raises(HadamardError, match="entry exceeds k"):
+        oracle_census(ring)
+
+
+def test_census_ignores_masked_entries(paley12_ring):
+    N = paley12_ring.N.copy()
+    N[2, 5, 2] = N[2, 5, 5] = N[2, 5, 0] = 9      # m in {0, i, j}
+    ring = FusionRing(12, N, tuple(range(12)))
+    assert multiset_census(ring) == oracle_census(ring) == \
+        multiset_census(paley12_ring)
+
+
+# ---------------------------------------------------------------------------
+# identity: random integer tensors
+
+def tensors(max_n=4, lo=-3, hi=3):
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.integers(lo, hi), min_size=n ** 3, max_size=n ** 3).map(
+            lambda v: np.array(v, dtype=np.int64).reshape(n, n, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors())
+def test_identity_random_tensors(N):
+    # mostly inconsistent; small entry ranges also give rank deficiency
+    assert identity_or_message(N) == oracle_identity(N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors(lo=-1, hi=1))
+def test_identity_sparse_tensors(N):
+    assert identity_or_message(N) == oracle_identity(N)
+
+
+@st.composite
+def tensors_with_identity(draw):
+    """N with e = (1, a_1, ..., a_{n-1}) / d an identity: the block N_0 is
+    chosen to make sum_i e_i N_i = I hold.  Other blocks are random, so e
+    may or may not be unique."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 7))
+    a = draw(st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1))
+    rest = draw(st.lists(st.integers(-2, 2), min_size=(n - 1) * n * n,
+                         max_size=(n - 1) * n * n))
+    N = np.zeros((n, n, n), dtype=np.int64)
+    N[1:] = np.array(rest, dtype=np.int64).reshape(n - 1, n, n)
+    N[0] = d * np.eye(n, dtype=np.int64) - np.tensordot(
+        np.array(a, dtype=np.int64), N[1:], axes=1)
+    return N
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensors_with_identity())
+def test_identity_rational_coefficients(N):
+    got = identity_or_message(N)
+    assert got == oracle_identity(N)
+    if isinstance(got, list):
+        assert np.array_equal(np.tensordot(np.array(got, dtype=object), N,
+                                           axes=1), np.eye(len(N)))
+
+
+def test_identity_zero_tensor():
+    N = np.zeros((3, 3, 3), dtype=np.int64)
+    assert identity_or_message(N) == oracle_identity(N) == \
+        "no identity in R(x)C"
+
+
+FIRST_PRIME = next(primes(1, 31))
+
+
+def z2_tensor():
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    for i in range(2):
+        for j in range(2):
+            N[i, j, (i + j) % 2] = 1
+    return N
+
+
+def test_identity_retries_when_the_prime_divides_every_minor():
+    # every n x n minor of A is a multiple of FIRST_PRIME ** 2; over Q the
+    # identity is b_0 / FIRST_PRIME
+    N = FIRST_PRIME * z2_tensor()
+    want = [Fraction(1, FIRST_PRIME), Fraction(0)]
+    assert identity_or_message(N) == oracle_identity(N) == want
+
+
+def test_identity_certificate_rejects_the_pivot_solution():
+    # modulo FIRST_PRIME the equation (1, 1) repeats (0, 0), so the pivot
+    # rows are consistent with e = b_0; over Q it reads (1 + p) e_0 = 1
+    N = z2_tensor()
+    N[0, 1, 1] = N[1, 0, 1] = 1 + FIRST_PRIME
+    assert identity_or_message(N) == oracle_identity(N) == \
+        "no identity in R(x)C"
+
+
+def test_identity_rank_deficient_consistent():
+    # b_0 acts as the identity and b_1 as zero: e_1 is free
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[0] = np.eye(2, dtype=np.int64)
+    assert identity_or_message(N) == oracle_identity(N) == \
+        "identity not unique"
+
+
+# ---------------------------------------------------------------------------
+# runtime and memory bounds
+
+def best_of(fn, repeat=3):
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def test_profile_sylvester64_time_and_memory():
+    H = gen_sylvester(6)
+    assert best_of(lambda: profile(H)) < 0.2
+    tracemalloc.start()
+    try:
+        profile(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the C(64, 2)^2 Gram matrix alone is 32 MB
+    assert peak < 8 * 2 ** 20
+
+
+def test_census_sylvester128_memory():
+    ring = ring_from_hadamard(gen_sylvester(7))
+    tracemalloc.start()
+    try:
+        cens = multiset_census(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cens) == 1
+    # a (pairs x n x (k + 1)) one-hot array is 34 MB even as booleans
+    assert peak < 24 * 2 ** 20
+
+
+def test_identity_paley44_time():
+    ring = ring_from_hadamard(gen_paley(43))
+    assert best_of(lambda: identity_coefficients(ring)) < 0.3
