@@ -304,20 +304,18 @@ def cmd_gen_ds3(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p, out=True):
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--machine", action="store_true")
+# options, attached only to the subcommands that read them
+TOL = ("--tol", {"type": float, "default": 1e-8})
+MACHINE = ("--machine", {"action": "store_true"})
+
+
+def _subcommand(sub, name, func, *arguments, out=True, gen=False):
+    p = sub.add_parser(name)
+    for arg, kw in arguments:
+        p.add_argument(arg, **kw)
     if out:
         p.add_argument("-o", "--out")
-
-
-def _subcommand(sub, name, func, *pos, out=True, gen=False):
-    p = sub.add_parser(name)
-    for arg, kw in pos:
-        p.add_argument(arg, **kw)
-    _add_common(p, out=out)
     p.set_defaults(func=func, _gen=gen)
-    return p
 
 
 def build_parser():
@@ -325,21 +323,21 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
     f = ("file", {})
 
-    _subcommand(sub, "verify", cmd_verify, f, out=False)
-    _subcommand(sub, "identity", cmd_identity, f, out=False)
-    _subcommand(sub, "smatrix", cmd_smatrix, f)
-    _subcommand(sub, "verlinde", cmd_verlinde, f)
-    _subcommand(sub, "closed", cmd_closed, f, out=False)
+    _subcommand(sub, "verify", cmd_verify, f, MACHINE, out=False)
+    _subcommand(sub, "identity", cmd_identity, f, MACHINE, out=False)
+    _subcommand(sub, "smatrix", cmd_smatrix, f, TOL)
+    _subcommand(sub, "verlinde", cmd_verlinde, f, TOL)
+    _subcommand(sub, "closed", cmd_closed, f, TOL, MACHINE, out=False)
     _subcommand(sub, "subring", cmd_subring, f,
-                ("indices", {"type": int, "nargs": "+"}))
+                ("indices", {"type": int, "nargs": "+"}), TOL)
     _subcommand(sub, "quotient2", cmd_quotient2, f, ("d", {"type": int}))
-    p = _subcommand(sub, "lift", cmd_lift, f)
-    p.add_argument("--cap", type=int, default=4096)
+    _subcommand(sub, "lift", cmd_lift, f, TOL,
+                ("--cap", {"type": int, "default": 4096}))
 
     had = sub.add_parser("had").add_subparsers(dest="hadcmd", required=True)
-    p = _subcommand(had, "ring", cmd_had_ring, f)
-    p.add_argument("--check-parity", action="store_true")
-    _subcommand(had, "profile", cmd_had_profile, f, out=False)
+    _subcommand(had, "ring", cmd_had_ring, f,
+                ("--check-parity", {"action": "store_true"}))
+    _subcommand(had, "profile", cmd_had_profile, f, MACHINE, out=False)
     _subcommand(had, "census", cmd_had_census, f, out=False)
     _subcommand(had, "closed", cmd_had_closed, f, out=False)
     _subcommand(had, "wmatrix", cmd_had_wmatrix, f, ("i", {"type": int}))
@@ -347,7 +345,8 @@ def build_parser():
     _subcommand(had, "reconstruct3", cmd_had_reconstruct3, f)
     _subcommand(had, "f2", cmd_had_f2, ("k", {"type": int}), out=False)
     _subcommand(had, "vrank", cmd_had_vrank, f, out=False)
-    _subcommand(had, "equiv", cmd_had_equiv, f, ("file2", {}), out=False)
+    _subcommand(had, "equiv", cmd_had_equiv, f, ("file2", {}), MACHINE,
+                out=False)
 
     gen = sub.add_parser("gen").add_subparsers(dest="gencmd", required=True)
     _subcommand(gen, "sylvester", cmd_gen_sylvester, ("m", {"type": int}),

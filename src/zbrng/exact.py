@@ -164,7 +164,9 @@ class CycNum:
         return x
 
     def _descend(self, d):
-        """Rewrite in the power basis of Q(zeta_d); assumes membership."""
+        """Rewrite in the power basis of Q(zeta_d); assumes membership.  The
+        embedding A of that basis has full column rank, so the coordinates
+        solve the normal equations (A^T A) x = A^T b."""
         phi_q, phi_d = _euler_phi(self.q), _euler_phi(d)
         A = [[Fraction(0)] * phi_d for _ in range(phi_q)]
         for f in range(phi_d):
@@ -172,7 +174,11 @@ class CycNum:
             for e, c in emb.coeffs.items():
                 A[e][f] = c
         b = [self.coeffs.get(e, Fraction(0)) for e in range(phi_q)]
-        sol = rat_solve(A, b)
+        cols = list(zip(*A))
+        gram = [[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]
+        rhs = [sum(x * y for x, y in zip(u, b)) for u in cols]
+        sol = [sum(x * y for x, y in zip(row, rhs))
+               for row in mat_inverse(gram)]
         return CycNum(d, {f: sol[f] for f in range(phi_d) if sol[f]},
                       reduce=False)
 
@@ -394,81 +400,7 @@ def format_cyc(a):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra: rational solve; one inverse over Fractions or
-# CycNums
-
-def _int_rows(entries):
-    """Scale each row to integers (clears denominators, divides by gcd)."""
-    out = []
-    for row in entries:
-        m = 1
-        for x in row:
-            m = m * x.denominator // gcd(m, x.denominator)
-        ints = [int(x * m) for x in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
-
-
-def _echelon(m):
-    """Fraction-free (Bareiss-flavoured) row echelon on integer rows, in
-    place.  Returns list of pivot columns."""
-    rows, cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        p = next((i for i in range(r, rows) if m[i][c]), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, rows):
-            f = m[i][c]
-            if not f:
-                continue
-            row = m[i]
-            top = m[r]
-            for j in range(cols):
-                row[j] = row[j] * piv - f * top[j]
-            # strip common content to keep the integers small
-            g = 0
-            for v in row:
-                g = gcd(g, v)
-            if g > 1:
-                m[i] = [v // g for v in row]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
-
-
-def rat_solve(A, b):
-    """Solve A x = b exactly.  Returns the unique solution vector, raises
-    ExactError("inconsistent") or ExactError("underdetermined")."""
-    entries = [[Fraction(x) for x in row] for row in A]
-    rows = len(entries)
-    cols = len(entries[0])
-    aug = [list(entries[i]) + [Fraction(b[i])] for i in range(rows)]
-    m = _int_rows(aug)
-    pivots = _echelon(m)
-    if cols in pivots:
-        raise ExactError("inconsistent")
-    if len(pivots) < cols:
-        raise ExactError("underdetermined")
-    x = [Fraction(0)] * cols
-    for r in range(cols - 1, -1, -1):
-        pc = pivots[r]
-        s = Fraction(m[r][cols])
-        for c in range(pc + 1, cols):
-            s -= m[r][c] * x[c]
-        x[pc] = s / m[r][pc]
-    return x
-
+# exact linear algebra: one inverse over Fractions or CycNums
 
 def exact_int(c):
     """The integer value of an int, Fraction or CycNum, or None if it is not
@@ -507,7 +439,9 @@ def mat_inverse(rows):
 
 def rref_mod(A, p):
     """(R, pivots): the reduced row echelon form mod p of an integer matrix
-    (int64 entries) and its pivot columns; the rank is len(pivots).  Entries
+    (int64 entries) and its pivot columns; the rank is len(pivots).  At each
+    pivot only the rows with a nonzero entry in its column are updated, and
+    only from that column on (the pivot row is zero before it).  Entries
     stay residues below p and each update subtracts one product below p^2,
     so int64 is exact for p < 2^31."""
     R = np.array(A, dtype=np.int64) % p
@@ -520,10 +454,10 @@ def rref_mod(A, p):
         if not nz.size:
             continue
         R[[r, r + nz[0]]] = R[[r + nz[0], r]]
-        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
-        f = R[:, c].copy()
-        f[r] = 0
-        R = (R - f[:, None] * R[r]) % p
+        R[r, c:] = R[r, c:] * pow(int(R[r, c]), -1, p) % p
+        rows = np.flatnonzero(R[:, c])
+        rows = rows[rows != r]
+        R[rows, c:] = (R[rows, c:] - R[rows, c, None] * R[r, c:]) % p
         pivots.append(c)
     return R, pivots
 
@@ -544,7 +478,8 @@ def kernel_mod(A, p):
 # arrays over Q(zeta_q): integer coefficient arrays over one denominator
 
 def _maxabs(a):
-    return int(np.max(np.abs(a))) if a.size else 0
+    """max |a| as a Python int (exact for int64 -2^63 too), 0 when empty."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 def int_dtype(bound):
@@ -856,35 +791,17 @@ def _apply_mod(V, A, p):
 def _inverse_mod(num, q, p):
     """Coefficients mod p of the inverse of the integer coefficient matrix
     num (n, n, phi(q)), or None when an image at a root of unity is
-    singular mod p."""
+    singular mod p: rref_mod of [A_t | I] for each image A_t, which is
+    singular exactly when the pivots are not the columns 0 .. n-1."""
     V, Vi = _nodes(q, p)
-    images = _gauss_jordan_mod(_apply_mod(V, (num % p).astype(np.int64), p), p)
-    if images is None:
-        return None
-    return np.moveaxis(_apply_mod(Vi, np.moveaxis(images, 0, -1), p), 0, -1)
-
-
-def _gauss_jordan_mod(A, p):
-    """Inverses mod p of a stack (b, n, n) of residue matrices, or None if
-    one is singular.  Residues stay below p < 2^31, so products fit int64."""
-    b, n, _ = A.shape
-    M = np.concatenate(
-        [A, np.broadcast_to(np.eye(n, dtype=np.int64), (b, n, n))], axis=2)
-    stack = np.arange(b)
-    for c in range(n):
-        nz = M[:, c:, c] != 0
-        if not nz.any(axis=1).all():
+    n = num.shape[0]
+    images = []
+    for A in _apply_mod(V, (num % p).astype(np.int64), p):
+        R, pivots = rref_mod(np.hstack([A, np.eye(n, dtype=np.int64)]), p)
+        if pivots != list(range(n)):
             return None
-        r = c + nz.argmax(axis=1)
-        top = M[stack, r]
-        M[stack, r] = M[:, c]
-        inv = np.array([pow(int(x), -1, p) for x in top[:, c]], dtype=np.int64)
-        top = top * inv[:, None] % p
-        M[:, c] = top
-        f = M[:, :, c].copy()
-        f[:, c] = 0
-        M = (M - f[:, :, None] * top[:, None, :]) % p
-    return M[:, :, n:]
+        images.append(R[:, n:])
+    return np.moveaxis(_apply_mod(Vi, np.stack(images, axis=-1), p), 0, -1)
 
 
 def _reconstruct(x, modulus):

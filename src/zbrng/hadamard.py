@@ -10,7 +10,7 @@ from math import comb
 
 import numpy as np
 
-from .exact import kernel_mod, primes, rref_mod
+from .exact import _maxabs, int_dtype, kernel_mod, primes, rref_mod
 from .rng_core import (FormatError, assoc_witness, is_closed_subset,
                        ring_from_tensor)
 
@@ -295,8 +295,7 @@ def _is_character_table(N, k, signs):
     if len(np.unique(signs, axis=0)) != n:
         return False
     # |sum_m N_ijm s_km| <= n max|N| k, and k^2 <= that bound too
-    big = max(int(N.max()), -int(N.min()))
-    dtype = np.int64 if n * big * k < 2 ** 63 else object
+    dtype = int_dtype(n * _maxabs(N) * k)
     s = signs.astype(dtype) * k
     lhs = (s[:, :, None] * s[:, None, :]).reshape(n, n * n)
     return np.array_equal(lhs, s @ N.astype(dtype).reshape(n * n, n).T)
@@ -364,9 +363,9 @@ def f2_tensor(k):
     return N
 
 
-def f2_algebra_check(k, tensor=None):
-    """Commutativity and associativity of the tensor over GF(2)."""
-    N = f2_tensor(k) if tensor is None else np.asarray(tensor, dtype=np.uint8)
+def f2_algebra_check(k):
+    """Commutativity and associativity of f2_tensor(k) over GF(2)."""
+    N = f2_tensor(k)
     if not np.array_equal(N, N.transpose(1, 0, 2)):
         return False
     return assoc_witness(N, 2) is None

@@ -11,7 +11,7 @@ from math import gcd
 
 import numpy as np
 
-from .exact import CycArray, exact_int, int_dtype
+from .exact import CycArray, _maxabs, exact_int, int_dtype
 from .rng_core import (RingError, assoc_witness, identity_coefficients,
                        ring_blocks)
 from .spectra import SpectraError, decompose, root_columns, unit_roots
@@ -147,8 +147,7 @@ _SLAB = 64
 
 def _held(a, what):
     """a as int64; OverflowError when some entry does not fit."""
-    if a.dtype == object and a.size and max(int(a.max()),
-                                            -int(a.min())) >= 2 ** 63:
+    if a.dtype == object and _maxabs(a) >= 2 ** 63:
         raise OverflowError("%s exceed int64" % what)
     return a.astype(np.int64, copy=False)
 

@@ -7,12 +7,14 @@ exists in the complexification (its coefficients are rational here since N
 is integral).
 """
 
-from math import lcm
+from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 import numpy as np
 
-from .exact import (CycNum, ExactError, exact_int, int_dtype, primes,
-                    rat_solve, rref_mod)
+from .exact import (CycArray, CycNum, _maxabs, exact_int, int_dtype, primes,
+                    rref_mod)
 
 
 class RingError(ValueError):
@@ -30,7 +32,12 @@ class FusionRing:
         self.n = n
         self.N = N
         self.tilde = tilde
-        self.eCoeffs = None   # set by identity_coefficients
+
+    @cached_property
+    def eCoeffs(self):
+        """The identity's coefficients, computed on first use; RingError when
+        there is no unique identity."""
+        return identity_coefficients(self)
 
     def __repr__(self):
         return "FusionRing(n=%d)" % self.n
@@ -114,53 +121,51 @@ def identity_coefficients(ring):
     A e = b with A[(j, m), i] = N_ijm and b = vec(I).
 
     The rows of [A|b] independent mod a prime p < 2^31 (the pivots of
-    rref_mod on [A|b]^T) are independent over Q, and rat_solve runs on them
-    alone.  When A has full rank mod p, its solution is the only candidate
-    and is certified against all n^2 equations over Z.  Otherwise more
-    primes are tried.  A prime fails only by dividing a nonzero minor of
-    [A|b]; by Hadamard's inequality, with column norms at most n max|N_i|
-    and n, that minor is below 2^bits, so at most bits // 30 primes above
-    2^30 divide it.  After that many failures the largest pivot set spans
-    the row space of [A|b] over Q, and rat_solve on it decides as on the
-    full system."""
+    rref_mod on [A|b]^T) are independent over Q.  When A has full rank mod
+    p, so has A over Q: with n + 1 such rows [A|b] has rank n + 1 and there
+    is no identity; with n, the certified inverse (CycArray.inverse) of
+    those rows gives the only candidate, which is certified against all n^2
+    equations over Z.  Otherwise more primes are tried.  A prime fails only
+    by dividing a nonzero minor of [A|b]; by Hadamard's inequality, with
+    column norms at most n max|N_i| and n, that minor is below 2^bits, so at
+    most bits // 30 primes above 2^30 divide it.  After that many failures
+    the largest pivot set spans the row space of [A|b] over Q and the
+    largest rank mod p is the rank of A over Q, so the system is
+    inconsistent exactly when the first exceeds the second."""
     n, N = ring.n, ring.N
     A = N.reshape(n, n * n).T                       # row (j, m), column i
     b = np.eye(n, dtype=np.int64).reshape(n * n)
     Ab = np.column_stack([A, b])
-    big = [max(int(Ni.max()), -int(Ni.min())) for Ni in N]
+    big = [_maxabs(Ni) for Ni in N]
     bits = sum((n * x).bit_length() for x in big) + n.bit_length()
-    rows, failed = [], 0
-    for p in primes(1, 31):
+    span = rank = 0
+    for tried, p in enumerate(primes(1, 31), 1):
         piv = rref_mod(Ab.T, p)[1]
-        if len(rref_mod(A[piv], p)[1]) == n:
-            rows = piv
+        r = len(rref_mod(A[piv], p)[1])
+        if r == n:
             break
-        rows = max(rows, piv, key=len)
-        failed += 1
-        if failed > bits // 30:
-            break
-    try:
-        sol = rat_solve(A[rows].tolist(), b[rows].tolist())
-    except ExactError as exc:
-        if "inconsistent" in str(exc):
-            raise RingError("no identity in R(x)C") from exc
-        raise RingError("identity not unique") from exc
+        span, rank = max(span, len(piv)), max(rank, r)
+        if tried > bits // 30:
+            raise RingError("no identity in R(x)C" if span > rank
+                            else "identity not unique")
+    if len(piv) > n:
+        raise RingError("no identity in R(x)C")
+    e = (CycArray(1, A[piv][..., None], 1).inverse()
+         @ CycArray(1, b[piv].reshape(n, 1, 1), 1))
+    num = [int(x) for x in e.num.ravel()]
+    g = gcd(e.den, *num)
+    den, num = e.den // g, [x // g for x in num]
     # A num = den b over Z; every sum is at most n max|N| max|num|, and den
     # is one of them when the certificate holds
-    den = lcm(*(c.denominator for c in sol))
-    num = [int(c * den) for c in sol]
     dtype = int_dtype(max(n * max(big) * max(map(abs, num)), den))
     lhs = np.array(num, dtype=dtype) @ N.reshape(n, n * n).astype(dtype)
     if not np.array_equal(lhs, den * b.astype(dtype)):
         raise RingError("no identity in R(x)C")
-    ring.eCoeffs = [CycNum.from_rat(c) for c in sol]
-    return ring.eCoeffs
+    return [CycNum.from_rat(Fraction(x, den)) for x in num]
 
 
 def trace_eval(ring, r):
     """tau(r) = sum_i conj(e_i) r_i."""
-    if ring.eCoeffs is None:
-        raise RingError("eCoeffs missing; run identity_coefficients first")
     total = CycNum.from_rat(0)
     for e_i, r_i in zip(ring.eCoeffs, r.coeffs):
         total = total + e_i.conj() * r_i
@@ -207,7 +212,7 @@ def assoc_witness(N, modulus):
     if modulus is not None:
         N = N % modulus
     n = N.shape[0]
-    big = max(int(N.max()), -int(N.min())) if N.size else 0
+    big = _maxabs(N)
     bound = big * big * n
     if bound < 2 ** 63:
         A = N.astype(np.float64 if bound < 2 ** 53 else np.int64)
@@ -263,7 +268,7 @@ def verify_axioms(ring):
     rep.add("involution compatibility", w is None, w)
 
     try:
-        e = ring.eCoeffs if ring.eCoeffs is not None else identity_coefficients(ring)
+        e = ring.eCoeffs
         rep.add("identity existence", True)
     except RingError as exc:
         rep.add("identity existence", False, str(exc))
@@ -325,8 +330,6 @@ def search_involution(n, N):
 
 def tau_power_search(ring, i):
     """Smallest m >= 1 with tau(b_i^m) != 0; search bounded by 2n+2."""
-    if ring.eCoeffs is None:
-        identity_coefficients(ring)
     bound = 2 * ring.n + 2
     b = RingElement.basis(ring.n, i)
     power = b

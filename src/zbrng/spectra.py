@@ -510,7 +510,11 @@ def smatrix_from_text(text):
         raise FormatError("s-matrix must be square")
     if len(lines) != 2 + rows:
         raise FormatError("expected %d data rows" % rows)
-    data = []
+    if rows == 0:
+        raise SpectraError("s-matrix must be square")
+    # exact literals: each distinct token is parsed once, at its first
+    # occurrence, so the first error reported is the first in row order
+    index, values, data = {}, [], []
     for ln in lines[2:]:
         toks = ln.split()
         if len(toks) != cols:
@@ -518,9 +522,17 @@ def smatrix_from_text(text):
                               % (len(toks), cols))
         if numeric:
             data.append([complex(t) for t in toks])
-        else:
-            try:
-                data.append([parse_cyc(t) for t in toks])
-            except ExactError as exc:
-                raise FormatError(str(exc)) from exc
-    return SMatrix.numeric(np.array(data)) if numeric else SMatrix.exact(data)
+            continue
+        for t in toks:
+            if t not in index:
+                try:
+                    values.append(parse_cyc(t))
+                except ExactError as exc:
+                    raise FormatError(str(exc)) from exc
+                index[t] = len(index)
+        data.append([index[t] for t in toks])
+    if numeric:
+        return SMatrix.numeric(np.array(data))
+    distinct = CycArray.from_rows([values])
+    return SMatrix(CycArray(distinct.q, distinct.num[0][np.array(data)],
+                            distinct.den))

@@ -3,7 +3,7 @@ import pytest
 
 from zbrng.generators import gen_paley, gen_sylvester, group_ring_smatrix
 from zbrng.hadamard import ring_from_hadamard
-from zbrng.rng_core import identity_coefficients, ring_from_tensor
+from zbrng.rng_core import ring_from_tensor
 from zbrng.spectra import involution_from_smatrix, verlinde_tensor
 
 
@@ -28,9 +28,7 @@ def a1_fusion_oracle(level):
 
 @pytest.fixture(scope="session")
 def z3_ring():
-    ring = ring_from_smatrix(group_ring_smatrix([3]))
-    identity_coefficients(ring)
-    return ring
+    return ring_from_smatrix(group_ring_smatrix([3]))
 
 
 @pytest.fixture(scope="session")

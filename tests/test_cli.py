@@ -339,6 +339,22 @@ def test_exit2_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("had", "ring", "{had}", "--tol", "1"),
+    ("had", "census", "{had}", "--machine"),
+    ("verify", "{ring}", "--tol", "1"),
+    ("verlinde", "{smat}", "--machine"),
+    ("gen", "paley", "11", "--tol", "1"),
+])
+def test_flags_only_where_read(argv, paley12_file, z3_file, capsys):
+    # --tol and --machine belong to the subcommands that read them
+    names = {"had": paley12_file, "smat": z3_file[0], "ring": z3_file[1]}
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**names) for a in argv])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_deterministic_output(paley12_file, capsys):
     a = run(capsys, "had", "profile", str(paley12_file))
     b = run(capsys, "had", "profile", str(paley12_file))

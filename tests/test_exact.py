@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import zbrng.exact as exact
 from zbrng.exact import (CycNum, ExactError, cyclotomic_poly, format_cyc,
-                         kernel_mod, mat_inverse, parse_cyc, rat_solve,
-                         rref_mod)
+                         kernel_mod, mat_inverse, parse_cyc, primes, rref_mod)
+from zbrng.rng_core import FusionRing, identity_coefficients
 
 
 @pytest.mark.parametrize("q,coeffs", [
@@ -101,19 +104,14 @@ def test_parse_cyc_errors():
             parse_cyc(bad)
 
 
-def test_rat_solve_and_inverse():
+def test_mat_inverse_fractions():
     A = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-    x = rat_solve(A, [Fraction(5), Fraction(10)])
-    assert x == [Fraction(1), Fraction(3)]
     Ainv = mat_inverse(A)
     ident = [[sum(A[i][k] * Ainv[k][j] for k in range(2)) for j in range(2)]
              for i in range(2)]
     assert ident == [[1, 0], [0, 1]]
     with pytest.raises(ExactError):
         mat_inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
-    with pytest.raises(ExactError):
-        rat_solve([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]],
-                  [Fraction(0), Fraction(1)])
 
 
 def test_rat_kernel_rank():
@@ -160,3 +158,147 @@ def test_gf_linear_algebra():
 
 def test_gf_kernel_full_rank_empty():
     assert kernel_mod([[1, 0], [0, 1]], 3).tolist() == []
+
+
+# ---------------------------------------------------------------------------
+# GF(p) elimination and the modular inverse against the full-update
+# eliminations they replaced, kept here as oracles
+
+def full_update_rref(A, p):
+    """Reduced row echelon form mod p updating every row at each pivot."""
+    R = np.array(A, dtype=np.int64) % p
+    pivots = []
+    for c in range(R.shape[1]):
+        r = len(pivots)
+        if r == R.shape[0]:
+            break
+        nz = np.flatnonzero(R[r:, c])
+        if not nz.size:
+            continue
+        R[[r, r + nz[0]]] = R[[r + nz[0], r]]
+        R[r] = R[r] * pow(int(R[r, c]), -1, p) % p
+        f = R[:, c].copy()
+        f[r] = 0
+        R = (R - f[:, None] * R[r]) % p
+        pivots.append(c)
+    return R, pivots
+
+
+def batched_gauss_jordan(A, p):
+    """Inverses mod p of a stack (b, n, n) of residue matrices, or None if
+    one is singular."""
+    b, n, _ = A.shape
+    M = np.concatenate(
+        [A, np.broadcast_to(np.eye(n, dtype=np.int64), (b, n, n))], axis=2)
+    stack = np.arange(b)
+    for c in range(n):
+        nz = M[:, c:, c] != 0
+        if not nz.any(axis=1).all():
+            return None
+        r = c + nz.argmax(axis=1)
+        top = M[stack, r]
+        M[stack, r] = M[:, c]
+        inv = np.array([pow(int(x), -1, p) for x in top[:, c]], dtype=np.int64)
+        top = top * inv[:, None] % p
+        M[:, c] = top
+        f = M[:, :, c].copy()
+        f[:, c] = 0
+        M = (M - f[:, :, None] * top[:, None, :]) % p
+    return M[:, :, n:]
+
+
+def oracle_inverse_mod(num, q, p):
+    V, Vi = exact._nodes(q, p)
+    images = batched_gauss_jordan(
+        exact._apply_mod(V, (num % p).astype(np.int64), p), p)
+    if images is None:
+        return None
+    return np.moveaxis(exact._apply_mod(Vi, np.moveaxis(images, 0, -1), p),
+                       0, -1)
+
+
+@st.composite
+def residue_matrices(draw):
+    """(A, p): small integer matrices, some of low rank (a product through
+    k < min(rows, cols) columns) and some with zero columns."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    p = draw(st.sampled_from([2, 3, 7, 2 ** 31 - 1]))
+    ints = st.integers(-3, 3)
+    k = draw(st.integers(1, max(rows, cols)))
+    left = np.array(draw(st.lists(ints, min_size=rows * k,
+                                  max_size=rows * k))).reshape(rows, k)
+    right = np.array(draw(st.lists(ints, min_size=k * cols,
+                                   max_size=k * cols))).reshape(k, cols)
+    A = left @ right
+    zero = draw(st.lists(st.integers(0, cols - 1), max_size=cols))
+    A[:, zero] = 0
+    return A, p
+
+
+@settings(max_examples=200, deadline=None)
+@given(residue_matrices())
+def test_rref_mod_matches_full_update(case):
+    A, p = case
+    R, pivots = rref_mod(A, p)
+    want_R, want_pivots = full_update_rref(A, p)
+    assert pivots == want_pivots
+    assert np.array_equal(R, want_R)
+
+
+def test_rref_mod_zero_and_rank_deficient():
+    assert rref_mod(np.zeros((3, 4), dtype=np.int64), 5)[1] == []
+    A = np.array([[0, 2, 4, 0], [0, 1, 2, 0], [0, 3, 2, 0]])
+    R, pivots = rref_mod(A, 5)
+    assert pivots == [1, 2]
+    assert R.tolist() == [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("q", [1, 3, 4, 8])
+def test_inverse_mod_matches_batched_gauss_jordan(q):
+    p = next(primes(q, 31))
+    phi = len(cyclotomic_poly(q)) - 1
+    rng = np.random.default_rng(q)
+    for n in (1, 2, 5):
+        num = rng.integers(-50, 51, size=(n, n, phi))
+        got = exact._inverse_mod(num, q, p)
+        assert got is not None
+        assert np.array_equal(got, oracle_inverse_mod(num, q, p))
+    # singular at every root: two equal rows
+    num = rng.integers(-5, 6, size=(3, 3, phi))
+    num[1] = num[0]
+    assert exact._inverse_mod(num, q, p) is None
+    assert oracle_inverse_mod(num, q, p) is None
+
+
+@pytest.mark.parametrize("q", [3, 4, 8])
+def test_inverse_mod_singular_at_one_root(q):
+    # diag(zeta - w_0, 1) with w_0 the first primitive root mod p: its image
+    # vanishes at w_0 only, and one singular image makes the prime fail
+    p = next(primes(q, 31))
+    phi = len(cyclotomic_poly(q)) - 1
+    w0 = int(exact._nodes(q, p)[0][0, 1])
+    num = np.zeros((2, 2, phi), dtype=np.int64)
+    num[0, 0, :2] = (-w0, 1)
+    num[1, 1, 0] = 1
+    assert exact._inverse_mod(num, q, p) is None
+    assert oracle_inverse_mod(num, q, p) is None
+    num[0, 0, 0] += 1
+    assert np.array_equal(exact._inverse_mod(num, q, p),
+                          oracle_inverse_mod(num, q, p))
+
+
+def test_identity_needs_several_primes(monkeypatch):
+    # e = 1 / N_000 reconstructs only past 2 N_000^2 > 2^81: the product of
+    # at least three primes below 2^31
+    calls = []
+    real = exact._inverse_mod
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+    monkeypatch.setattr(exact, "_inverse_mod", counting)
+    big = 2 ** 40 + 15
+    ring = FusionRing(1, np.array([[[big]]], dtype=np.int64), (0,))
+    e = identity_coefficients(ring)
+    assert [c.rational_value() for c in e] == [Fraction(1, big)]
+    assert len(calls) >= 3 and len(set(calls)) == len(calls)

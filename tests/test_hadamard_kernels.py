@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
 
 from zbrng.cli import main
-from zbrng.exact import ExactError, primes, rat_solve
+from zbrng.exact import primes
 from zbrng.generators import gen_kronecker, gen_paley, gen_sylvester
 from zbrng.hadamard import (HadamardError, HadamardMatrix, hadamard_to_text,
                             multiset_census, normalize_hadamard, profile,
@@ -81,20 +82,21 @@ def oracle_parity(H, N):
 
 
 def oracle_identity(N):
-    """The full n^2-equation Fraction solve: the coefficients, or the
+    """The full n^2-equation solve over Q (sympy): the coefficients, or the
     RingError message."""
     n = N.shape[0]
     rows, rhs = [], []
     for j in range(n):
         for m in range(n):
-            rows.append([Fraction(int(N[i, j, m])) for i in range(n)])
-            rhs.append(Fraction(int(j == m)))
+            rows.append([int(N[i, j, m]) for i in range(n)])
+            rhs.append(int(j == m))
     try:
-        return rat_solve(rows, rhs)
-    except ExactError as exc:
-        if "inconsistent" in str(exc):
-            return "no identity in R(x)C"
+        sol, params = Matrix(rows).gauss_jordan_solve(Matrix(rhs))
+    except ValueError:
+        return "no identity in R(x)C"
+    if params.shape[0]:
         return "identity not unique"
+    return [Fraction(int(x.p), int(x.q)) for x in sol]
 
 
 def identity_or_message(N):
@@ -359,3 +361,11 @@ def test_census_sylvester128_memory():
 def test_identity_paley44_time():
     ring = ring_from_hadamard(gen_paley(43))
     assert best_of(lambda: identity_coefficients(ring)) < 0.3
+
+
+def test_identity_sylvester128_time():
+    ring = ring_from_hadamard(gen_sylvester(7))
+    t0 = time.perf_counter()
+    e = identity_coefficients(ring)
+    assert time.perf_counter() - t0 < 2
+    assert [c.rational_value() for c in e] == [Fraction(1, 32)] + [0] * 127

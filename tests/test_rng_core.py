@@ -273,6 +273,13 @@ def test_identity_missing():
         identity_coefficients(ring)
 
 
+def test_trace_eval_computes_the_identity():
+    # eCoeffs is computed on first use, once
+    ring = cyclic_ring(3)
+    assert trace_eval(ring, RingElement.basis(3, 0)).rational_value() == 1
+    assert ring.eCoeffs is ring.eCoeffs
+
+
 def test_trace_triple(z3_ring):
     r = RingElement.from_ints([-1, -1, 1])
     r2 = multiply(z3_ring, r, r)

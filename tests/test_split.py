@@ -8,9 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix
 
 import zbrng.hadamard as hadamard
-from zbrng.exact import _echelon, _int_rows, primes
+from zbrng.exact import primes
 from zbrng.generators import (gen_kronecker, gen_paley, gen_sylvester,
                               group_ring_smatrix)
 from zbrng.hadamard import (HadamardError, PreconditionError,
@@ -27,20 +28,10 @@ from conftest import ring_from_smatrix
 # oracles: the list-based splitters and GF(p) helpers, as they were
 
 def rat_kernel(M):
-    m = _int_rows([[Fraction(x) for x in row] for row in M])
-    cols = len(m[0])
-    pivots = _echelon(m)
-    basis = []
-    for fc in (c for c in range(cols) if c not in set(pivots)):
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum((m[r][c] * v[c] for c in range(pc + 1, cols) if v[c]),
-                    Fraction(0))
-            v[pc] = -s / m[r][pc]
-        basis.append(v)
-    return basis
+    """Kernel basis over Q (sympy): one vector per free column, 1 there and
+    0 at the other free columns."""
+    return [[Fraction(int(x.p), int(x.q)) for x in v]
+            for v in Matrix(M).nullspace()]
 
 
 def gf_echelon(rows, p):
