@@ -85,6 +85,13 @@ def as_hadamard(obj):
     raise InputError("expected a Hadamard matrix file")
 
 
+def in_range(values, lo, n, what):
+    """Index arguments must lie in lo..n-1: bad input, not a failed
+    verification."""
+    if any(not lo <= v < n for v in values):
+        raise InputError("%s out of range %d..%d" % (what, lo, n - 1))
+
+
 def emit(args, text):
     """Write text, one string or an iterable of strings written piece by
     piece, to the -o file or to stdout."""
@@ -159,12 +166,14 @@ def cmd_closed(args):
 
 def cmd_subring(args):
     s = as_smatrix(load_any(args.file), args.tol)
+    in_range(args.indices, 0, s.n, "index")
     sub = subring_smatrix(s, tuple(args.indices), tol=args.tol)
     return emit(args, smatrix_to_text(sub))
 
 
 def cmd_quotient2(args):
     ring = as_ring(load_any(args.file))
+    in_range([args.d], 0, ring.n, "d")
     alg, classmap = order2_quotient(ring, args.d)
     lines = ["zbrng 1", "n %d" % alg.m] + ring_blocks(alg.tensor)
     for i, (r, sg) in enumerate(classmap):
@@ -212,7 +221,7 @@ def cmd_had_census(args):
     k = (ring.n // 4)
     for entry in cens:
         print(" ".join(str(v) for v in census_values(entry)))
-    if k % 2:
+    if k % 2 and k >= 3:
         print("count %d bound %d" % (len(cens), triangular_bound(k)))
     else:
         print("count %d" % len(cens))
@@ -228,6 +237,7 @@ def cmd_had_closed(args):
 
 def cmd_had_wmatrix(args):
     ring = ring_from_hadamard(as_hadamard(load_any(args.file)))
+    in_range([args.i], 1, ring.n, "i")
     return emit(args, hadamard_to_text(wmatrix(ring, args.i)))
 
 
@@ -304,8 +314,18 @@ def cmd_gen_ds3(args):
 
 # ---------------------------------------------------------------------------
 
+def tolerance(text):
+    """--tol: a finite number above 0, the scale of every numeric equality
+    and integrality test."""
+    value = float(text)
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError("must be finite and above 0: %r"
+                                         % text)
+    return value
+
+
 # options, attached only to the subcommands that read them
-TOL = ("--tol", {"type": float, "default": 1e-8})
+TOL = ("--tol", {"type": tolerance, "default": 1e-8})
 MACHINE = ("--machine", {"action": "store_true"})
 
 

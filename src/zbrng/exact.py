@@ -496,6 +496,22 @@ def _fit(a):
     return a
 
 
+def row_keys(rows, dtype):
+    """One exact key per row of a 2-d integer array held as `dtype`: a void
+    view of the row's bytes, so keys are equal exactly when the rows are
+    (and, for a big-endian unsigned dtype, sort as the rows do)."""
+    rows = np.ascontiguousarray(rows, dtype=dtype)
+    width = rows.itemsize * rows.shape[1]
+    return rows.view(np.dtype((np.void, width))).ravel()
+
+
+def lookup(keys, idx, want):
+    """idx of each key of `want` in the sorted nonempty `keys`, -1 where
+    absent."""
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return np.where(keys[pos] == want, idx[pos], -1)
+
+
 @lru_cache(maxsize=None)
 def power_table(q):
     """(q, phi(q)) integer array: row k holds zeta_q^k on the power basis."""

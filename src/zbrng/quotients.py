@@ -11,7 +11,8 @@ from math import gcd
 
 import numpy as np
 
-from .exact import CycArray, _maxabs, exact_int, int_dtype
+from .exact import (CycArray, _maxabs, exact_int, int_dtype, lookup,
+                    row_keys)
 from .rng_core import (RingError, assoc_witness, identity_coefficients,
                        ring_blocks)
 from .spectra import SpectraError, decompose, root_columns, unit_roots
@@ -152,25 +153,15 @@ def _held(a, what):
     return a.astype(np.int64, copy=False)
 
 
-def _row_keys(rows):
-    """One exact key per row of exponents: a void view of the big-endian
-    rows as uint16 (exponents are below Q <= 2 * MAX_ORDER = 2048), so keys
-    sort as the exponent tuples do."""
-    rows = np.ascontiguousarray(rows, dtype=">u2")
-    return rows.view(np.dtype((np.void, 2 * rows.shape[1]))).ravel()
+# Exponent rows are keyed (exact.row_keys) as big-endian uint16: exponents
+# are below Q <= 2 * MAX_ORDER = 2048, and keys sort as the exponent tuples.
+_EXPONENT = ">u2"
 
 
 def _key_rows(keys, n):
-    """The exponent rows (int64, width n) of keys made by _row_keys."""
-    return np.frombuffer(keys.tobytes(), dtype=">u2").reshape(-1, n).astype(
-        np.int64)
-
-
-def _lookup(keys, idx, want):
-    """idx of each key of `want` in the sorted nonempty `keys`, -1 where
-    absent."""
-    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    return np.where(keys[pos] == want, idx[pos], -1)
+    """The exponent rows (int64, width n) of keys made by row_keys."""
+    return np.frombuffer(keys.tobytes(), dtype=_EXPONENT).reshape(
+        -1, n).astype(np.int64)
 
 
 def _cayley(gens, Q, cap):
@@ -183,8 +174,8 @@ def _cayley(gens, Q, cap):
     gens[i]).  Raises once |H| > cap.  Candidates are made a slab of
     generators or elements at a time, at most about cap rows at once."""
     n = gens.shape[1]
-    keys, via, gen_index = np.unique(_row_keys(gens), return_index=True,
-                                     return_inverse=True)
+    keys, via, gen_index = np.unique(row_keys(gens, _EXPONENT),
+                                     return_index=True, return_inverse=True)
     if len(keys) > cap:
         raise QuotientError("|H| exceeds cap (%d)" % cap)
     levels, parents, vias = [keys], [np.full(len(keys), -1)], [via]
@@ -198,8 +189,8 @@ def _cayley(gens, Q, cap):
         par = gen = np.zeros(0, dtype=np.int64)
         for lo in range(0, len(gens), step):
             cand = (frontier[None] + gens[lo:lo + step, None]) % Q
-            ck = _row_keys(cand.reshape(-1, n))
-            miss = np.flatnonzero(_lookup(known, known_idx, ck) < 0)
+            ck = row_keys(cand.reshape(-1, n), _EXPONENT)
+            miss = np.flatnonzero(lookup(known, known_idx, ck) < 0)
             new, keep = np.unique(np.concatenate([new, ck[miss]]),
                                   return_index=True)
             par = np.concatenate([par, start + miss % f])[keep]
@@ -221,8 +212,8 @@ def _cayley(gens, Q, cap):
     rows = max(1, cap // len(gens))
     for lo in range(0, m, rows):
         cand = (elems[lo:lo + rows, None] + gens[None]) % Q
-        nbr[lo:lo + rows] = _lookup(known, known_idx, _row_keys(
-            cand.reshape(-1, n))).reshape(-1, len(gens))
+        nbr[lo:lo + rows] = lookup(known, known_idx, row_keys(
+            cand.reshape(-1, n), _EXPONENT)).reshape(-1, len(gens))
     return (elems, [len(k) for k in levels], np.concatenate(parents),
             np.concatenate(vias), gen_index, nbr)
 

@@ -11,7 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .exact import CycArray, ExactError, format_cyc, parse_cyc, power_table
+from .exact import (CycArray, ExactError, format_cyc, lookup, parse_cyc,
+                    power_table, row_keys)
 from .hadamard import PreconditionError, character_signs
 from .rng_core import FormatError
 
@@ -23,9 +24,10 @@ class SpectraError(ValueError):
 class SMatrix:
     """Square matrix held as `array`: a CycArray over Q(zeta_q) (exact; at
     q = 1 when every non-constant coefficient is zero) or a complex ndarray
-    (numeric).  Exact entries are interned: `ids[l, i]` is equal exactly
-    when the entries are, and `conj_ids[ids[l, i]]` is the id of the
-    conjugate entry; `rows` and `column` view them as CycNums, built once."""
+    (numeric) of finite values.  Exact entries are interned: `ids[l, i]` is
+    equal exactly when the entries are, and `conj_ids[ids[l, i]]` is the id
+    of the conjugate entry; `rows` and `column` view them as CycNums, built
+    once."""
 
     def __init__(self, array):
         if isinstance(array, CycArray):
@@ -36,6 +38,8 @@ class SMatrix:
             self.n = array.num.shape[0]
             self.ids, self.conj_ids, self.zero_id = array.intern()
         else:
+            if not np.all(np.isfinite(array)):
+                raise SpectraError("non-finite entry")
             self.mode = "numeric"
             self.n = array.shape[0]
         self.array = array
@@ -53,6 +57,33 @@ class SMatrix:
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise SpectraError("s-matrix must be square")
         return cls(a)
+
+    def entry_ids(self, tol):
+        """(ids, conj_ids, zero_id) as interned for an exact matrix: the one
+        rule by which entries are equal.  Numeric entries, their conjugates
+        and 0 are clustered: sorted by real part, split into bands where
+        neighbours differ by more than tol * max(1, max|s|), and each band,
+        sorted by imaginary part, split the same way.  Values within that
+        distance share an id, and conjugation maps clusters onto clusters."""
+        if self.mode == "exact":
+            return self.ids, self.conj_ids, self.zero_id
+        a = self.array
+        eps = tol * max(1.0, float(np.max(np.abs(a))))
+        v = np.concatenate([a.ravel(), a.conj().ravel(), [0]])
+        band = np.empty(len(v), dtype=np.int64)
+        order = np.argsort(v.real)
+        x = v.real[order]
+        band[order] = np.cumsum(np.diff(x, prepend=x[0]) > eps)
+        order = np.lexsort((v.imag, band))
+        b, x = band[order], v.imag[order]
+        split = (np.diff(b, prepend=0) != 0) | (np.diff(x, prepend=x[0]) > eps)
+        label = np.empty(len(v), dtype=np.int32)
+        label[order] = np.cumsum(split)
+        m = a.size
+        conj_ids = np.empty(label[order[-1]] + 1, dtype=np.int32)
+        conj_ids[label[:2 * m]] = np.roll(label[:2 * m], m)
+        conj_ids[label[-1]] = label[-1]
+        return label[:m].reshape(a.shape), conj_ids, int(label[-1])
 
     @cached_property
     def values(self):
@@ -144,37 +175,32 @@ class VerlindeResult:
 
 
 def verlinde_tensor(s, tol=1e-6):
-    """N_ij^m = sum_l s_li s_lj s'_ml with s' = s^{-1}; errors if any entry
-    is not an integer (within tol in numeric mode)."""
+    """N_ij^m = sum_l s_li s_lj s'_ml with s' = s^{-1}; errors at the first
+    (i, j >= i, m) whose entry is not an integer (within tol in numeric
+    mode)."""
     n = s.n
     inv = s.inverse(tol)
     a = s.array
-    if s.mode == "exact":
-        N = np.zeros((n, n, n), dtype=np.int64)
-        for i in range(n):
-            # column j - i holds the coefficients of col_i * col_j, j >= i
-            vals, ok = decompose(inv, a[:, i:] * a[:, i:i + 1]).integers()
-            if not ok.all():
-                j, m = np.argwhere(~ok.T)[0]
-                raise SpectraError(
-                    "non-integral structure constant at (%d,%d,%d)"
-                    % (i, i + j, m))
-            N[i, i:] = N[i:, i] = vals.T
-        return VerlindeResult(N, bool(np.all(N >= 0)), 0.0, "exact")
-
-    raw = np.empty((n, n, n), dtype=np.complex128)
+    N = np.zeros((n, n, n), dtype=np.int64)
+    dev = 0.0
     for i in range(n):
-        # column j of a[:, i, None] * a is col_i * col_j
-        raw[i] = decompose(inv, a[:, i, None] * a).T
-    rounded = np.round(raw.real)
-    dev = float(np.max(np.abs(raw - rounded)))
-    if dev > tol:
-        i, j, m = map(int, np.unravel_index(
-            np.argmax(np.abs(raw - rounded)), raw.shape))
-        raise SpectraError(
-            "non-integral structure constant at (%d,%d,%d)" % (i, j, m))
-    N = rounded.astype(np.int64)
-    return VerlindeResult(N, bool(np.all(N >= 0)), dev, "numeric")
+        # column j - i holds the coefficients of col_i * col_j, j >= i
+        coeff = decompose(inv, a[:, i:] * a[:, i:i + 1])
+        if isinstance(coeff, CycArray):
+            vals, ok = coeff.integers()
+        else:
+            vals = np.round(coeff.real)
+            if np.max(np.abs(vals)) >= 2.0 ** 63:
+                raise OverflowError("structure constants exceed int64")
+            off = np.abs(coeff - vals)
+            ok = off <= tol
+            dev = max(dev, float(np.max(off)))
+        if not ok.all():
+            j, m = np.argwhere(~ok.T)[0]
+            raise SpectraError("non-integral structure constant at (%d,%d,%d)"
+                               % (i, i + j, m))
+        N[i, i:] = N[i:, i] = vals.T
+    return VerlindeResult(N, bool(np.all(N >= 0)), dev, s.mode)
 
 
 def row_orthogonality_check(s, tilde, tol=1e-9):
@@ -216,29 +242,11 @@ def involution_from_smatrix(s, tol=1e-9):
     merely happen to be conjugation-stable (e.g. any real non-orthogonal
     matrix via the identity)."""
     n = s.n
-    perm = []
-    if s.mode == "exact":
-        keys = {}
-        for j in range(n):
-            key = s.ids[:, j].tobytes()
-            if key in keys:
-                raise SpectraError("no conjugation permutation exists")
-            keys[key] = j
-        for i in range(n):
-            target = s.conj_ids[s.ids[:, i]].tobytes()
-            if target not in keys:
-                raise SpectraError("no conjugation permutation exists")
-            perm.append(keys[target])
-    else:
-        a = s.array
-        scale = max(1.0, float(np.max(np.abs(a))))
-        for i in range(n):
-            want = a[:, i].conj()
-            hits = [j for j in range(n)
-                    if float(np.max(np.abs(a[:, j] - want))) <= tol * scale]
-            if len(hits) != 1:
-                raise SpectraError("no conjugation permutation exists")
-            perm.append(hits[0])
+    ids, conj_ids, _ = s.entry_ids(tol)
+    keys, idx = np.unique(row_keys(ids.T, np.int32), return_index=True)
+    if len(keys) != n:
+        raise SpectraError("no conjugation permutation exists")
+    perm = lookup(keys, idx, row_keys(conj_ids[ids].T, np.int32)).tolist()
     if sorted(perm) != list(range(n)):
         raise SpectraError("no conjugation permutation exists")
     if not row_orthogonality_check(s, perm, tol=tol)[0]:
@@ -313,34 +321,28 @@ def smatrix_from_tensor(ring, tol=1e-8):
     if float(np.max(np.abs(lhs - rhs))) > 1e-6 * scale:
         raise SpectraError("splitting failed")
 
-    order = sorted(range(n), key=lambda r: tuple(
-        (round(rows[r, i].real, 6), round(rows[r, i].imag, 6))
-        for i in range(n)))
-    return SMatrix.numeric(rows[order])
+    return SMatrix.numeric(rows[_row_order(rows)])
+
+
+def _row_order(rows):
+    """Row indices of a complex matrix sorted by the rows' entries rounded
+    to 6 decimals, real part then imaginary part (builtin round on the
+    numpy scalars, which fixes how ties order)."""
+    return sorted(range(rows.shape[0]), key=lambda r: tuple(
+        (round(rows[r, c].real, 6), round(rows[r, c].imag, 6))
+        for c in range(rows.shape[1])))
 
 
 # ---------------------------------------------------------------------------
 # closed subsets from the s-matrix
 
-def _row_keys(s, cols, tol):
-    """Hashable per-row keys of the column submatrix, plus nonzero flags."""
-    if s.mode == "exact":
-        sub = s.ids[:, cols]
-        keys = [row.tobytes() for row in sub]
-        nonzero = (sub != s.zero_id).any(axis=1).tolist()
-    else:
-        dec = max(1, int(round(-np.log10(max(tol, 1e-12)))))
-        sub = s.array[:, cols]
-        keys = list(map(tuple, np.round(sub, dec).tolist()))
-        nonzero = (np.max(np.abs(sub), axis=1) > tol).tolist()
-    return keys, nonzero
-
-
-def _pair_test(s, cols, tol):
-    """|distinct nonzero rows of the column submatrix| == |cols|?"""
-    keys, nonzero = _row_keys(s, list(cols), tol)
-    distinct = {k for k, nz in zip(keys, nonzero) if nz}
-    return len(distinct) == len(cols)
+def _distinct_rows(ids, zero_id, cols):
+    """Row indices, ascending, of the first occurrence of each distinct
+    nonzero row of ids[:, cols]."""
+    sub = ids[:, cols]
+    nonzero = np.flatnonzero((sub != zero_id).any(axis=1))
+    first = np.unique(row_keys(sub[nonzero], np.int32), return_index=True)[1]
+    return nonzero[np.sort(first)]
 
 
 class ClosedSubsetResult:
@@ -394,21 +396,16 @@ def closed_subset_heuristic(s, tol=1e-8):
     accepted family under pairwise intersection; verify every set by exact
     decomposition of its column products."""
     n = s.n
-    if s.mode == "exact":
-        def agree(l, m):
-            return tuple(np.flatnonzero(s.ids[l] == s.ids[m]).tolist())
-    else:
-        a = s.array
-        scale = max(1.0, float(np.max(np.abs(a))))
-        def agree(l, m):
-            return tuple(c for c in range(n)
-                         if abs(a[l, c] - a[m, c]) <= tol * scale)
+    ids, _, zero_id = s.entry_ids(tol)
+
+    def spans(cols):
+        return len(_distinct_rows(ids, zero_id, list(cols))) == len(cols)
 
     family = set()
     for l in range(n):
         for m in range(l, n):
-            cand = agree(l, m)
-            if cand and _pair_test(s, cand, tol):
+            cand = tuple(np.flatnonzero(ids[l] == ids[m]).tolist())
+            if cand and spans(cand):
                 family.add(cand)
 
     # close under pairwise intersection, re-testing each new set
@@ -419,7 +416,7 @@ def closed_subset_heuristic(s, tol=1e-8):
             for y in range(x + 1, len(members)):
                 inter = tuple(sorted(set(members[x]) & set(members[y])))
                 if inter and inter not in family and inter not in new:
-                    if _pair_test(s, inter, tol):
+                    if spans(inter):
                         new.add(inter)
         if not new:
             break
@@ -441,19 +438,12 @@ def subring_smatrix(s, S, tol=1e-8):
         raise SpectraError("index out of range")
     if not _Decomposer(s, tol).closed(S):
         raise SpectraError("S not closed")
-    keys, nonzero = _row_keys(s, S, tol)
-    seen, picked = set(), []
-    for l in range(s.n):
-        if nonzero[l] and keys[l] not in seen:
-            seen.add(keys[l])
-            picked.append(l)
+    ids, _, zero_id = s.entry_ids(tol)
+    picked = _distinct_rows(ids, zero_id, S).tolist()
     if len(picked) != len(S):
         raise SpectraError("subring read-off failed: %d distinct nonzero rows,"
                            " expected %d" % (len(picked), len(S)))
-    rows = s.to_numeric()[np.ix_(picked, S)]
-    order = sorted(range(len(picked)), key=lambda r: tuple(
-        (round(rows[r, c].real, 6), round(rows[r, c].imag, 6))
-        for c in range(len(S))))
+    order = _row_order(s.to_numeric()[np.ix_(picked, S)])
     return SMatrix(s.array[np.ix_([picked[r] for r in order], S)])
 
 

@@ -125,6 +125,8 @@ def test_subring(tmp_path, capsys):
     assert code == 0 and smatrix_from_text(out).n == 2
     code, _, err = run(capsys, "subring", str(f), "0", "1")
     assert code == 1 and "not closed" in err
+    code, _, err = run(capsys, "subring", str(f), "0", "4")
+    assert code == 2 and "out of range" in err
 
 
 def test_quotient2(tmp_path, capsys):
@@ -140,8 +142,9 @@ def test_quotient2(tmp_path, capsys):
     assert sum(ln.startswith("class ") for ln in lines) == 6
     code, _, err = run(capsys, "quotient2", str(ring), "1")
     assert code == 1 and "not of order 2" in err
-    code, _, err = run(capsys, "quotient2", str(ring), "99")
-    assert code == 1 and "out of range" in err
+    for d in ("99", "-1"):
+        code, _, err = run(capsys, "quotient2", str(ring), d)
+        assert code == 2 and "out of range" in err
 
 
 def test_lift(z3_file, capsys):
@@ -188,6 +191,18 @@ def test_had_wmatrix(paley12_file, capsys):
     assert code == 0
     W = hadamard_from_text(out)
     assert W.shape == (20, 20)
+    for i in ("0", "12", "-1"):
+        code, out, err = run(capsys, "had", "wmatrix", str(paley12_file), i)
+        assert (code, out) == (2, "") and "out of range" in err
+
+
+def test_had_census_order4(tmp_path, capsys):
+    # k = 1: the census holds, the triangular bound is for odd k >= 3
+    s4 = tmp_path / "s4.had"
+    assert main(["gen", "sylvester", "2", "-o", str(s4)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "had", "census", str(s4))
+    assert (code, out.splitlines(), err) == (0, ["1", "count 1"], "")
 
 
 def test_had_reconstruct(paley12_file, tmp_path, capsys):
@@ -262,11 +277,6 @@ def test_had_order_outside_domain_exit2(paley12_file, tmp_path, capsys):
     code, out, err = run(capsys, "had", "reconstruct3", str(ring))
     assert (code, out) == (2, "")
     assert err == "input error: k must be 1 mod 3\n"
-    s4 = tmp_path / "s4.had"
-    assert main(["gen", "sylvester", "2", "-o", str(s4)]) == 0
-    capsys.readouterr()
-    code, _, err = run(capsys, "had", "census", str(s4))
-    assert code == 2 and err == "input error: k must be >= 3\n"
 
 
 def test_had_reconstruct_non_hadamard_type_exit2(tmp_path, capsys):
@@ -353,6 +363,35 @@ def test_flags_only_where_read(argv, paley12_file, z3_file, capsys):
         main([a.format(**names) for a in argv])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf", "x"])
+@pytest.mark.parametrize("cmd", ["verlinde", "closed", "subring"])
+def test_tol_outside_domain_exit2(cmd, tol, z3_file, capsys):
+    # --tol scales every numeric equality and integrality test
+    extra = ["0"] if cmd == "subring" else []
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, str(z3_file[0])] + extra + ["--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["inf", "nan", "-infj"])
+@pytest.mark.parametrize("cmd", ["verlinde", "closed"])
+def test_non_finite_smatrix_exit2(cmd, entry, tmp_path, capsys):
+    f = tmp_path / "bad.smat"
+    f.write_text("smatrix-numeric 1\nn 2 2\n1 1\n1 %s\n" % entry)
+    code, out, err = run(capsys, cmd, str(f))
+    assert (code, out) == (2, "") and "non-finite entry" in err
+
+
+def test_numeric_verlinde_no_int64_wrap(tmp_path, capsys):
+    # s = 2^63 H2: N_00^0 = 2^63 is integral in floats but not an int64
+    f = tmp_path / "big.smat"
+    c = 2 ** 63
+    f.write_text("smatrix-numeric 1\nn 2 2\n%d %d\n%d %d\n" % (c, c, c, -c))
+    code, out, err = run(capsys, "verlinde", str(f))
+    assert (code, out) == (2, "") and "exceed int64" in err
 
 
 def test_deterministic_output(paley12_file, capsys):

@@ -13,7 +13,7 @@ from zbrng.generators import (fixture_ds3, gen_paley, group_ring_smatrix,
 from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import fannsc_lift
 from zbrng.rng_core import FormatError, is_closed_subset
-from zbrng.spectra import (SMatrix, SpectraError, _Decomposer, _row_keys,
+from zbrng.spectra import (SMatrix, SpectraError, _Decomposer,
                            closed_subset_heuristic, decompose,
                            fourier_matrix, involution_from_smatrix,
                            mu_uniformity_check, row_orthogonality_check,
@@ -99,6 +99,23 @@ def test_verlinde_non_integral():
     s = SMatrix.numeric(np.array([[1.0, 1.0], [1.0, -1.3]]))
     with pytest.raises(SpectraError, match="non-integral structure constant"):
         verlinde_tensor(s)
+
+
+def test_verlinde_numeric_witness_matches_exact():
+    # both report the first non-integral constant in (i, j >= i, m) order
+    s = exterior_square(group_ring_smatrix([2, 2, 2]))
+    msgs = []
+    for t in (s, SMatrix.numeric(s.to_numeric())):
+        with pytest.raises(SpectraError, match="non-integral") as exc:
+            verlinde_tensor(t)
+        msgs.append(str(exc.value))
+    assert msgs[0] == msgs[1]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_numeric_rejects_non_finite(bad):
+    with pytest.raises(SpectraError, match="non-finite entry"):
+        SMatrix.numeric([[1.0, 1.0], [1.0, bad]])
 
 
 def test_verlinde_singular():
@@ -542,18 +559,74 @@ def test_lift_embedding_matches_oracle(make):
         assert L.embedding[w].tolist() == want
 
 
-def test_numeric_row_keys_match_per_row_rounding():
-    # the column submatrix is rounded once; the keys are those of rounding
-    # one row at a time
-    s = kac_peterson_a1(12)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        cols = rng.choice(s.n, size=rng.integers(1, s.n + 1),
-                          replace=False).tolist()
-        keys, nonzero = _row_keys(s, cols, 1e-8)
-        rows = [s.array[l, cols] for l in range(s.n)]
-        assert keys == [tuple(np.round(r, 8).tolist()) for r in rows]
-        assert nonzero == [bool(np.max(np.abs(r)) > 1e-8) for r in rows]
+def test_entry_ids_across_a_rounding_boundary():
+    # 1/512 is a tie at the ninth decimal: rounded to 8 decimals these two
+    # values part, within tol they share an id
+    lo, hi = 1 / 512 - 1e-17, 1 / 512 + 1e-17
+    assert np.round(lo, 8) != np.round(hi, 8)
+    ids = SMatrix.numeric([[lo, 1.0], [hi, -1.0]]).entry_ids(1e-8)[0]
+    assert ids[0, 0] == ids[1, 0] and ids[0, 1] != ids[1, 1]
+
+
+def test_entry_ids_zero_cluster_scales_with_max():
+    ids, _, zero = SMatrix.numeric([[1.0, 5e-6], [1.0, -1.0]]).entry_ids(1e-8)
+    assert ids[0, 1] != zero
+    ids, _, zero = SMatrix.numeric([[1e3, 5e-6], [1.0, -1.0]]).entry_ids(1e-8)
+    assert ids[0, 1] == zero
+
+
+def test_entry_ids_conjugate_clusters():
+    a = np.array([[1j, 1 + 1e-10j, 2], [-1j, 1 - 1e-10j, 2 + 3j],
+                  [1, 1, 0.5 - 3j]])
+    ids, conj_ids, zero = SMatrix.numeric(a).entry_ids(1e-8)
+    assert conj_ids[ids[0, 0]] == ids[1, 0] != ids[0, 0]
+    assert ids[0, 1] == ids[1, 1] == ids[2, 0] == conj_ids[ids[0, 1]]
+    assert ids[1, 2] != conj_ids[ids[1, 2]] not in ids
+    assert conj_ids[zero] == zero not in ids
+    assert np.array_equal(conj_ids[conj_ids], np.arange(len(conj_ids)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+              st.sampled_from([0, 1e-17, -3e-9, 4e-9]),
+              st.sampled_from([0, -1e-17, 3e-9])),
+    min_size=n * n, max_size=n * n)))
+def test_entry_ids_is_the_tolerance_relation(cells):
+    """Values within tol * max(1, max|s|) share an id, values of a coarse
+    grid do not, and conjugation maps the clusters onto those of the
+    conjugate matrix."""
+    n = int(len(cells) ** 0.5)
+    a = np.array([complex(x / 2 + dx, y / 2 + dy)
+                  for x, y, dx, dy in cells]).reshape(n, n)
+    ids, conj_ids, zero = SMatrix.numeric(a).entry_ids(1e-8)
+    eps = 1e-8 * max(1.0, float(np.max(np.abs(a))))
+    flat, got = np.append(a.ravel(), 0), np.append(ids.ravel(), zero)
+    for x in range(len(flat)):
+        for y in range(len(flat)):
+            d = abs(flat[x] - flat[y])
+            assert (got[x] == got[y]) == (d <= eps) or eps < d < 0.1
+    assert np.array_equal(conj_ids[ids],
+                          SMatrix.numeric(a.conj()).entry_ids(1e-8)[0])
+
+
+@settings(max_examples=12, deadline=None)
+@given(group_tables())
+def test_numeric_read_offs_match_exact(s):
+    """A group table embedded in floats gives the exact table's id
+    partition, conjugate ids, closed sets, involution and subring rows."""
+    num = SMatrix.numeric(s.to_numeric())
+    ids, conj_ids, zero = num.entry_ids(1e-8)
+    pairs = dict(zip(s.ids.ravel().tolist(), ids.ravel().tolist()))
+    assert len(pairs) == len(np.unique(s.ids)) == len(np.unique(ids))
+    assert all(pairs[s.conj_ids[e]] == conj_ids[f] for e, f in pairs.items())
+    assert zero not in pairs.values()
+    sets = closed_subset_heuristic(s).sets
+    assert closed_subset_heuristic(num).sets == sets
+    assert involution_from_smatrix(num) == involution_from_smatrix(s)
+    for S in sets:
+        assert np.allclose(subring_smatrix(num, S).array,
+                           subring_smatrix(s, S).to_numeric(), atol=1e-12)
 
 
 def test_exact_runtime_bounds():
