@@ -5,7 +5,7 @@ power basis zeta_q^0 .. zeta_q^{phi(q)-1}; reduction modulo the q-th
 cyclotomic polynomial makes the representation canonical, so equality of
 values is equality of coefficient dicts (at a common order).  A CycArray
 holds a whole array on the same basis as integer coefficients over one
-denominator; its inverse is computed modulo primes and certified exactly.
+denominator; its products and certified inverse are computed modulo primes.
 """
 
 from fractions import Fraction
@@ -530,15 +530,6 @@ def power_table(q):
     return out
 
 
-@lru_cache(maxsize=None)
-def _reduction(q):
-    """(2 phi - 1, phi) matrix taking a product of two power-basis
-    coefficient vectors (a convolution) back to the power basis."""
-    out = power_table(q)[np.arange(2 * _euler_phi(q) - 1) % q]
-    out.flags.writeable = False
-    return out
-
-
 class CycArray:
     """Array over Q(zeta_q): num holds integer coefficients on the power
     basis zeta^0 .. zeta^(phi-1) (last axis, reduced mod Phi_q, so equal
@@ -586,32 +577,34 @@ class CycArray:
                                enumerate(self.num[l, i].tolist()) if c},
                       reduce=False)
 
-    def _operands(self, other, terms):
-        """Both coefficient arrays in one dtype: int64 when the reduced
-        product, whose raw coefficients each sum terms * phi products,
-        provably fits, Python ints otherwise."""
+    def _product(self, other, op, terms):
+        """np.multiply or np.matmul (summing terms products) root by root on
+        images mod primes p = 1 (mod q), max(phi, terms) * p^2 < 2^63, until
+        the modulus passes twice the coefficient bound; it sets the dtype."""
         if other.q != self.q:
             raise ExactError("order mismatch")
         phi = self.num.shape[-1]
         bound = (terms * phi * _maxabs(self.num) * _maxabs(other.num)
-                 * (2 * phi - 1) * _maxabs(_reduction(self.q)))
-        dtype = int_dtype(bound)
-        return (self.num.astype(dtype, copy=False),
-                other.num.astype(dtype, copy=False))
-
-    def _reduced(self, raw, other):
-        red = _reduction(self.q).astype(raw.dtype, copy=False)
-        return CycArray(self.q, raw @ red, self.den * other.den)
+                 * (2 * phi - 1) * _maxabs(power_table(self.q)[:2 * phi - 1]))
+        residues, modulus = None, 1
+        for p in primes(self.q, (63 - max(phi, terms).bit_length()) // 2):
+            V, Vi = _nodes(self.q, p)
+            y = op(*(_apply_mod(V, (x.num % p).astype(np.int64, copy=False), p)
+                     for x in (self, other)))
+            y %= p
+            y = _apply_mod(Vi, np.moveaxis(y, 0, -1), p)
+            residues, modulus = _crt(residues, modulus, y, p)
+            if modulus > 2 * bound:
+                break
+        else:
+            raise ExactError("coefficients too large")
+        residues[residues > modulus // 2] -= modulus  # |coeff| < modulus / 2
+        return CycArray(self.q, np.moveaxis(residues, 0, -1).astype(
+            int_dtype(bound), copy=False), self.den * other.den)
 
     def __mul__(self, other):
-        """Entrywise product, broadcasting the leading axes."""
-        a, b = self._operands(other, 1)
-        phi = a.shape[-1]
-        raw = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-                       + (2 * phi - 1,), dtype=a.dtype)
-        for e in range(phi):
-            raw[..., e:e + phi] += a[..., e:e + 1] * b
-        return self._reduced(raw, other)
+        """Entrywise product, broadcasting leading axes of equal count."""
+        return self._product(other, np.multiply, 1)
 
     def __sub__(self, other):
         """Entrywise difference of two arrays over one order and one
@@ -624,14 +617,7 @@ class CycArray:
 
     def __matmul__(self, other):
         """Matrix product of two 2-d arrays."""
-        a, b = self._operands(other, self.num.shape[1])
-        k, m, phi = a.shape
-        cols = b.shape[1]
-        flat = b.reshape(m, cols * phi)
-        raw = np.zeros((k, cols, 2 * phi - 1), dtype=a.dtype)
-        for e in range(phi):
-            raw[:, :, e:e + phi] += (a[:, :, e] @ flat).reshape(k, cols, phi)
-        return self._reduced(raw, other)
+        return self._product(other, np.matmul, self.num.shape[1])
 
     def is_nonzero(self):
         return np.any(self.num != 0, axis=-1)
@@ -677,40 +663,36 @@ class CycArray:
 
     def inverse(self):
         """Exact inverse of a square matrix by modular images (Dixon, Numer.
-        Math. 1982): for primes p = 1 (mod q) below 2^31, the images at the
-        phi(q) primitive q-th roots of unity of GF(p) are inverted and
-        interpolated back; the primes are combined by CRT, the rationals
-        recovered by reconstruction, and the result is returned only once
-        certify_inverse holds.  Raises ExactError("singular matrix") once
-        more primes were singular than can divide the norm of det, a nonzero
-        integer bounded by Hadamard's inequality."""
+        Math. 1982): for primes p = 1 (mod q) with phi * p^2 < 2^63, the
+        images at the phi(q) primitive q-th roots of unity of GF(p) are
+        inverted and interpolated back; the primes are combined by CRT, the
+        rationals recovered by reconstruction, and the result is returned
+        only once certify_inverse holds.  Raises ExactError("singular
+        matrix") once more primes were singular than can divide the norm of
+        det, a nonzero integer bounded by Hadamard's inequality."""
         num = self.num
         phi = num.shape[-1]
-        # |N(det)|^2 <= h2^phi, and each prime used exceeds 2^30
+        # |N(det)|^2 <= h2^phi, and each prime used exceeds 2^(bits - 1)
         h2 = 1
         for row in np.abs(num.astype(object)).sum(axis=-1).tolist():
             h2 *= sum(x * x for x in row)
-        max_singular = phi * h2.bit_length() // 60
+        bits = (63 - phi.bit_length()) // 2
+        max_singular = phi * h2.bit_length() // (2 * bits - 2)
         singular = used = 0
         residues, modulus = None, 1
-        for p in primes(self.q, 31):
+        for p in primes(self.q, bits):
             y = _inverse_mod(num, self.q, p)
             if y is None:
                 singular += 1
                 if singular > max_singular:
                     raise ExactError("singular matrix")
                 continue
-            if residues is None:
-                residues = y.astype(object)
-            else:
-                t = (y - residues % p) * pow(modulus, -1, p) % p
-                residues = residues + modulus * t
-            modulus *= p
+            residues, modulus = _crt(residues, modulus, y, p)
             used += 1
             # reconstruct after 1, 2, 4, ... primes: linear total cost
             if used & (used - 1):
                 continue
-            found = _reconstruct(residues, modulus)
+            found = _reconstruct(residues.astype(object), modulus)
             if found is not None:
                 inv = CycArray(self.q, _fit(found[0] * self.den), found[1])
                 if certify_inverse(self, inv):
@@ -727,6 +709,7 @@ def certify_inverse(a, b):
             and not np.any(num[..., 0][~eye] != 0))
 
 
+@lru_cache(maxsize=4096)
 def is_prime(m):
     """Deterministic Miller-Rabin for m < 3,215,031,751."""
     bases = (2, 3, 5, 7)
@@ -796,12 +779,28 @@ def _nodes(q, p):
 
 
 def _apply_mod(V, A, p):
-    """out[t] = sum_e V[t, e] A[..., e] mod p, for residues below p."""
-    out = np.zeros((V.shape[0],) + A.shape[:-1], dtype=np.int64)
-    lead = (-1,) + (1,) * (A.ndim - 1)
-    for e in range(A.shape[-1]):
-        out = (out + V[:, e].reshape(lead) * A[..., e]) % p
+    """out[t] = sum_e V[t, e] A[..., e] mod p, for int64 residues below p:
+    one int64 product, exact while V.shape[1] * p^2 < 2^63."""
+    if V.shape[1] * p * p >= 2 ** 63:
+        raise ValueError("modulus too large: phi * p^2 >= 2^63")
+    out = np.tensordot(V, A, axes=(1, A.ndim - 1))
+    out %= p
     return out
+
+
+def _crt(x, modulus, y, p):
+    """(z, modulus * p): 0 <= z < modulus * p with z = x (mod modulus, x is
+    None at 1) and y (mod p); z is x updated, in Python ints past 2^63."""
+    if x is None:
+        return y, p
+    x = x.astype(int_dtype(modulus * p), copy=False)
+    t = x % p
+    np.subtract(y, t, out=t)
+    t *= pow(modulus, -1, p)
+    t %= p
+    t *= modulus
+    x += t
+    return x, modulus * p
 
 
 def _inverse_mod(num, q, p):

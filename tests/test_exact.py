@@ -1,13 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import zbrng.exact as exact
-from zbrng.exact import (CycNum, ExactError, cyclotomic_poly, format_cyc,
-                         kernel_mod, mat_inverse, parse_cyc, primes, rref_mod)
+from zbrng.exact import (CycArray, CycNum, ExactError, cyclotomic_poly,
+                         format_cyc, int_dtype, kernel_mod, mat_inverse,
+                         parse_cyc, power_table, primes, rref_mod)
 from zbrng.rng_core import FusionRing, identity_coefficients
 
 
@@ -255,8 +257,8 @@ def test_rref_mod_zero_and_rank_deficient():
 
 @pytest.mark.parametrize("q", [1, 3, 4, 8])
 def test_inverse_mod_matches_batched_gauss_jordan(q):
-    p = next(primes(q, 31))
     phi = len(cyclotomic_poly(q)) - 1
+    p = next(primes(q, (63 - phi.bit_length()) // 2))
     rng = np.random.default_rng(q)
     for n in (1, 2, 5):
         num = rng.integers(-50, 51, size=(n, n, phi))
@@ -274,8 +276,8 @@ def test_inverse_mod_matches_batched_gauss_jordan(q):
 def test_inverse_mod_singular_at_one_root(q):
     # diag(zeta - w_0, 1) with w_0 the first primitive root mod p: its image
     # vanishes at w_0 only, and one singular image makes the prime fail
-    p = next(primes(q, 31))
     phi = len(cyclotomic_poly(q)) - 1
+    p = next(primes(q, (63 - phi.bit_length()) // 2))
     w0 = int(exact._nodes(q, p)[0][0, 1])
     num = np.zeros((2, 2, phi), dtype=np.int64)
     num[0, 0, :2] = (-w0, 1)
@@ -285,6 +287,116 @@ def test_inverse_mod_singular_at_one_root(q):
     num[0, 0, 0] += 1
     assert np.array_equal(exact._inverse_mod(num, q, p),
                           oracle_inverse_mod(num, q, p))
+
+
+def oracle_operands(x, y, terms):
+    """The convolution products' operands and reduction matrix (2 phi - 1,
+    phi), all in int64 when the reduced product provably fits."""
+    phi = x.num.shape[-1]
+    red = power_table(x.q)[np.arange(2 * phi - 1) % x.q]
+    bound = (terms * phi * exact._maxabs(x.num) * exact._maxabs(y.num)
+             * (2 * phi - 1) * exact._maxabs(red))
+    dtype = int_dtype(bound)
+    return (x.num.astype(dtype), y.num.astype(dtype), red.astype(dtype))
+
+
+def oracle_mul(x, y):
+    a, b, red = oracle_operands(x, y, 1)
+    phi = a.shape[-1]
+    raw = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+                   + (2 * phi - 1,), dtype=a.dtype)
+    for e in range(phi):
+        raw[..., e:e + phi] += a[..., e:e + 1] * b
+    return CycArray(x.q, raw @ red, x.den * y.den)
+
+
+def oracle_matmul(x, y):
+    a, b, red = oracle_operands(x, y, x.num.shape[1])
+    k, m, phi = a.shape
+    cols = b.shape[1]
+    flat = b.reshape(m, cols * phi)
+    raw = np.zeros((k, cols, 2 * phi - 1), dtype=a.dtype)
+    for e in range(phi):
+        raw[:, :, e:e + phi] += (a[:, :, e] @ flat).reshape(k, cols, phi)
+    return CycArray(x.q, raw @ red, x.den * y.den)
+
+
+def cyc_array(q, values, den=1):
+    return CycArray(q, exact._fit(np.array(values, dtype=object)), den)
+
+
+@st.composite
+def product_cases(draw):
+    """(op, a, b): n x k by n x 1 for "*", n x k by k x m for "@", with
+    coefficients of up to 70 bits."""
+    q = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 63]))
+    phi = len(cyclotomic_poly(q)) - 1
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    op = draw(st.sampled_from("*@"))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    arrays = []
+    for rows, cols in ((n, k), (n, 1) if op == "*" else (k, m)):
+        bits = draw(st.integers(0, 70))
+        values = [[[rng.randint(-2 ** bits, 2 ** bits) for _ in range(phi)]
+                   for _ in range(cols)] for _ in range(rows)]
+        arrays.append(cyc_array(q, values, draw(st.integers(1, 9))))
+    return op, arrays[0], arrays[1]
+
+
+# x times 1 with x = p - 1 for the largest prime p used at q = 1: x is the
+# bound, so p alone exceeds it but not twice it, and x > p / 2
+EDGE = next(primes(1, 31)) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_cases())
+@example(("*", cyc_array(1, [[[EDGE]]]), cyc_array(1, [[[1]]])))
+@example(("@", cyc_array(1, [[[EDGE]]]), cyc_array(1, [[[1]]])))
+def test_products_match_convolution(case):
+    op, a, b = case
+    got = a * b if op == "*" else a @ b
+    want = oracle_mul(a, b) if op == "*" else oracle_matmul(a, b)
+    assert got.num.dtype == want.num.dtype
+    assert got.num.tolist() == want.num.tolist()
+    assert (got.q, got.den) == (want.q, want.den)
+
+
+def test_product_out_of_primes(monkeypatch):
+    # one prime below 2^31 cannot hold the coefficient 2^62 of 2^31 * 2^31
+    real = exact.primes
+    monkeypatch.setattr(exact, "primes",
+                        lambda q, bits: itertools.islice(real(q, bits), 1))
+    x = cyc_array(1, [[[2 ** 31]]])
+    with pytest.raises(ExactError, match="coefficients too large"):
+        x * x
+
+
+def test_apply_mod_refuses_to_wrap():
+    q, p = 8, next(primes(8, 31))
+    V = exact._nodes(q, p)[0]
+    with pytest.raises(ValueError, match="modulus too large"):
+        exact._apply_mod(V, np.zeros((1, 4), dtype=np.int64), p)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_inverse_singular_budget(monkeypatch, extra):
+    # [[1, z], [z, -1]] at q = 63 has det -1 - z^2 != 0 and h2 = 2 * 2: the
+    # budget is phi * 3 // (2 * 28 - 2) = 2 primes of 28 bits (1 at // 60)
+    z = CycNum.zeta(63)
+    s = CycArray.from_rows([[1, z], [z, -1]])
+    calls = []
+    real = exact._inverse_mod
+
+    def singular_first(*args):
+        calls.append(args[2])
+        return None if len(calls) <= 2 + extra else real(*args)
+    monkeypatch.setattr(exact, "_inverse_mod", singular_first)
+    if extra:
+        with pytest.raises(ExactError, match="singular matrix"):
+            s.inverse()
+        assert len(calls) == 3
+    else:
+        assert exact.certify_inverse(s, s.inverse())
 
 
 def test_identity_needs_several_primes(monkeypatch):

@@ -334,6 +334,7 @@ def best_of(fn, repeat=3):
 
 def test_profile_sylvester64_time_and_memory():
     H = gen_sylvester(6)
+    profile(H)  # warm-up: a cold first call can take longer than the bound
     assert best_of(lambda: profile(H)) < 0.2
     tracemalloc.start()
     try:
