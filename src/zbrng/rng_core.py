@@ -202,12 +202,14 @@ def assoc_witness(N, modulus):
     """First (i, j, k, l) in C order at which (b_i b_j) b_k and b_i (b_j b_k)
     differ in coefficient l (mod modulus unless it is None), or None.  Works
     in slabs of i, so memory is O(n^3).  Every sum is bounded by
-    max|N|^2 * n, which picks the dtype: float64 below 2^53, int64 below
-    2^63; a nonzero difference of two such sums cannot round or wrap to 0.
-    Above 2^63 (no modulus) the difference, at most 2 max|N|^2 n in size, is
-    zero exactly when it is zero modulo each of a few primes p with
-    n p^2 < 2^53 whose product exceeds that size; each prime is one float64
-    pass, and the witness is the first index nonzero modulo any of them."""
+    max|N|^2 * n, which picks the dtype: float32 below 2^24, float64 below
+    2^53, int64 below 2^63; every partial sum is then an integer the dtype
+    holds exactly, and a nonzero difference of two such sums cannot round or
+    wrap to 0.  Above 2^63 (no modulus) the difference, at most
+    2 max|N|^2 n in size, is zero exactly when it is zero modulo each of a
+    few primes p with n p^2 < 2^53 whose product exceeds that size; each
+    prime is one float64 pass, and the witness is the first index nonzero
+    modulo any of them."""
     N = np.asarray(N, dtype=np.int64)
     if modulus is not None:
         N = N % modulus
@@ -215,8 +217,9 @@ def assoc_witness(N, modulus):
     big = _maxabs(N)
     bound = big * big * n
     if bound < 2 ** 63:
-        A = N.astype(np.float64 if bound < 2 ** 53 else np.int64)
-        return _assoc_scan(A, modulus, n)
+        dtype = (np.float32 if bound < 2 ** 24 else
+                 np.float64 if bound < 2 ** 53 else np.int64)
+        return _assoc_scan(N.astype(dtype), modulus, n)
     if modulus is not None:
         raise ValueError("modulus too large: (modulus-1)^2 * n >= 2^63")
     best, product = None, 1
@@ -231,7 +234,8 @@ def assoc_witness(N, modulus):
 
 
 def _assoc_scan(A, modulus, stop):
-    """assoc_witness on an exact float64 or int64 tensor, over i < stop."""
+    """assoc_witness on an exact float32, float64 or int64 tensor, over
+    i < stop."""
     n = A.shape[0]
     left = A.reshape(n, n * n)      # (m, kl): N[m, k, l]
     right = A.reshape(n * n, n)     # (jk, m): N[j, k, m]
@@ -240,12 +244,21 @@ def _assoc_scan(A, modulus, stop):
         # rhs[jk, l] = sum_m N[j, k, m] N[i, m, l]
         diff = (A[i] @ left).reshape(n, n, n) - (right @ A[i]).reshape(n, n, n)
         if modulus is not None:
-            # only zero matters, so the sign-keeping fmod serves
-            diff = np.fmod(diff, modulus)
-        bad = np.flatnonzero(diff)
-        if len(bad):
+            # only zero matters
+            if A.dtype.kind == "f":
+                # both sums lie in [0, 2^mantissa), so d / p is an integer or
+                # at least 1/p from one, more than half an ulp: the floor is
+                # exact, and so is d - p floor(d / p)
+                q = diff / modulus
+                np.floor(q, out=q)
+                q *= modulus
+                diff -= q
+            else:
+                np.fmod(diff, modulus, out=diff)
+        if diff.any():
+            bad = np.flatnonzero(diff)[0]
             return (i,) + tuple(int(x) for x in
-                                np.unravel_index(bad[0], (n, n, n)))
+                                np.unravel_index(bad, (n, n, n)))
     return None
 
 
@@ -370,18 +383,22 @@ def subring_restrict(ring, S):
 #   n lines of n integers (row j, column m)
 
 def ring_blocks(N):
-    """The n blocks "N i" of the text format, as a list of lines."""
-    lines = []
-    for i, block in enumerate(N.tolist()):
-        lines.append("N %d" % i)
-        lines.extend(" ".join(map(str, row)) for row in block)
-    return lines
+    """The n blocks "N i" of the text format, as lines, formatted one n x n
+    block at a time: each distinct value of a block is turned into a string
+    once and the rows are joined from that table."""
+    for i, block in enumerate(N):
+        yield "N %d" % i
+        values = np.unique(block)
+        table = np.array([str(v) for v in values.tolist()], dtype=object)
+        cells = table[np.searchsorted(values, block)]
+        yield from map(" ".join, cells.tolist())
 
 
 def ring_to_text(ring):
     lines = ["zbrng 1", "n %d" % ring.n,
              "involution " + " ".join(str(t) for t in ring.tilde)]
-    return "\n".join(lines + ring_blocks(ring.N)) + "\n"
+    lines.extend(ring_blocks(ring.N))
+    return "\n".join(lines) + "\n"
 
 
 def ring_from_text(text):
@@ -398,21 +415,35 @@ def ring_from_text(text):
         if len(tilde) != n:
             raise FormatError("involution length != n")
         N = np.zeros((n, n, n), dtype=np.int64)
-        at = 3
         for i in range(n):
+            at = 3 + i * (n + 1)
             if lines[at] != "N %d" % i:
                 raise FormatError("expected 'N %d' at line %d" % (i, at + 1))
-            at += 1
-            for j in range(n):
-                row = [int(v) for v in lines[at].split()]
-                if len(row) != n:
-                    raise FormatError("row length != n at line %d" % (at + 1))
-                N[i, j] = row
-                at += 1
-        if at != len(lines):
+            N[i] = _block(lines, at + 1, n)
+        if 3 + n * (n + 1) != len(lines):
             raise FormatError("trailing content")
     except (IndexError, ValueError, OverflowError) as exc:
         if isinstance(exc, FormatError):
             raise
         raise FormatError("malformed ring file: %s" % exc) from exc
     return ring_from_tensor(n, N, tilde)
+
+
+def _block(lines, at, n):
+    """lines[at:at + n] as an n x n int64 array, converted in one call.  A
+    block that fails is read again row by row, which raises at the first
+    row that is missing, not integers or not of length n."""
+    try:
+        block = np.array([ln.split() for ln in lines[at:at + n]],
+                         dtype=np.int64)
+        if block.shape == (n, n):
+            return block
+    except (ValueError, OverflowError):
+        pass
+    block = np.zeros((n, n), dtype=np.int64)
+    for j in range(n):
+        row = [int(v) for v in lines[at + j].split()]
+        if len(row) != n:
+            raise FormatError("row length != n at line %d" % (at + j + 1))
+        block[j] = row
+    return block

@@ -451,6 +451,34 @@ def test_generator_size_edges():
         f2_tensor(25)
 
 
+def test_parser_keeps_no_state(z3_file, tmp_path, monkeypatch, capsys):
+    # one parser serves every call in a process; no option of one call may
+    # reach the next
+    import zbrng.cli as cli
+    assert cli.build_parser() is cli.build_parser()
+    smat, ring = (str(f) for f in z3_file)
+    out = tmp_path / "z3.smat"
+    assert run(capsys, "smatrix", ring, "-o", str(out)) == (
+        0, "wrote %s\n" % out, "")
+    assert run(capsys, "smatrix", ring) == (0, out.read_text(), "")
+
+    tols = []
+    as_smatrix = cli.as_smatrix
+
+    def record(obj, tol):
+        tols.append(tol)
+        return as_smatrix(obj, tol)
+    monkeypatch.setattr(cli, "as_smatrix", record)
+    assert run(capsys, "closed", smat, "--tol", "1e-3")[0] == 0
+    assert run(capsys, "closed", smat)[0] == 0
+    assert tols == [1e-3, 1e-8]
+
+    # a domain error is exit 2 in a generator and exit 1 elsewhere
+    assert run(capsys, "gen", "paley", "10")[0] == 2
+    code, _, err = run(capsys, "subring", smat, "0", "1")
+    assert code == 1 and err.startswith("failed:")
+
+
 def test_memory_error_exits_2(monkeypatch, capsys):
     import zbrng.cli as cli
 

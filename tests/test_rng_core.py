@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from zbrng.exact import CycNum, primes
 from zbrng.generators import gen_paley, group_ring_smatrix
-from zbrng.hadamard import ring_from_hadamard
+from zbrng.hadamard import f2_tensor, ring_from_hadamard
 from zbrng.rng_core import (FormatError, FusionRing, RingElement, RingError,
                             assoc_witness, identity_coefficients,
                             is_closed_subset, multiply,
@@ -260,6 +260,71 @@ def test_assoc_witness_modulus_bound():
         assoc_witness(cyclic_tensor(4) * (2 ** 40 - 1), 2 ** 40)
 
 
+def near_tie_tensor(a):
+    """Entries a - 1 and a: the first associativity difference, at
+    (0, 0, 1, 1), is 2 a (a - 1) - ((a - 1)^2 + a^2) = -1."""
+    return np.array([[[a - 1, a - 1], [a - 1, a]],
+                     [[a - 1, a], [a, a]]], dtype=np.int64)
+
+
+@pytest.mark.parametrize("N,below", [
+    (fibonacci_tensor(6) * 5, True),
+    (fibonacci_tensor(6) * 6, False),
+    (near_tie_tensor(2896), True),
+    (near_tie_tensor(2897), False),
+])
+def test_assoc_witness_float32_bound(N, below):
+    # max|N|^2 * n just below 2^24 (the float32 tier) and just above it;
+    # above, float32 would round the near tie's two sums, 2^24 + 2208 and
+    # 2^24 + 2209 at a = 2897, to one value and miss the mismatch
+    assert (int(np.abs(N).max()) ** 2 * 2 < 2 ** 24) == below
+    assert assoc_witness(N, None) == python_witness(N)
+    bad = N.copy()
+    bad[0, 0, 1] += 1
+    assert assoc_witness(bad, None) == python_witness(bad) is not None
+
+
+def c2_tensor_mod(P, p):
+    """fibonacci_tensor's construction over GF(p): C^2 in the basis with
+    rows P, reduced to 0..p-1.  Associative modulo p; over Z the
+    differences are multiples of p, not all zero."""
+    (a, b), (c, d) = P
+    inv = pow(a * d - b * c, -1, p)
+    Q = [[d * inv, -b * inv], [-c * inv, a * inv]]
+    return np.array([[[sum(P[i][x] * P[j][x] * Q[x][m] for x in range(2)) % p
+                       for m in range(2)] for j in range(2)]
+                     for i in range(2)], dtype=np.int64)
+
+
+def test_assoc_witness_odd_prime_modulus():
+    # (p - 1)^2 * 2 < 2^24: the float32 tier, with sums near its mantissa
+    # bound, where d / p is closest to an integer it is not equal to
+    p = 2897
+    N = c2_tensor_mod([[1675, 2404], [2306, 1684]], p)
+    assert full_einsum_witness(N) is not None
+    assert assoc_witness(N, p) is None
+    # the first difference becomes -1 - 1857 p and 1 - 1859 p
+    for delta in (1, -1):
+        bad = N.copy()
+        bad[0, 0, 0] += delta
+        assert full_einsum_witness(bad, p) == (0, 0, 1, 1)
+        assert assoc_witness(bad, p) == (0, 0, 1, 1)
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_assoc_witness_f2_flipped_pair(k):
+    N = f2_tensor(k).astype(np.int64)
+    n = 4 * k
+    assert assoc_witness(N, 2) is None
+    for i, j, m in ((1, 2, 3), (0, 5, 5), (n - 1, 2, 0), (n - 2, n - 1, 1)):
+        bad = N.copy()
+        bad[i, j, m] ^= 1
+        bad[j, i, m] = bad[i, j, m]
+        want = full_einsum_witness(bad, 2)
+        assert want is not None
+        assert assoc_witness(bad, 2) == want
+
+
 def test_identity_coefficients_group_ring():
     ring = cyclic_ring(4)
     e = identity_coefficients(ring)
@@ -358,6 +423,75 @@ def test_text_roundtrip(z6_ring):
 def test_text_errors(text, msg):
     with pytest.raises(FormatError, match=msg):
         ring_from_text(text)
+
+
+def oracle_ring_text(N, tilde):
+    """The ring text as the row-by-row writer made it."""
+    lines = ["zbrng 1", "n %d" % len(N),
+             "involution " + " ".join(str(t) for t in tilde)]
+    for i, block in enumerate(N.tolist()):
+        lines.append("N %d" % i)
+        lines.extend(" ".join(map(str, row)) for row in block)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_text_roundtrip_property(data):
+    n = data.draw(st.integers(1, 6))
+    big = 2 ** 63 - 1
+    values = st.one_of(st.integers(-big, big), st.integers(-3, 3))
+    N = np.array(data.draw(st.lists(values, min_size=n ** 3,
+                                    max_size=n ** 3)),
+                 dtype=np.int64).reshape(n, n, n)
+    N = np.where(np.tri(n, dtype=bool).T[..., None], N, N.transpose(1, 0, 2))
+    order = data.draw(st.permutations(range(n)))
+    tilde = list(range(n))
+    for a, b in zip(order[0::2], order[1::2]):
+        tilde[a], tilde[b] = b, a
+    ring = ring_from_tensor(n, N, tilde)
+    text = ring_to_text(ring)
+    assert text == oracle_ring_text(N, tilde)
+    # the reader also takes runs of blanks in rows and empty lines
+    spaced = "\n\n".join(ln if ln[0].isalpha() else ln.replace(" ", " \t ")
+                         for ln in text.splitlines())
+    for form in (text, spaced):
+        back = ring_from_text(form)
+        assert back.n == n and back.tilde == tuple(tilde)
+        assert back.N.dtype == np.int64 and np.array_equal(back.N, N)
+
+
+RING2 = ["zbrng 1", "n 2", "involution 0 1",
+         "N 0", "1 0", "0 1", "N 1", "0 1", "1 0"]
+
+
+@pytest.mark.parametrize("edits,msg", [
+    ({9: "1"}, "row length != n at line 9"),
+    ({8: "0 1 1"}, "row length != n at line 8"),
+    ({8: "0 1 1", 9: "1 0 0"}, "row length != n at line 8"),
+    ({8: "0", 9: "1"}, "row length != n at line 8"),
+    ({8: "0 x"}, "malformed ring file: invalid literal for int() with base "
+                 "10: 'x'"),
+    ({8: "0 %d" % 2 ** 63}, "malformed ring file: Python int too large "
+                              "to convert to C long"),
+    ({8: "0 %d" % -(2 ** 63 + 1)}, "malformed ring file: Python int too "
+                                   "large to convert to C long"),
+    ({9: "1 0\n5"}, "trailing content"),
+    ({7: "N 2"}, "expected 'N 1' at line 7"),
+    ({9: ""}, "malformed ring file: list index out of range"),
+    ({8: "0 y", 9: "1"}, "malformed ring file: invalid literal for int() "
+                         "with base 10: 'y'"),
+    ({8: "0", 9: "1 y"}, "row length != n at line 8"),
+])
+def test_text_error_messages(edits, msg):
+    # line numbers count non-empty lines from 1; the first bad row of a
+    # block is reported, whichever way it is bad
+    lines = list(RING2)
+    for line, text in edits.items():
+        lines[line - 1] = text
+    with pytest.raises(FormatError) as exc:
+        ring_from_text("\n".join(lines) + "\n")
+    assert str(exc.value) == msg
 
 
 def test_verlinde_recovers_group_ring(z6_ring):
