@@ -342,8 +342,10 @@ def _subcommand(sub, name, func, *arguments, out=True, gen=False):
 @functools.cache
 def build_parser():
     """The argument parser, built on the first call and shared after it:
-    parse_args keeps no state in the parser, and building it takes about
-    5 ms, as long as many whole commands."""
+    parse_args keeps no state in the parser.  Building it takes about 5 ms,
+    as long as many whole commands, so a caller that runs main many times in
+    one process saves that on every call after the first; a one-shot `zbrng`
+    process builds it once either way."""
     top = argparse.ArgumentParser(prog="zbrng")
     sub = top.add_subparsers(dest="command", required=True)
     f = ("file", {})
