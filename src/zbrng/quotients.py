@@ -15,7 +15,7 @@ from .exact import (CycArray, _maxabs, exact_int, int_dtype, lookup,
                     row_keys)
 from .rng_core import (RingError, assoc_witness, identity_coefficients,
                        ring_blocks)
-from .spectra import SpectraError, decompose, root_columns, unit_roots
+from .spectra import SpectraError, root_columns, unit_roots
 
 
 class QuotientError(ValueError):
@@ -312,7 +312,7 @@ def fannsc_lift(s, cap=4096):
     inv = s.inverse(tol=None)
     dt = int_dtype(gmax * int(np.max(np.abs(roots))))
     W = garr.astype(dt)[None, :, None] * roots.astype(dt)[elems.T]
-    vals, ok = decompose(inv, CycArray(s.q, W, 1)).integers()
+    vals, ok = (inv @ CycArray(s.q, W, 1)).integers()
     if not ok.all():
         raise QuotientError("non-integral decomposition")
     E = _held(vals.T, "decomposition coefficients")

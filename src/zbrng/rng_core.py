@@ -66,11 +66,13 @@ class RingElement:
             a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def integer_vector(self):
-        """Numpy int64 vector, or None if some coefficient is not integral."""
+        """Integer vector (int64, or Python ints where int64 cannot hold every
+        coefficient), or None if some coefficient is not integral."""
         ints = [exact_int(c) for c in self.coeffs]
         if None in ints:
             return None
-        return np.array(ints, dtype=np.int64)
+        bound = max(map(abs, ints), default=0) + 1
+        return np.array(ints, dtype=int_dtype(bound))
 
     def __repr__(self):
         from .exact import format_cyc
@@ -173,11 +175,15 @@ def trace_eval(ring, r):
 
 
 def multiply(ring, r1, r2):
+    n = ring.n
     v1, v2 = r1.integer_vector(), r2.integer_vector()
     if v1 is not None and v2 is not None:
-        out = np.einsum("i,j,ijm->m", v1, v2, ring.N)
+        # each coefficient is a sum of n^2 terms v1_i v2_j N_ijm
+        dtype = int_dtype(n * n * _maxabs(v1) * _maxabs(v2) * _maxabs(ring.N))
+        out = np.einsum("i,j,ijm->m", v1.astype(dtype, copy=False),
+                        v2.astype(dtype, copy=False),
+                        ring.N.astype(dtype, copy=False))
         return RingElement.from_ints(out)
-    n = ring.n
     out = [CycNum.from_rat(0)] * n
     for i, c1 in enumerate(r1.coeffs):
         if c1.is_zero():
@@ -202,26 +208,24 @@ def assoc_witness(N, modulus):
     """First (i, j, k, l) in C order at which (b_i b_j) b_k and b_i (b_j b_k)
     differ in coefficient l (mod modulus unless it is None), or None.  Works
     in slabs of i, so memory is O(n^3).  Every sum is bounded by
-    max|N|^2 * n, which picks the dtype: float32 below 2^24, float64 below
-    2^53, int64 below 2^63; every partial sum is then an integer the dtype
-    holds exactly, and a nonzero difference of two such sums cannot round or
-    wrap to 0.  Above 2^63 (no modulus) the difference, at most
-    2 max|N|^2 n in size, is zero exactly when it is zero modulo each of a
-    few primes p with n p^2 < 2^53 whose product exceeds that size; each
-    prime is one float64 pass, and the witness is the first index nonzero
-    modulo any of them."""
+    max|N|^2 * n, which picks the pass: float32 below 2^24, float64 below
+    2^53; every partial sum is then an integer the dtype holds exactly, and
+    a nonzero difference of two such sums cannot round to 0.  From 2^53 on
+    (no modulus) the difference, at most 2 max|N|^2 n in size, is zero
+    exactly when it is zero modulo each of a few primes p with n p^2 < 2^53
+    whose product exceeds that size; each prime is one float64 pass, and
+    the witness is the first index nonzero modulo any of them."""
     N = np.asarray(N, dtype=np.int64)
     if modulus is not None:
         N = N % modulus
     n = N.shape[0]
     big = _maxabs(N)
     bound = big * big * n
-    if bound < 2 ** 63:
-        dtype = (np.float32 if bound < 2 ** 24 else
-                 np.float64 if bound < 2 ** 53 else np.int64)
+    if bound < 2 ** 53:
+        dtype = np.float32 if bound < 2 ** 24 else np.float64
         return _assoc_scan(N.astype(dtype), modulus, n)
     if modulus is not None:
-        raise ValueError("modulus too large: (modulus-1)^2 * n >= 2^63")
+        raise ValueError("modulus too large: (modulus-1)^2 * n >= 2^53")
     best, product = None, 1
     for p in primes(1, (53 - n.bit_length()) // 2):
         stop = n if best is None else best[0] + 1
@@ -234,8 +238,7 @@ def assoc_witness(N, modulus):
 
 
 def _assoc_scan(A, modulus, stop):
-    """assoc_witness on an exact float32, float64 or int64 tensor, over
-    i < stop."""
+    """assoc_witness on an exact float32 or float64 tensor, over i < stop."""
     n = A.shape[0]
     left = A.reshape(n, n * n)      # (m, kl): N[m, k, l]
     right = A.reshape(n * n, n)     # (jk, m): N[j, k, m]
@@ -244,17 +247,13 @@ def _assoc_scan(A, modulus, stop):
         # rhs[jk, l] = sum_m N[j, k, m] N[i, m, l]
         diff = (A[i] @ left).reshape(n, n, n) - (right @ A[i]).reshape(n, n, n)
         if modulus is not None:
-            # only zero matters
-            if A.dtype.kind == "f":
-                # both sums lie in [0, 2^mantissa), so d / p is an integer or
-                # at least 1/p from one, more than half an ulp: the floor is
-                # exact, and so is d - p floor(d / p)
-                q = diff / modulus
-                np.floor(q, out=q)
-                q *= modulus
-                diff -= q
-            else:
-                np.fmod(diff, modulus, out=diff)
+            # only zero matters; both sums lie in [0, 2^mantissa), so d / p
+            # is an integer or at least 1/p from one, more than half an ulp:
+            # the floor is exact, and so is d - p floor(d / p)
+            q = diff / modulus
+            np.floor(q, out=q)
+            q *= modulus
+            diff -= q
         if diff.any():
             bad = np.flatnonzero(diff)[0]
             return (i,) + tuple(int(x) for x in
@@ -402,7 +401,11 @@ def ring_to_text(ring):
 
 
 def ring_from_text(text):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    """The ring of a text; error messages give physical line numbers,
+    blank lines included."""
+    stripped = [ln.strip() for ln in text.splitlines()]
+    numbers = [no for no, ln in enumerate(stripped, 1) if ln]
+    lines = [ln for ln in stripped if ln]
     if not lines or lines[0] != "zbrng 1":
         raise FormatError("missing 'zbrng 1' header")
     try:
@@ -418,8 +421,9 @@ def ring_from_text(text):
         for i in range(n):
             at = 3 + i * (n + 1)
             if lines[at] != "N %d" % i:
-                raise FormatError("expected 'N %d' at line %d" % (i, at + 1))
-            N[i] = _block(lines, at + 1, n)
+                raise FormatError("expected 'N %d' at line %d"
+                                  % (i, numbers[at]))
+            N[i] = _block(lines, numbers, at + 1, n)
         if 3 + n * (n + 1) != len(lines):
             raise FormatError("trailing content")
     except (IndexError, ValueError, OverflowError) as exc:
@@ -429,10 +433,11 @@ def ring_from_text(text):
     return ring_from_tensor(n, N, tilde)
 
 
-def _block(lines, at, n):
+def _block(lines, numbers, at, n):
     """lines[at:at + n] as an n x n int64 array, converted in one call.  A
     block that fails is read again row by row, which raises at the first
-    row that is missing, not integers or not of length n."""
+    row that is missing, not integers or not of length n; numbers[k] is the
+    line number of lines[k]."""
     try:
         block = np.array([ln.split() for ln in lines[at:at + n]],
                          dtype=np.int64)
@@ -444,6 +449,6 @@ def _block(lines, at, n):
     for j in range(n):
         row = [int(v) for v in lines[at + j].split()]
         if len(row) != n:
-            raise FormatError("row length != n at line %d" % (at + j + 1))
+            raise FormatError("row length != n at line %d" % numbers[at + j])
         block[j] = row
     return block

@@ -156,13 +156,6 @@ def root_columns(s):
     return T, M
 
 
-def decompose(inv, W):
-    """Coefficients over the s-matrix columns of each column of W, with
-    inv = SMatrix.inverse and W of the same kind (CycArray or ndarray):
-    column k of the result decomposes column k of W."""
-    return inv @ W
-
-
 class VerlindeResult:
     """Integer tensor plus integrality/nonnegativity diagnostics."""
 
@@ -185,7 +178,7 @@ def verlinde_tensor(s, tol=1e-6):
     dev = 0.0
     for i in range(n):
         # column j - i holds the coefficients of col_i * col_j, j >= i
-        coeff = decompose(inv, a[:, i:] * a[:, i:i + 1])
+        coeff = inv @ (a[:, i:] * a[:, i:i + 1])
         if isinstance(coeff, CycArray):
             vals, ok = coeff.integers()
         else:
@@ -374,7 +367,7 @@ class _Decomposer:
             i, j = j, i
         if i not in self.slabs:
             # every product col_i * col_j with j >= i at once
-            coeff = decompose(self.inv, self.a[:, i:] * self.a[:, i:i + 1])
+            coeff = self.inv @ (self.a[:, i:] * self.a[:, i:i + 1])
             if self.cutoff is None:
                 nonzero = coeff.is_nonzero()
             else:
@@ -391,44 +384,43 @@ class _Decomposer:
 
 
 def closed_subset_heuristic(s, tol=1e-8):
-    """Per row pair, candidate = columns where the rows agree; accept iff the
-    submatrix has exactly |candidate| distinct nonzero rows; close the
-    accepted family under pairwise intersection; verify every set by exact
-    decomposition of its column products."""
-    n = s.n
+    """Candidates are the distinct nonempty agreement sets of row pairs (the
+    columns where the rows agree) as packed column masks, each tested once:
+    accepted iff its submatrix has exactly |set| distinct nonzero rows.
+    Rounds intersect the sets accepted in the previous round with every
+    member, closing the family under pairwise intersection; every set is
+    then verified by exact decomposition of its column products."""
+    n, width = s.n, (s.n + 7) // 8
     ids, _, zero_id = s.entry_ids(tol)
+    tested = set()
 
-    def spans(cols):
-        return len(_distinct_rows(ids, zero_id, list(cols))) == len(cols)
+    def accepted(masks):
+        # return_index keeps np.unique on its sort path: the plain call
+        # imports numpy.ma, about 0.8 MB of peak RSS
+        keys = np.unique(row_keys(masks, np.uint8), return_index=True)[0]
+        out = []
+        for row in keys.view(np.uint8).reshape(-1, width):
+            if row.any() and row.tobytes() not in tested:
+                tested.add(row.tobytes())
+                cols = np.unpackbits(row, count=n).astype(bool)
+                if len(_distinct_rows(ids, zero_id, cols)) == cols.sum():
+                    out.append(row)
+        return np.array(out, dtype=np.uint8).reshape(-1, width)
 
-    family = set()
-    for l in range(n):
-        for m in range(l, n):
-            cand = tuple(np.flatnonzero(ids[l] == ids[m]).tolist())
-            if cand and spans(cand):
-                family.add(cand)
-
-    # close under pairwise intersection, re-testing each new set
-    while True:
-        new = set()
-        members = sorted(family)
-        for x in range(len(members)):
-            for y in range(x + 1, len(members)):
-                inter = tuple(sorted(set(members[x]) & set(members[y])))
-                if inter and inter not in family and inter not in new:
-                    if spans(inter):
-                        new.add(inter)
-        if not new:
-            break
-        family |= new
+    # a slab of rows l against the rows m >= its first: about 2^24 booleans
+    step = max(1, 2 ** 24 // (n * n))
+    frontier = family = np.concatenate([accepted(np.packbits(
+        ids[l:l + step, None] == ids[None, l:], axis=-1).reshape(-1, width))
+        for l in range(0, n, step)])
+    while len(frontier):
+        frontier = accepted(np.concatenate([family & f for f in frontier]))
+        family = np.concatenate([family, frontier])
 
     dec = _Decomposer(s, tol)
-    sets, flags = [], []
-    for cand in sorted(family, key=lambda t: (len(t), t)):
-        if dec.closed(cand):
-            sets.append(cand)
-            flags.append(True)
-    return ClosedSubsetResult(sets, flags)
+    sets = sorted((tuple(np.flatnonzero(np.unpackbits(row, count=n)).tolist())
+                   for row in family), key=lambda t: (len(t), t))
+    sets = [S for S in sets if dec.closed(S)]
+    return ClosedSubsetResult(sets, [True] * len(sets))
 
 
 def subring_smatrix(s, S, tol=1e-8):

@@ -19,7 +19,7 @@ from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import (LiftPresentation, PointedAlgebra, QuotientError,
                              fannsc_lift, lift_to_text)
 from zbrng.rng_core import ring_blocks
-from zbrng.spectra import SMatrix, decompose, smatrix_from_tensor
+from zbrng.spectra import SMatrix, smatrix_from_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +132,7 @@ def oracle_lift(s, cap=4096):
         roots = (np.where(t % 2, -1, 1)[:, None]
                  * table[t * (s.q + 1) // 2 % s.q])
     W = garr[None, :, None] * roots[np.array(elems).T]
-    vals, ok = decompose(inv, CycArray(s.q, W, 1)).integers()
+    vals, ok = (inv @ CycArray(s.q, W, 1)).integers()
     if not ok.all():
         raise QuotientError("non-integral decomposition")
     E = vals.T.astype(np.int64)

@@ -195,8 +195,9 @@ def fibonacci_tensor(k):
 
 @pytest.mark.parametrize("k", [6, 15, 22])
 def test_assoc_witness_every_dtype(k):
-    # max|N|^2 * n falls in the float64, int64 and Python-int ranges; the sums
-    # cancel, so an inexact dtype would report false mismatches
+    # max|N|^2 * n falls below 2^53 (the float64 pass) at k = 6 and above it
+    # (the residues modulo primes) at k = 15 and 22; the sums cancel, so an
+    # inexact pass would report false mismatches
     N = fibonacci_tensor(k)
     assert assoc_witness(N, None) is None
     N[0, 0, 1] += 1
@@ -256,8 +257,16 @@ def test_assoc_witness_big_entries_runtime():
 
 
 def test_assoc_witness_modulus_bound():
-    with pytest.raises(ValueError, match="modulus too large"):
-        assoc_witness(cyclic_tensor(4) * (2 ** 40 - 1), 2 ** 40)
+    # (modulus - 1)^2 * n must stay below 2^53, the float64 pass
+    for modulus in (2 ** 40, 2 ** 26 + 1):
+        with pytest.raises(ValueError, match="modulus too large"):
+            assoc_witness(cyclic_tensor(4) * (modulus - 1), modulus)
+    modulus = 2 ** 25
+    assert assoc_witness(cyclic_tensor(4) * (modulus - 1), modulus) is None
+    bad = cyclic_tensor(4) * (modulus - 1)
+    bad[1, 2, 0] = bad[2, 1, 0] = 1
+    want = full_einsum_witness(bad, modulus)
+    assert want is not None and assoc_witness(bad, modulus) == want
 
 
 def near_tie_tensor(a):
@@ -278,6 +287,23 @@ def test_assoc_witness_float32_bound(N, below):
     # above, float32 would round the near tie's two sums, 2^24 + 2208 and
     # 2^24 + 2209 at a = 2897, to one value and miss the mismatch
     assert (int(np.abs(N).max()) ** 2 * 2 < 2 ** 24) == below
+    assert assoc_witness(N, None) == python_witness(N)
+    bad = N.copy()
+    bad[0, 0, 1] += 1
+    assert assoc_witness(bad, None) == python_witness(bad) is not None
+
+
+@pytest.mark.parametrize("N,below", [
+    (near_tie_tensor(2 ** 26 - 1), True),
+    (near_tie_tensor(2 ** 26 + 1), False),
+    (cyclic_tensor(8) * (2 ** 25 - 1), True),
+    (cyclic_tensor(8) * 2 ** 25, False),
+])
+def test_assoc_witness_float64_bound(N, below):
+    # max|N|^2 * n just below 2^53 (the float64 pass) and at or above it
+    # (residues modulo primes); above, float64 would round the near tie's two
+    # sums, 2^53 + 2^27 and 2^53 + 2^27 + 1 at a = 2^26 + 1, to one value
+    assert (int(np.abs(N).max()) ** 2 * len(N) < 2 ** 53) == below
     assert assoc_witness(N, None) == python_witness(N)
     bad = N.copy()
     bad[0, 0, 1] += 1
@@ -359,6 +385,16 @@ def test_multiply_rational_coeffs(z3_ring):
     b1 = RingElement.basis(3, 1)
     out = multiply(z3_ring, half, b1)
     assert out.coeffs[1].rational_value() == Fraction(1, 2)
+
+
+def test_multiply_beyond_int64():
+    # the Z/2 law scaled by 2^20: (2^30 b_1)^2 = 2^80 b_0, which int64
+    # arithmetic wraps to 0; the product of that with 2^30 b_1 is 2^130 b_1
+    ring = ring_from_tensor(2, cyclic_tensor(2) * 2 ** 20, (0, 1))
+    r = RingElement.from_ints([0, 2 ** 30])
+    square = multiply(ring, r, r)
+    assert square == RingElement([2 ** 80, 0])
+    assert multiply(ring, square, r) == RingElement([0, 2 ** 130])
 
 
 def test_tau_power_search(z3_ring):
@@ -484,14 +520,29 @@ RING2 = ["zbrng 1", "n 2", "involution 0 1",
     ({8: "0", 9: "1 y"}, "row length != n at line 8"),
 ])
 def test_text_error_messages(edits, msg):
-    # line numbers count non-empty lines from 1; the first bad row of a
-    # block is reported, whichever way it is bad
+    # line numbers count physical lines from 1 (no blank line comes before
+    # these errors); the first bad row of a block is reported, whichever way
+    # it is bad
     lines = list(RING2)
     for line, text in edits.items():
         lines[line - 1] = text
     with pytest.raises(FormatError) as exc:
         ring_from_text("\n".join(lines) + "\n")
     assert str(exc.value) == msg
+
+
+def test_text_error_line_numbers_count_blank_lines():
+    # two blank lines before "N 0": the short row is physical line 10, the
+    # misnamed block header physical line 9
+    lines = RING2[:3] + ["", "   "] + RING2[3:]
+    for at, text, msg in ((10, "1", "row length != n at line 10"),
+                          (9, "N 2", "expected 'N 1' at line 9")):
+        bad = list(lines)
+        bad[at - 1] = text
+        with pytest.raises(FormatError) as exc:
+            ring_from_text("\n".join(bad) + "\n")
+        assert str(exc.value) == msg
+    assert ring_from_text("\n".join(lines)).n == 2
 
 
 def test_verlinde_recovers_group_ring(z6_ring):

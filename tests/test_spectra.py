@@ -13,12 +13,12 @@ from zbrng.generators import (fixture_ds3, gen_paley, group_ring_smatrix,
 from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import fannsc_lift
 from zbrng.rng_core import FormatError, is_closed_subset
-from zbrng.spectra import (SMatrix, SpectraError, _Decomposer,
-                           closed_subset_heuristic, decompose,
-                           fourier_matrix, involution_from_smatrix,
-                           mu_uniformity_check, row_orthogonality_check,
-                           smatrix_from_tensor, smatrix_from_text,
-                           smatrix_to_text, subring_smatrix, verlinde_tensor)
+from zbrng.spectra import (SMatrix, SpectraError, _Decomposer, _distinct_rows,
+                           closed_subset_heuristic, fourier_matrix,
+                           involution_from_smatrix, mu_uniformity_check,
+                           row_orthogonality_check, smatrix_from_tensor,
+                           smatrix_from_text, smatrix_to_text,
+                           subring_smatrix, verlinde_tensor)
 
 from conftest import ring_from_smatrix
 
@@ -57,14 +57,14 @@ def test_rational_tables_have_order_one():
 def test_decompose_exact_columns(s):
     inv = s.inverse(1e-8)
     for i in range(s.n):
-        vals, ok = decompose(inv, s.array[:, i:i + 1]).integers()
+        vals, ok = (inv @ s.array[:, i:i + 1]).integers()
         assert ok.all()
         assert vals[:, 0].tolist() == [int(m == i) for m in range(s.n)]
 
 
 def test_decompose_numeric_columns():
     s = kac_peterson_a1(3)
-    coeff = decompose(s.inverse(1e-8), s.array)
+    coeff = s.inverse(1e-8) @ s.array
     assert np.allclose(coeff, np.eye(s.n))
 
 
@@ -217,6 +217,19 @@ def test_mu_uniformity():
         smatrix_from_tensor(ring_from_hadamard(gen_paley(11)))) == 3
     with pytest.raises(SpectraError):
         mu_uniformity_check(fixture_ds3())
+
+
+def test_mu_uniformity_numeric():
+    a = group_ring_smatrix([2, 3]).to_numeric()
+    assert mu_uniformity_check(SMatrix.numeric(a)) == 1
+    assert mu_uniformity_check(SMatrix.numeric(3 * a)) == 3
+    for bad in (kac_peterson_a1(20), SMatrix.numeric(1.5 * a)):
+        with pytest.raises(SpectraError,
+                           match="column not of root-of-unity type"):
+            mu_uniformity_check(bad)
+    a[:, 0] *= 2
+    with pytest.raises(SpectraError, match="moduli differ"):
+        mu_uniformity_check(SMatrix.numeric(a))
 
 
 def test_text_roundtrip_exact():
@@ -627,6 +640,70 @@ def test_numeric_read_offs_match_exact(s):
     for S in sets:
         assert np.allclose(subring_smatrix(num, S).array,
                            subring_smatrix(s, S).to_numeric(), atol=1e-12)
+
+
+def per_pair_closed(s, tol):
+    """closed_subset_heuristic in its per-pair form: one candidate per row
+    pair, and each closure round intersects every pair of members and tests
+    each intersection not yet in the family, until a round adds nothing."""
+    n = s.n
+    ids, _, zero_id = s.entry_ids(tol)
+
+    def spans(cols):
+        return len(_distinct_rows(ids, zero_id, list(cols))) == len(cols)
+
+    family = set()
+    for l in range(n):
+        for m in range(l, n):
+            cand = tuple(np.flatnonzero(ids[l] == ids[m]).tolist())
+            if cand and spans(cand):
+                family.add(cand)
+    while True:
+        new = set()
+        members = sorted(family)
+        for x in range(len(members)):
+            for y in range(x + 1, len(members)):
+                inter = tuple(sorted(set(members[x]) & set(members[y])))
+                if inter and inter not in family and inter not in new:
+                    if spans(inter):
+                        new.add(inter)
+        if not new:
+            break
+        family |= new
+    dec = _Decomposer(s, tol)
+    return [S for S in sorted(family, key=lambda t: (len(t), t))
+            if dec.closed(S)]
+
+
+@st.composite
+def closed_cases(draw):
+    """(s, tol): a permuted group table (order <= 12) or the exterior square
+    of one (order <= 8), either exact or embedded in floats, fixture_ds3 or
+    a level-k sl2 table."""
+    kind = draw(st.sampled_from(["group", "ext2", "ds3", "kp"]))
+    if kind == "ds3":
+        s = fixture_ds3()
+    elif kind == "kp":
+        s = kac_peterson_a1(draw(st.integers(1, 20)))
+    else:
+        s = draw(group_tables(max_order=12 if kind == "group" else 8))
+        if kind == "ext2":
+            s = exterior_square(s)
+        if draw(st.booleans()):
+            s = SMatrix.numeric(s.to_numeric())
+    return s, draw(st.sampled_from([1e-8, 1e-3]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(closed_cases())
+@example((fixture_ds3(), 1e-8))
+@example((fixture_ds3(), 1e-3))
+@example((kac_peterson_a1(20), 1e-8))
+@example((kac_peterson_a1(20), 1e-3))
+@example((exterior_square(group_ring_smatrix([2, 2, 2])), 1e-3))
+def test_closed_subsets_match_per_pair(case):
+    s, tol = case
+    assert closed_subset_heuristic(s, tol).sets == per_pair_closed(s, tol)
 
 
 def test_exact_runtime_bounds():

@@ -14,6 +14,12 @@ its repeats of the mean time per call.  The rows:
     parser repeat call            build_parser + parse_args again in the
                                   same process, as paid by each further
                                   cli.main call of a long-lived caller
+    assoc_witness z64 x 2^24      the Z/64 group law scaled by 2^24:
+                                  max|N|^2 n = 2^54, past the float64 pass
+    closed ext2 group 4 6         closed_subset_heuristic on the exterior
+                                  square of the Z/4 x Z/6 table (n = 276)
+    closed kp 40                  closed_subset_heuristic on the level-40
+                                  sl2 table (n = 41, numeric)
 
 The JSON written holds the machine description, both checkouts (commit, and
 whether `src/` has uncommitted changes) and one record per row with both
@@ -41,6 +47,12 @@ SYLVESTER64 = ("from zbrng.generators import gen_sylvester\n"
                "ring = ring_from_hadamard(gen_sylvester(6))\n"
                "text = ring_to_text(ring)")
 
+Z64 = ("import numpy as np\n"
+       "from zbrng.rng_core import assoc_witness\n"
+       "i = np.arange(64)\n"
+       "N = np.zeros((64, 64, 64), dtype=np.int64)\n"
+       "N[i[:, None], i, (i[:, None] + i) % 64] = 2 ** 24")
+
 # row name: (set-up statement, timed statement, calls per repeat, repeats)
 ROWS = {
     "f2_algebra_check k=16": (
@@ -60,6 +72,18 @@ ROWS = {
         "from zbrng.cli import build_parser",
         "build_parser().parse_args(['verify', 'r.zbrng', '--machine'])",
         50, 9),
+    "assoc_witness z64 x 2^24": (Z64, "assert assoc_witness(N, None) is None",
+                                 1, 3),
+    "closed ext2 group 4 6": (
+        "from zbrng.generators import exterior_square, group_ring_smatrix\n"
+        "from zbrng.spectra import closed_subset_heuristic as f\n"
+        "s = exterior_square(group_ring_smatrix([4, 6]))",
+        "f(s)", 1, 3),
+    "closed kp 40": (
+        "from zbrng.generators import kac_peterson_a1\n"
+        "from zbrng.spectra import closed_subset_heuristic as f\n"
+        "s = kac_peterson_a1(40)",
+        "f(s)", 5, 5),
 }
 
 
