@@ -291,34 +291,36 @@ def test_inverse_mod_singular_at_one_root(q):
 
 def oracle_operands(x, y, terms):
     """The convolution products' operands and reduction matrix (2 phi - 1,
-    phi), all in int64 when the reduced product provably fits."""
+    phi) in Python ints, and the result's dtype: int64 when the reduced
+    product provably fits.  An operand may not fit in int64 when the bound
+    does, as when the other operand is zero."""
     phi = x.num.shape[-1]
     red = power_table(x.q)[np.arange(2 * phi - 1) % x.q]
     bound = (terms * phi * exact._maxabs(x.num) * exact._maxabs(y.num)
              * (2 * phi - 1) * exact._maxabs(red))
-    dtype = int_dtype(bound)
-    return (x.num.astype(dtype), y.num.astype(dtype), red.astype(dtype))
+    return (x.num.astype(object), y.num.astype(object), red.astype(object),
+            int_dtype(bound))
 
 
 def oracle_mul(x, y):
-    a, b, red = oracle_operands(x, y, 1)
+    a, b, red, dtype = oracle_operands(x, y, 1)
     phi = a.shape[-1]
     raw = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-                   + (2 * phi - 1,), dtype=a.dtype)
+                   + (2 * phi - 1,), dtype=object)
     for e in range(phi):
         raw[..., e:e + phi] += a[..., e:e + 1] * b
-    return CycArray(x.q, raw @ red, x.den * y.den)
+    return CycArray(x.q, (raw @ red).astype(dtype), x.den * y.den)
 
 
 def oracle_matmul(x, y):
-    a, b, red = oracle_operands(x, y, x.num.shape[1])
+    a, b, red, dtype = oracle_operands(x, y, x.num.shape[1])
     k, m, phi = a.shape
     cols = b.shape[1]
     flat = b.reshape(m, cols * phi)
-    raw = np.zeros((k, cols, 2 * phi - 1), dtype=a.dtype)
+    raw = np.zeros((k, cols, 2 * phi - 1), dtype=object)
     for e in range(phi):
         raw[:, :, e:e + phi] += (a[:, :, e] @ flat).reshape(k, cols, phi)
-    return CycArray(x.q, raw @ red, x.den * y.den)
+    return CycArray(x.q, (raw @ red).astype(dtype), x.den * y.den)
 
 
 def cyc_array(q, values, den=1):
@@ -352,6 +354,9 @@ EDGE = next(primes(1, 31)) - 1
 @given(product_cases())
 @example(("*", cyc_array(1, [[[EDGE]]]), cyc_array(1, [[[1]]])))
 @example(("@", cyc_array(1, [[[EDGE]]]), cyc_array(1, [[[1]]])))
+# a zero operand: the product is int64 although the other one is not
+@example(("*", cyc_array(3, [[[2 ** 70, 5]]]), cyc_array(3, [[[0, 0]]])))
+@example(("@", cyc_array(3, [[[2 ** 70, 5]]]), cyc_array(3, [[[0, 0]]])))
 def test_products_match_convolution(case):
     op, a, b = case
     got = a * b if op == "*" else a @ b
