@@ -467,7 +467,9 @@ def kernel_mod(A, p):
     vector of free column c has 1 at c and minus column c of R at the
     pivots."""
     R, pivots = rref_mod(A, p)
-    free = np.setdiff1d(np.arange(R.shape[1]), pivots)
+    free = np.ones(R.shape[1], dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
     K = np.zeros((len(free), R.shape[1]), dtype=np.int64)
     K[np.arange(len(free)), free] = 1
     K[:, pivots] = -R[:len(pivots), free].T % p

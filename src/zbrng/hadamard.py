@@ -10,7 +10,7 @@ from math import comb
 
 import numpy as np
 
-from .exact import _maxabs, int_dtype, kernel_mod, primes, rref_mod
+from .exact import _maxabs, int_dtype, kernel_mod, primes, row_keys, rref_mod
 from .rng_core import (FormatError, assoc_witness, is_closed_subset,
                        ring_from_tensor)
 
@@ -173,7 +173,7 @@ def multiset_census(ring):
     width = k + 2
     V += rows[:, None] * width
     counts = np.bincount(V.ravel(), minlength=len(I) * width).reshape(-1, width)
-    out = set(map(tuple, np.unique(counts[:, :-1], axis=0).tolist()))
+    out = set(map(tuple, counts[:, :-1].tolist()))
     if k % 2 and k >= 3 and len(out) > triangular_bound(k):
         raise HadamardError("census exceeds triangular bound")
     return out
@@ -292,7 +292,7 @@ def _is_character_table(N, k, signs):
     """True iff the rows s = k * signs are n distinct characters over Z:
     s_ki s_kj = sum_m N_ijm s_km for all k, i, j."""
     n = len(signs)
-    if len(np.unique(signs, axis=0)) != n:
+    if len(np.unique(row_keys(signs, np.int64), return_index=True)[0]) != n:
         return False
     # |sum_m N_ijm s_km| <= n max|N| k, and k^2 <= that bound too
     dtype = int_dtype(n * _maxabs(N) * k)

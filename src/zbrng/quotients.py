@@ -127,13 +127,9 @@ def order2_quotient(R, d):
         fold_to[m] = pos[r]
         fold_sign[m] = 1 if m == r else sign[r]
 
-    t = len(reps)
-    Nq = np.zeros((t, t, t), dtype=np.int64)
-    for a, i in enumerate(reps):
-        for b, j in enumerate(reps):
-            for m in range(n):
-                if N[i, j, m]:
-                    Nq[a, b, fold_to[m]] += fold_sign[m] * N[i, j, m]
+    F = np.zeros((n, len(reps)), dtype=np.int64)
+    F[np.arange(n), fold_to] = fold_sign
+    Nq = N[np.ix_(reps, reps)] @ F
     labels = [tuple(sorted({r, perm[r]})) for r in reps]
     classmap = [(fold_to[i], fold_sign[i]) for i in range(n)]
     return PointedAlgebra(labels, tensor=Nq), classmap

@@ -387,7 +387,9 @@ def ring_blocks(N):
     once and the rows are joined from that table."""
     for i, block in enumerate(N):
         yield "N %d" % i
-        values = np.unique(block)
+        # return_counts keeps np.unique on its sort path (one plain sort),
+        # which does not import numpy.ma and beats return_inverse here
+        values = np.unique(block, return_counts=True)[0]
         table = np.array([str(v) for v in values.tolist()], dtype=object)
         cells = table[np.searchsorted(values, block)]
         yield from map(" ".join, cells.tolist())

@@ -167,18 +167,27 @@ class VerlindeResult:
         self.mode = mode
 
 
+def _pair_products(inv, a, cols):
+    """(I, J, inv @ (a[:, I] * a[:, J])) for the pairs I <= J of cols in C
+    order, about n pairs (one n x n product) a slab: column k of the slab
+    decomposes col_I[k] * col_J[k] on the rows of inv."""
+    cols = np.asarray(cols, dtype=np.intp)
+    r, c = np.triu_indices(len(cols))
+    I, J = cols[r], cols[c]
+    step = (a.num if isinstance(a, CycArray) else a).shape[0]
+    for lo in range(0, len(I), step):
+        i, j = I[lo:lo + step], J[lo:lo + step]
+        yield i, j, inv @ (a[:, i] * a[:, j])
+
+
 def verlinde_tensor(s, tol=1e-6):
     """N_ij^m = sum_l s_li s_lj s'_ml with s' = s^{-1}; errors at the first
     (i, j >= i, m) whose entry is not an integer (within tol in numeric
     mode)."""
     n = s.n
-    inv = s.inverse(tol)
-    a = s.array
     N = np.zeros((n, n, n), dtype=np.int64)
     dev = 0.0
-    for i in range(n):
-        # column j - i holds the coefficients of col_i * col_j, j >= i
-        coeff = inv @ (a[:, i:] * a[:, i:i + 1])
+    for I, J, coeff in _pair_products(s.inverse(tol), s.array, range(n)):
         if isinstance(coeff, CycArray):
             vals, ok = coeff.integers()
         else:
@@ -189,10 +198,10 @@ def verlinde_tensor(s, tol=1e-6):
             ok = off <= tol
             dev = max(dev, float(np.max(off)))
         if not ok.all():
-            j, m = np.argwhere(~ok.T)[0]
+            k, m = np.argwhere(~ok.T)[0]
             raise SpectraError("non-integral structure constant at (%d,%d,%d)"
-                               % (i, i + j, m))
-        N[i, i:] = N[i:, i] = vals.T
+                               % (I[k], J[k], m))
+        N[I, J] = N[J, I] = vals.T
     return VerlindeResult(N, bool(np.all(N >= 0)), dev, s.mode)
 
 
@@ -347,40 +356,23 @@ class ClosedSubsetResult:
         return iter(self.sets)
 
 
-class _Decomposer:
-    """Exact (or numeric) coefficients of col_i * col_j over the columns;
-    supports the closedness check even when the integer Verlinde tensor
-    does not exist (non-integral constants)."""
-
-    def __init__(self, s, tol):
-        self.n = s.n
-        self.a = s.array
-        self.inv = s.inverse(tol)
-        self.slabs = {}
-        self.cutoff = None
-        if s.mode == "numeric":
-            self.cutoff = tol * max(1.0, float(np.max(np.abs(s.array))) ** 2)
-
-    def support(self, i, j):
-        """Indices m with a nonzero coefficient in col_i * col_j."""
-        if i > j:
-            i, j = j, i
-        if i not in self.slabs:
-            # every product col_i * col_j with j >= i at once
-            coeff = self.inv @ (self.a[:, i:] * self.a[:, i:i + 1])
-            if self.cutoff is None:
-                nonzero = coeff.is_nonzero()
-            else:
-                nonzero = np.abs(coeff) > self.cutoff
-            self.slabs[i] = [frozenset(np.flatnonzero(col).tolist())
-                             for col in nonzero.T]
-        return self.slabs[i][j - i]
-
-    def closed(self, S):
-        sset = set(S)
-        if len(sset) == self.n:
-            return True
-        return all(self.support(i, j) <= sset for i in S for j in S if i <= j)
+def _closed(s, inv, S, tol):
+    """Whether N_ij^m = 0 for i, j in S and m outside S: the rows of
+    inv = s^-1 outside S applied to the products of S's columns, each
+    coefficient nonzero exactly, or numerically above
+    tol * max(1, max|s|^2)."""
+    outside = np.ones(s.n, dtype=bool)
+    outside[list(S)] = False
+    if not outside.any():
+        return True
+    cutoff = None
+    if s.mode == "numeric":
+        cutoff = tol * max(1.0, float(np.max(np.abs(s.array))) ** 2)
+    for _, _, coeff in _pair_products(inv[outside], s.array, S):
+        if (coeff.is_nonzero() if cutoff is None
+                else np.abs(coeff) > cutoff).any():
+            return False
+    return True
 
 
 def closed_subset_heuristic(s, tol=1e-8):
@@ -388,8 +380,8 @@ def closed_subset_heuristic(s, tol=1e-8):
     columns where the rows agree) as packed column masks, each tested once:
     accepted iff its submatrix has exactly |set| distinct nonzero rows.
     Rounds intersect the sets accepted in the previous round with every
-    member, closing the family under pairwise intersection; every set is
-    then verified by exact decomposition of its column products."""
+    member, closing the family under pairwise intersection; a set is kept
+    iff _closed: no product of its columns has a coefficient outside it."""
     n, width = s.n, (s.n + 7) // 8
     ids, _, zero_id = s.entry_ids(tol)
     tested = set()
@@ -416,10 +408,10 @@ def closed_subset_heuristic(s, tol=1e-8):
         frontier = accepted(np.concatenate([family & f for f in frontier]))
         family = np.concatenate([family, frontier])
 
-    dec = _Decomposer(s, tol)
+    inv = s.inverse(tol)
     sets = sorted((tuple(np.flatnonzero(np.unpackbits(row, count=n)).tolist())
                    for row in family), key=lambda t: (len(t), t))
-    sets = [S for S in sets if dec.closed(S)]
+    sets = [S for S in sets if _closed(s, inv, S, tol)]
     return ClosedSubsetResult(sets, [True] * len(sets))
 
 
@@ -428,7 +420,7 @@ def subring_smatrix(s, S, tol=1e-8):
     S = sorted(set(S))
     if S and (S[0] < 0 or S[-1] >= s.n):
         raise SpectraError("index out of range")
-    if not _Decomposer(s, tol).closed(S):
+    if not _closed(s, s.inverse(tol), S, tol):
         raise SpectraError("S not closed")
     ids, _, zero_id = s.entry_ids(tol)
     picked = _distinct_rows(ids, zero_id, S).tolist()

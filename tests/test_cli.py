@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zbrng
 from zbrng.cli import main
 from zbrng.hadamard import hadamard_from_text
 from zbrng.rng_core import ring_from_text
@@ -487,3 +491,33 @@ def test_memory_error_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "gen_sylvester", huge)
     assert run(capsys, "gen", "sylvester", "3") == (
         2, "", "input error: out of memory\n")
+
+
+NO_MASKED_ARRAYS = """
+import sys
+from zbrng.cli import main
+for argv in (["gen", "paley", "11", "-o", "p12.had"],
+             ["had", "ring", "p12.had", "-o", "p12.zbrng"],
+             ["had", "census", "p12.had"],
+             ["smatrix", "p12.zbrng", "-o", "p12.smat"],
+             ["verlinde", "p12.smat", "-o", "v12.zbrng"],
+             ["closed", "p12.smat"],
+             ["gen", "group", "3", "3", "-o", "g33.smat"],
+             ["verlinde", "g33.smat", "-o", "g33.zbrng"],
+             ["closed", "g33.smat"],
+             ["gen", "kp", "6", "-o", "kp6.smat"],
+             ["closed", "kp6.smat"]):
+    assert main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique without return_index/return_inverse, np.unique(axis=0) and
+    # np.setdiff1d import numpy.ma (about 0.5-0.8 MB of peak RSS)
+    src = os.path.dirname(os.path.dirname(zbrng.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS],
+                          cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"

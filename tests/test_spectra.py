@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from functools import cache
 from math import prod
 
 import numpy as np
@@ -13,7 +14,7 @@ from zbrng.generators import (fixture_ds3, gen_paley, group_ring_smatrix,
 from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import fannsc_lift
 from zbrng.rng_core import FormatError, is_closed_subset
-from zbrng.spectra import (SMatrix, SpectraError, _Decomposer, _distinct_rows,
+from zbrng.spectra import (SMatrix, SpectraError, _closed, _distinct_rows,
                            closed_subset_heuristic, fourier_matrix,
                            involution_from_smatrix, mu_uniformity_check,
                            row_orthogonality_check, smatrix_from_tensor,
@@ -305,9 +306,22 @@ def oracle_support(s, inv, i, j):
         oracle_decompose(inv, oracle_product(s, i, j))) if c)
 
 
-def oracle_closed_family(s):
-    """closed_subset_heuristic with CycNum keys and per-pair supports."""
-    n, inv = s.n, oracle_inverse(s)
+def oracle_supports(s):
+    """support(i, j) of col_i * col_j in CycNum arithmetic, computed on
+    first use (the inverse too)."""
+    inv = cache(lambda: oracle_inverse(s))
+    return cache(lambda i, j: oracle_support(s, inv(), min(i, j), max(i, j)))
+
+
+def oracle_is_closed(support, n, S):
+    return len(S) == n or all(support(i, j) <= set(S)
+                              for i in S for j in S if i <= j)
+
+
+def oracle_candidates(s):
+    """The agreement-set family of closed_subset_heuristic before the
+    closedness filter, with CycNum keys, sorted by (length, content)."""
+    n = s.n
     keys = [[e.key() for e in row] for row in s.rows]
 
     def pair_test(cols):
@@ -332,9 +346,7 @@ def oracle_closed_family(s):
         if not new:
             break
         family |= new
-    return [S for S in sorted(family, key=lambda t: (len(t), t))
-            if len(S) == n or all(oracle_support(s, inv, i, j) <= set(S)
-                                  for i in S for j in S if i <= j)]
+    return sorted(family, key=lambda t: (len(t), t))
 
 
 def oracle_involution(s):
@@ -368,13 +380,19 @@ def check_against_oracle(s):
         assert str(exc.value) == want
     else:
         assert np.array_equal(verlinde_tensor(s).tensor, want)
-    dec = _Decomposer(s, 1e-8)
-    inv = oracle_inverse(s)
-    for i in range(s.n):
-        for j in range(s.n):
-            assert dec.support(i, j) == oracle_support(s, inv, i, j)
+    support = oracle_supports(s)
+    candidates = oracle_candidates(s)
     sets = closed_subset_heuristic(s).sets
-    assert sets == oracle_closed_family(s)
+    assert sets == [S for S in candidates
+                    if oracle_is_closed(support, s.n, S)]
+    # _closed on closed and non-closed sets alike: every candidate, every
+    # single column and each pair together with its support
+    tested = set(candidates) | {(i,) for i in range(s.n)} | {
+        tuple(sorted(support(i, j) | {i, j}))
+        for i in range(s.n) for j in range(i, s.n)}
+    inv = s.inverse(1e-8)
+    for S in sorted(tested):
+        assert _closed(s, inv, S, 1e-8) == oracle_is_closed(support, s.n, S)
     for S in sets:
         check_subring_against_oracle(s, S)
 
@@ -642,10 +660,11 @@ def test_numeric_read_offs_match_exact(s):
                            subring_smatrix(s, S).to_numeric(), atol=1e-12)
 
 
-def per_pair_closed(s, tol):
-    """closed_subset_heuristic in its per-pair form: one candidate per row
-    pair, and each closure round intersects every pair of members and tests
-    each intersection not yet in the family, until a round adds nothing."""
+def per_pair_family(s, tol):
+    """The family of closed_subset_heuristic before the closedness filter,
+    in its per-pair form: one candidate per row pair, and each closure round
+    intersects every pair of members and tests each intersection not yet in
+    the family, until a round adds nothing; sorted by (length, content)."""
     n = s.n
     ids, _, zero_id = s.entry_ids(tol)
 
@@ -670,9 +689,24 @@ def per_pair_closed(s, tol):
         if not new:
             break
         family |= new
-    dec = _Decomposer(s, tol)
-    return [S for S in sorted(family, key=lambda t: (len(t), t))
-            if dec.closed(S)]
+    return sorted(family, key=lambda t: (len(t), t))
+
+
+def numeric_supports(s, tol):
+    """support(i, j) of col_i * col_j of a numeric table, on first use:
+    np.linalg.solve, nonzero above tol * max(1, max|s|^2)."""
+    a = s.array
+    cutoff = tol * max(1.0, float(np.max(np.abs(a))) ** 2)
+    return cache(lambda i, j: frozenset(np.flatnonzero(
+        np.abs(np.linalg.solve(a, a[:, i] * a[:, j])) > cutoff).tolist()))
+
+
+def per_pair_closed(s, tol):
+    """per_pair_family filtered by the per-pair supports of the oracles."""
+    support = (oracle_supports(s) if s.mode == "exact"
+               else numeric_supports(s, tol))
+    return [S for S in per_pair_family(s, tol)
+            if oracle_is_closed(support, s.n, S)]
 
 
 @st.composite
@@ -704,6 +738,38 @@ def closed_cases(draw):
 def test_closed_subsets_match_per_pair(case):
     s, tol = case
     assert closed_subset_heuristic(s, tol).sets == per_pair_closed(s, tol)
+
+
+@st.composite
+def integral_tables(draw):
+    """A permuted group table (order <= 12), or the exterior square of a
+    permuted Z/2 x Z/2 table with its columns permuted again: among the
+    abelian groups of order 3..8 the only one whose exterior square has
+    integer Verlinde constants."""
+    if draw(st.booleans()):
+        return draw(group_tables())
+    s = exterior_square(permuted_table([2, 2],
+                                       draw(st.permutations(range(4)))))
+    perm = draw(st.permutations(range(s.n)))
+    return SMatrix.exact([[row[c] for c in perm] for row in s.rows])
+
+
+@settings(max_examples=20, deadline=None)
+@given(integral_tables(), st.data())
+def test_closed_matches_verlinde_ring(s, data):
+    """_closed on the exact table and on its float embedding agrees with
+    is_closed_subset of the Verlinde ring on every candidate set of the
+    heuristic and on random sets."""
+    ring = ring_from_smatrix(s)
+    num = SMatrix.numeric(s.to_numeric())
+    inv, num_inv = s.inverse(1e-8), num.inverse(1e-8)
+    subsets = st.sets(st.integers(0, s.n - 1), min_size=1).map(
+        lambda S: tuple(sorted(S)))
+    for S in per_pair_family(s, 1e-8) + [data.draw(subsets)
+                                         for _ in range(10)]:
+        want = is_closed_subset(ring, S)
+        assert _closed(s, inv, S, 1e-8) == want
+        assert _closed(num, num_inv, S, 1e-8) == want
 
 
 def test_exact_runtime_bounds():

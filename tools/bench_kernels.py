@@ -20,6 +20,9 @@ its repeats of the mean time per call.  The rows:
                                   square of the Z/4 x Z/6 table (n = 276)
     closed kp 40                  closed_subset_heuristic on the level-40
                                   sl2 table (n = 41, numeric)
+    closed group 7 9              closed_subset_heuristic on the Z/7 x Z/9
+                                  table (n = 63, q = 63)
+    verlinde group 7 9            verlinde_tensor on the same table
 
 The JSON written holds the machine description, both checkouts (commit, and
 whether `src/` has uncommitted changes) and one record per row with both
@@ -84,6 +87,16 @@ ROWS = {
         "from zbrng.spectra import closed_subset_heuristic as f\n"
         "s = kac_peterson_a1(40)",
         "f(s)", 5, 5),
+    "closed group 7 9": (
+        "from zbrng.generators import group_ring_smatrix\n"
+        "from zbrng.spectra import closed_subset_heuristic as f\n"
+        "s = group_ring_smatrix([7, 9])",
+        "f(s)", 1, 3),
+    "verlinde group 7 9": (
+        "from zbrng.generators import group_ring_smatrix\n"
+        "from zbrng.spectra import verlinde_tensor as f\n"
+        "s = group_ring_smatrix([7, 9])",
+        "f(s)", 1, 3),
 }
 
 
