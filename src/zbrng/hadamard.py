@@ -350,7 +350,7 @@ def reconstruct_mod3(N, k):
 def f2_tensor(k):
     """4k-dimensional GF(2) tensor: N_ij^0 = N_0i^j = N_i0^j = delta_ij,
     N_ij^m = 1 for four distinct indices including 0, else 0."""
-    if not 1 <= k <= 24:        # the check costs O(k^5): about 0.7 s at 24
+    if not 1 <= k <= 24:        # the check costs O(k^5): about 0.26 s at 24
         raise PreconditionError("k must be in 1..24")
     n = 4 * k
     i, j, m = np.ix_(*[np.arange(n)] * 3)

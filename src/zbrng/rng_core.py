@@ -25,6 +25,11 @@ class FormatError(ValueError):
     pass
 
 
+# A ring of order n holds n^3 int64 structure constants: at most 2^27 of
+# them (1 GiB) for n <= MAX_RING.
+MAX_RING = 512
+
+
 class FusionRing:
     """Free Z-module with basis 0..n-1 and distinguished multiplication."""
 
@@ -238,14 +243,21 @@ def assoc_witness(N, modulus):
 
 
 def _assoc_scan(A, modulus, stop):
-    """assoc_witness on an exact float32 or float64 tensor, over i < stop."""
+    """assoc_witness on an exact float32 or float64 tensor, over i < stop.
+
+    With T[k] the matrix T[k, j, m] = N[j, k, m], the differences of slab i
+    are d(i, j, k, l) = (N[i] T[k] - T[k] N[i])[j, l].  When N is
+    commutative, T = N, d(i, j, k, l) = -d(k, j, i, l) and d(i, j, i, l) = 0,
+    so the first witness in C order has k > i and slab i takes only k > i;
+    otherwise it takes every k."""
     n = A.shape[0]
-    left = A.reshape(n, n * n)      # (m, kl): N[m, k, l]
-    right = A.reshape(n * n, n)     # (jk, m): N[j, k, m]
+    commutative = np.array_equal(A, A.transpose(1, 0, 2))
+    T = A if commutative else np.ascontiguousarray(A.transpose(1, 0, 2))
     for i in range(stop):
-        # lhs[j, kl] = sum_m N[i, j, m] N[m, k, l]
-        # rhs[jk, l] = sum_m N[j, k, m] N[i, m, l]
-        diff = (A[i] @ left).reshape(n, n, n) - (right @ A[i]).reshape(n, n, n)
+        lo = i + 1 if commutative else 0
+        Tk = T[lo:]
+        diff = np.matmul(A[i], Tk)                      # diff[k - lo, j, l]
+        diff -= (Tk.reshape(-1, n) @ A[i]).reshape(Tk.shape)
         if modulus is not None:
             # only zero matters; both sums lie in [0, 2^mantissa), so d / p
             # is an integer or at least 1/p from one, more than half an ulp:
@@ -255,9 +267,9 @@ def _assoc_scan(A, modulus, stop):
             q *= modulus
             diff -= q
         if diff.any():
-            bad = np.flatnonzero(diff)[0]
-            return (i,) + tuple(int(x) for x in
-                                np.unravel_index(bad, (n, n, n)))
+            bad = np.flatnonzero(diff.transpose(1, 0, 2))[0]
+            j, k, l = np.unravel_index(bad, (n, n - lo, n))
+            return (i, int(j), int(k) + lo, int(l))
     return None
 
 
@@ -381,6 +393,9 @@ def subring_restrict(ring, S):
 #   zbrng 1 / n <n> / involution p_0 .. p_{n-1} / n blocks "N <i>" each with
 #   n lines of n integers (row j, column m)
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def ring_blocks(N):
     """The n blocks "N i" of the text format, as lines, formatted one n x n
     block at a time: each distinct value of a block is turned into a string
@@ -414,6 +429,8 @@ def ring_from_text(text):
         if not lines[1].startswith("n "):
             raise FormatError("missing size line")
         n = int(lines[1].split()[1])
+        if n > MAX_RING:
+            raise FormatError("ring order %d above %d" % (n, MAX_RING))
         if not lines[2].startswith("involution"):
             raise FormatError("missing involution line")
         tilde = [int(t) for t in lines[2].split()[1:]]
@@ -436,17 +453,29 @@ def ring_from_text(text):
 
 
 def _block(lines, numbers, at, n):
-    """lines[at:at + n] as an n x n int64 array, converted in one call.  A
-    block that fails is read again row by row, which raises at the first
-    row that is missing, not integers or not of length n; numbers[k] is the
-    line number of lines[k]."""
-    try:
-        block = np.array([ln.split() for ln in lines[at:at + n]],
-                         dtype=np.int64)
-        if block.shape == (n, n):
-            return block
-    except (ValueError, OverflowError):
-        pass
+    """lines[at:at + n] as an n x n int64 array; numbers[k] is the line
+    number of lines[k].
+
+    A block of n lines with n - 1 spaces each, no tab, no "+", and every "-"
+    opening a token longer than the sign, is converted in one np.fromstring
+    call.  No line then has more than n tokens, and each token gives at most
+    one value, after which the call stops or raises unless the token is an
+    integer; so n^2 values are n^2 integers, n to a line.  The call
+    saturates past int64, so a block holding an int64 bound is read again,
+    as is any other block: row by row, which raises at the first row that
+    is missing, not integers or not of length n."""
+    rows = lines[at:at + n]
+    text = " %s " % " ".join(rows)
+    if (len(rows) == n and all(ln.count(" ") == n - 1 for ln in rows)
+            and "\t" not in text and "+" not in text and "- " not in text
+            and text.count("-") == text.count(" -")):
+        try:
+            block = np.fromstring(text, np.int64, sep=" ")
+        except ValueError:
+            block = None
+        if (block is not None and block.size == n * n
+                and -_INT64_MAX < block.min() and block.max() < _INT64_MAX):
+            return block.reshape(n, n)
     block = np.zeros((n, n), dtype=np.int64)
     for j in range(n):
         row = [int(v) for v in lines[at + j].split()]

@@ -14,7 +14,7 @@ import numpy as np
 from .exact import (CycArray, ExactError, format_cyc, lookup, parse_cyc,
                     power_table, row_keys)
 from .hadamard import PreconditionError, character_signs
-from .rng_core import FormatError
+from .rng_core import MAX_RING, FormatError
 
 
 class SpectraError(ValueError):
@@ -183,8 +183,10 @@ def _pair_products(inv, a, cols):
 def verlinde_tensor(s, tol=1e-6):
     """N_ij^m = sum_l s_li s_lj s'_ml with s' = s^{-1}; errors at the first
     (i, j >= i, m) whose entry is not an integer (within tol in numeric
-    mode)."""
+    mode); ValueError above order MAX_RING, before the n^3 tensor exists."""
     n = s.n
+    if n > MAX_RING:
+        raise ValueError("ring order %d above %d" % (n, MAX_RING))
     N = np.zeros((n, n, n), dtype=np.int64)
     dev = 0.0
     for I, J, coeff in _pair_products(s.inverse(tol), s.array, range(n)):

@@ -398,6 +398,22 @@ def test_numeric_verlinde_no_int64_wrap(tmp_path, capsys):
     assert (code, out) == (2, "") and "exceed int64" in err
 
 
+def test_ring_size_bound_exit2(tmp_path, capsys):
+    # gen ext2 of the level-40 sl2 table has order 820; its n^3 int64
+    # tensor (4.4 GB) is refused before it is allocated, and so is a ring
+    # file of that order, at its size line
+    kp, ext = tmp_path / "kp.smat", tmp_path / "ext.smat"
+    assert main(["gen", "kp", "40", "-o", str(kp)]) == 0
+    assert main(["gen", "ext2", str(kp), "-o", str(ext)]) == 0
+    capsys.readouterr()
+    assert run(capsys, "verlinde", str(ext)) == (
+        2, "", "input error: ring order 820 above 512\n")
+    ring = tmp_path / "big.zbrng"
+    ring.write_text("zbrng 1\nn 820\ninvolution 0\n")
+    assert run(capsys, "verify", str(ring)) == (
+        2, "", "input error: %s: ring order 820 above 512\n" % ring)
+
+
 def test_deterministic_output(paley12_file, capsys):
     a = run(capsys, "had", "profile", str(paley12_file))
     b = run(capsys, "had", "profile", str(paley12_file))

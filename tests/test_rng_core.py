@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from zbrng.exact import CycNum, primes
 from zbrng.generators import gen_paley, group_ring_smatrix
 from zbrng.hadamard import f2_tensor, ring_from_hadamard
-from zbrng.rng_core import (FormatError, FusionRing, RingElement, RingError,
-                            assoc_witness, identity_coefficients,
+from zbrng.rng_core import (MAX_RING, FormatError, FusionRing, RingElement,
+                            RingError, assoc_witness, identity_coefficients,
                             is_closed_subset, multiply,
                             ring_from_tensor, ring_from_text, ring_to_text,
                             search_involution, subring_restrict,
@@ -243,6 +243,7 @@ def test_assoc_witness_zero_modulo_first_primes():
 def test_assoc_witness_big_entries_runtime():
     # the Z/32 group law scaled by 2^29: max|N|^2 * n = 2^63
     N = cyclic_tensor(32) * 2 ** 29
+    assoc_witness(N, None)          # untimed: the first BLAS call may stall
     t0 = time.perf_counter()
     assert assoc_witness(N, None) is None
     bad = N.copy()
@@ -349,6 +350,71 @@ def test_assoc_witness_f2_flipped_pair(k):
         want = full_einsum_witness(bad, 2)
         assert want is not None
         assert assoc_witness(bad, 2) == want
+
+
+def associator(N):
+    """The full n^4 associator d(i, j, k, l) over Python ints."""
+    T = N.astype(object)
+    return (np.einsum("ijm,mkl->ijkl", T, T)
+            - np.einsum("jkm,iml->ijkl", T, T))
+
+
+def test_assoc_witness_noncommutative_keeps_every_k():
+    # random 0/1 tensors are not commutative, so d(i, j, k, l) has no
+    # symmetry and the first witness may have k < i or k = i
+    rng = np.random.default_rng(5)
+    seen = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 5))
+        N = (rng.random((n, n, n)) < 0.2).astype(np.int64)
+        N[0] = np.eye(n, dtype=np.int64)      # slab 0 associative
+        want = python_witness(N)
+        assert assoc_witness(N, None) == want
+        for p in (2, 3):
+            assert assoc_witness(N, p) == full_einsum_witness(N, p)
+        if want is not None:
+            seen.add((want[2] > want[0]) - (want[2] < want[0]))
+    assert seen == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("a,b,m", [(4, 1, 2), (1, 4, 2), (5, 3, 0),
+                                   (2, 2, 5), (0, 3, 3)])
+def test_assoc_witness_commutative_planted(a, b, m):
+    # a constant perturbed in the Z/6 law, both (a, b) and (b, a): the
+    # associator is antisymmetric in i and k, so it has mismatches with
+    # i > k and with i < k; the first one in C order has k > i
+    N = cyclic_tensor(6)
+    N[a, b, m] += 1
+    N[b, a, m] = N[a, b, m]
+    d = associator(N)
+    assert np.array_equal(d, -d.transpose(2, 1, 0, 3))
+    bad = np.argwhere(d != 0)
+    assert (bad[:, 0] > bad[:, 2]).any() and (bad[:, 0] < bad[:, 2]).any()
+    want = python_witness(N)
+    assert want[2] > want[0]
+    assert assoc_witness(N, None) == want
+    for p in (2, 3, 7):
+        assert assoc_witness(N, p) == full_einsum_witness(N, p)
+    # the residue tier: max|N|^2 n >= 2^53
+    big = N * 2 ** 26
+    assert int(np.abs(big).max()) ** 2 * 6 >= 2 ** 53
+    assert assoc_witness(big, None) == python_witness(big)
+
+
+def test_assoc_witness_commutative_random():
+    rng = np.random.default_rng(9)
+    for trial in range(200):
+        n = int(rng.integers(1, 7))
+        N = rng.integers(-2, 3, size=(n, n, n))
+        N = N + N.transpose(1, 0, 2)
+        if trial % 4 == 0:
+            N = N * 2 ** 28
+        want = python_witness(N)
+        assert want is None or want[2] > want[0]
+        assert assoc_witness(N, None) == want
+        if trial % 4:
+            for p in (2, 5):
+                assert assoc_witness(N, p) == full_einsum_witness(N, p)
 
 
 def test_identity_coefficients_group_ring():
@@ -543,6 +609,145 @@ def test_text_error_line_numbers_count_blank_lines():
             ring_from_text("\n".join(bad) + "\n")
         assert str(exc.value) == msg
     assert ring_from_text("\n".join(lines)).n == 2
+
+
+OVERFLOW = "malformed ring file: Python int too large to convert to C long"
+
+
+@pytest.mark.parametrize("value", [-2 ** 63, 2 ** 63 - 1, -(2 ** 63 - 1),
+                                   2 ** 62, -1, 0])
+def test_text_reads_int64_bounds_exactly(value):
+    # np.fromstring saturates at the int64 bounds; they must be read exactly
+    one = ring_from_text("zbrng 1\nn 1\ninvolution 0\nN 0\n%d\n" % value)
+    assert one.N.dtype == np.int64 and one.N.tolist() == [[[value]]]
+    lines = list(RING2)
+    lines[4] = "%d 0" % value
+    two = ring_from_text("\n".join(lines) + "\n")
+    assert two.N[0].tolist() == [[value, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("value", [2 ** 63, 10 ** 20, -(2 ** 63) - 1,
+                                   -(10 ** 20), 2 ** 64])
+def test_text_out_of_int64_raises(value):
+    for text in ("zbrng 1\nn 1\ninvolution 0\nN 0\n%d\n" % value,
+                 "\n".join(RING2[:4] + ["1 0", "0 %d" % value] + RING2[6:])):
+        with pytest.raises(FormatError) as exc:
+            ring_from_text(text)
+        assert str(exc.value) == OVERFLOW
+
+
+@pytest.mark.parametrize("row,token", [
+    ("0 -", "-"), ("0 +", "+"), ("- 1", "-"), ("0 1-", "1-"),
+    ("0 --1", "--1"), ("+ 1", "+"), ("0 -+1", "-+1")])
+def test_text_stray_signs(row, token):
+    # a lone sign is 0 to np.fromstring, or joins the next token
+    lines = list(RING2)
+    lines[5] = row
+    with pytest.raises(FormatError) as exc:
+        ring_from_text("\n".join(lines) + "\n")
+    assert str(exc.value) == ("malformed ring file: invalid literal for "
+                              "int() with base 10: '%s'" % token)
+
+
+Z3_TEXT = ring_to_text(cyclic_ring(3)).splitlines()
+
+
+@pytest.mark.parametrize("edits,line", [
+    ({9: "0 1 0 0", 10: "0 1"}, 9),
+    ({9: "0 1", 10: "0 1 0 0"}, 9),
+    ({10: "0 1 0 0", 11: "1 0"}, 10),
+    ({5: "1 0 0 0", 7: "0 0"}, 5),
+    ({9: "0\t1 0 0", 10: "0  1"}, 9),
+    ({9: "0  1", 11: "1 0\t0 0"}, 9),
+])
+def test_text_long_and_short_row_in_one_block(edits, line):
+    # n^2 tokens in the block, but not n to a row
+    lines = list(Z3_TEXT)
+    for at, text in edits.items():
+        lines[at - 1] = text
+    with pytest.raises(FormatError) as exc:
+        ring_from_text("\n".join(lines) + "\n")
+    assert str(exc.value) == "row length != n at line %d" % line
+
+
+def test_text_whitespace_and_signs_read_as_before():
+    want = cyclic_tensor(3)
+    variants = [
+        lambda ln: ln.replace(" ", "\t"),
+        lambda ln: ln.replace(" ", "  "),
+        lambda ln: ln.replace(" ", " \t "),
+        lambda ln: "  %s\t" % ln,
+        lambda ln: " ".join("+" + v for v in ln.split()),
+        lambda ln: " ".join("-0" if v == "0" else "00" + v
+                            for v in ln.split()),
+        lambda ln: ln + "\n",
+    ]
+    for edit in variants:
+        text = "\n".join(ln if ln[0].isalpha() else edit(ln)
+                         for ln in Z3_TEXT)
+        assert np.array_equal(ring_from_text(text).N, want)
+
+
+def test_text_small_rings():
+    one = ring_from_text("zbrng 1\nn 1\ninvolution 0\nN 0\n1\n")
+    assert one.n == 1 and one.N.tolist() == [[[1]]]
+    two = ring_from_text("\n".join(RING2) + "\n")
+    assert two.n == 2 and two.tilde == (0, 1)
+    assert np.array_equal(two.N, cyclic_tensor(2))
+
+
+def test_text_size_bound():
+    # n^3 constants past 2^27 are refused at the size line
+    with pytest.raises(FormatError) as exc:
+        ring_from_text("zbrng 1\nn %d\ninvolution 0\n" % (MAX_RING + 1))
+    assert str(exc.value) == "ring order %d above %d" % (MAX_RING + 1,
+                                                       MAX_RING)
+
+
+def oracle_block(rows, numbers, n):
+    """A block as the row-by-row reader takes it: int() per token."""
+    out = []
+    for row, no in zip(rows, numbers):
+        values = [int(v) for v in row.split()]
+        if len(values) != n:
+            raise FormatError("row length != n at line %d" % no)
+        if any(not -2 ** 63 <= v < 2 ** 63 for v in values):
+            raise FormatError(OVERFLOW)
+        out.append(values)
+    return out
+
+
+TOKENS = ["0", "1", "-1", "12", "-34", "+5", "007", "-0", "-", "+", "--1",
+          "2-", "1-2", "1+2", "x", "1.5", "1e3", "0x1", "1_0", "\u0663",
+          str(2 ** 63 - 1), str(-2 ** 63), str(2 ** 63), str(-2 ** 63 - 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.sampled_from(TOKENS),
+                                   st.sampled_from([" "] * 6 + ["  ", "\t"])),
+                         min_size=1, max_size=3),
+                min_size=2, max_size=2))
+def test_text_block_matches_row_reader(rows):
+    # block 0 of a ring with n = 2 from arbitrary tokens and separators;
+    # block 1 is written from the reference values, so the ring is
+    # commutative: the tensor, or the error, is the one of the row-by-row
+    # reader
+    rows = ["".join(t + sep for t, sep in row).strip() for row in rows]
+    try:
+        block = oracle_block(rows, [5, 6], 2)
+    except ValueError as exc:
+        want = str(exc) if isinstance(exc, FormatError) else (
+            "malformed ring file: %s" % exc)
+        block1 = RING2[7:]
+    else:
+        want = [block, [block[1], [1, 0]]]
+        block1 = ["%d %d" % tuple(block[1]), "1 0"]
+    lines = RING2[:4] + rows + ["N 1"] + block1
+    try:
+        got = ring_from_text("\n".join(lines) + "\n").N.tolist()
+    except FormatError as exc:
+        got = str(exc)
+    assert got == want
 
 
 def test_verlinde_recovers_group_ring(z6_ring):

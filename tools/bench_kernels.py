@@ -16,6 +16,10 @@ its repeats of the mean time per call.  The rows:
                                   cli.main call of a long-lived caller
     assoc_witness z64 x 2^24      the Z/64 group law scaled by 2^24:
                                   max|N|^2 n = 2^54, past the float64 pass
+    assoc_witness sylvester128    the Sylvester 128 ring (commutative: the
+                                  scan takes k > i only)
+    assoc_witness dihedral128     the group law of the dihedral group of
+                                  order 128 (not commutative: every k)
     closed ext2 group 4 6         closed_subset_heuristic on the exterior
                                   square of the Z/4 x Z/6 table (n = 276)
     closed kp 40                  closed_subset_heuristic on the level-40
@@ -56,6 +60,21 @@ Z64 = ("import numpy as np\n"
        "N = np.zeros((64, 64, 64), dtype=np.int64)\n"
        "N[i[:, None], i, (i[:, None] + i) % 64] = 2 ** 24")
 
+SYLVESTER128 = ("from zbrng.generators import gen_sylvester\n"
+                "from zbrng.hadamard import ring_from_hadamard\n"
+                "from zbrng.rng_core import assoc_witness\n"
+                "N = ring_from_hadamard(gen_sylvester(7)).N")
+
+# x^r y^f with y x = x^-1 y: (r, f)(s, g) = (r + (-1)^f s, f + g)
+DIHEDRAL128 = ("import numpy as np\n"
+               "from zbrng.rng_core import assoc_witness\n"
+               "k = np.arange(128)\n"
+               "r, f = k % 64, k // 64\n"
+               "prod = ((r[:, None] + (1 - 2 * f[:, None]) * r) % 64\n"
+               "        + 64 * (f[:, None] ^ f))\n"
+               "N = np.zeros((128, 128, 128), dtype=np.int64)\n"
+               "N[k[:, None], k, prod] = 1")
+
 # row name: (set-up statement, timed statement, calls per repeat, repeats)
 ROWS = {
     "f2_algebra_check k=16": (
@@ -77,6 +96,10 @@ ROWS = {
         50, 9),
     "assoc_witness z64 x 2^24": (Z64, "assert assoc_witness(N, None) is None",
                                  1, 3),
+    "assoc_witness sylvester128": (
+        SYLVESTER128, "assert assoc_witness(N, None) is None", 1, 3),
+    "assoc_witness dihedral128": (
+        DIHEDRAL128, "assert assoc_witness(N, None) is None", 1, 3),
     "closed ext2 group 4 6": (
         "from zbrng.generators import exterior_square, group_ring_smatrix\n"
         "from zbrng.spectra import closed_subset_heuristic as f\n"
