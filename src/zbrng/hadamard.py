@@ -11,8 +11,8 @@ from math import comb
 import numpy as np
 
 from .exact import _maxabs, int_dtype, kernel_mod, primes, row_keys, rref_mod
-from .rng_core import (FormatError, assoc_witness, is_closed_subset,
-                       ring_from_tensor)
+from .rng_core import (MAX_RING, FormatError, assoc_witness,
+                       is_closed_subset, ring_from_tensor)
 
 
 class HadamardError(ValueError):
@@ -47,7 +47,9 @@ def normalize_hadamard(M):
         raise HadamardError("entries not +-1")
     if n % 4 != 0:
         raise HadamardError("order not divisible by 4")
-    if not np.array_equal(a @ a.T, n * np.eye(n, dtype=np.int64)):
+    # float64 BLAS, exact: each inner product is a sum of n unit terms
+    f = a.astype(np.float64)
+    if not np.array_equal(f @ f.T, n * np.eye(n)):
         raise HadamardError("not orthogonal")
     a = a * a[:, :1]
     return HadamardMatrix(a)
@@ -73,7 +75,10 @@ def triple_product(a):
 
 
 def ring_from_hadamard(H):
-    """Tensor N_ij^m = (1/4) sum_l s_li s_lj s_lm; tilde = identity."""
+    """Tensor N_ij^m = (1/4) sum_l s_li s_lj s_lm; tilde = identity.
+    PreconditionError above order MAX_RING, before the n^3 tensor exists."""
+    if H.n > MAX_RING:
+        raise PreconditionError("ring order %d above %d" % (H.n, MAX_RING))
     raw = triple_product(H.array)
     if np.any(raw % 4):
         raise HadamardError("non-integral structure constants (corrupt input)")

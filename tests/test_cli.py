@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import zbrng
 from zbrng.cli import main
 from zbrng.hadamard import hadamard_from_text
-from zbrng.rng_core import ring_from_text
+from zbrng.rng_core import MAX_RING, ring_from_text
 from zbrng.spectra import smatrix_from_text
 
 NONASSOC = ("zbrng 1\nn 3\ninvolution 0 1 2\n"
@@ -281,6 +282,19 @@ def test_had_order_outside_domain_exit2(paley12_file, tmp_path, capsys):
     code, out, err = run(capsys, "had", "reconstruct3", str(ring))
     assert (code, out) == (2, "")
     assert err == "input error: k must be 1 mod 3\n"
+
+
+def test_had_ring_above_max_ring_exit2(tmp_path, capsys):
+    # order 1024: its n^3 tensor would take 8.6 GB
+    f = tmp_path / "s1024.had"
+    assert main(["gen", "sylvester", "10", "-o", str(f)]) == 0
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "had", "ring", str(f))
+    elapsed = time.perf_counter() - t0
+    assert (code, out) == (2, "")
+    assert err == "input error: ring order 1024 above %d\n" % MAX_RING
+    assert elapsed < 1.0, elapsed
 
 
 def test_had_reconstruct_non_hadamard_type_exit2(tmp_path, capsys):

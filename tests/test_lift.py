@@ -17,9 +17,10 @@ from zbrng.exact import CycArray, CycNum, power_table
 from zbrng.generators import gen_paley, group_ring_smatrix
 from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import (LiftPresentation, PointedAlgebra, QuotientError,
-                             fannsc_lift, lift_to_text)
-from zbrng.rng_core import ring_blocks
-from zbrng.spectra import SMatrix, smatrix_from_tensor
+                             _scalar_classes, fannsc_lift, lift_to_text,
+                             quotient_verify)
+from zbrng.rng_core import ring_blocks, ring_from_tensor
+from zbrng.spectra import SMatrix, smatrix_from_tensor, verlinde_tensor
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +227,17 @@ def assert_same_lift(s):
     assert fannsc_lift(s, cap=m).lifted.m == m
 
 
+def assert_lift_verifies(s):
+    """The lift of s, where there is one, is a lift of the ring of s:
+    quotient_verify against its Verlinde tensor."""
+    try:
+        L = fannsc_lift(s)
+    except QuotientError:
+        return
+    R = ring_from_tensor(s.n, verlinde_tensor(s).tensor, range(s.n))
+    assert quotient_verify(L, R)
+
+
 def transformed(s, rows, cols, scales):
     """s with rows and columns permuted and column i multiplied by
     scales[i] (an integer, possibly negative)."""
@@ -250,12 +262,24 @@ def group_tables(draw):
 @given(group_tables())
 def test_lift_matches_oracle_on_group_tables(s):
     assert_same_lift(s)
+    assert_lift_verifies(s)
 
 
 @pytest.mark.parametrize("orders", [[3], [5], [9], [2, 3], [3, 3], [4, 2],
                                     [7], [6], [8], [2, 2, 2], [3, 5]])
 def test_lift_matches_oracle_on_fixed_group_tables(orders):
     assert_same_lift(group_ring_smatrix(orders))
+
+
+@pytest.mark.parametrize("base", [2, 3])
+def test_lift_matches_oracle_without_class_table(base):
+    # Z/16 with column i scaled by base^i: 16 distinct scalars, more than
+    # the class table takes, so the constants are computed cell by cell
+    s = transformed(group_ring_smatrix([16]), range(16), range(16),
+                    [base ** i for i in range(16)])
+    assert len(set(fannsc_lift(s).scalars.tolist())) == 16
+    assert_same_lift(s)
+    assert_lift_verifies(s)
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +349,19 @@ def test_lift_cli_scalars_past_int64(tmp_path, capsys):
     assert cap.err == "input error: lift scalars exceed int64\n"
 
 
+@pytest.mark.parametrize("orders, scales", [
+    ([3], (1, 2 ** 32, 2 ** 32)),             # 2 scalars: the class table
+    ([16], [2 ** (4 * i) for i in range(16)]),    # 16: cell by cell
+])
+def test_lift_constants_past_int64(orders, scales):
+    # the scalars fit in int64 but a constant g(a) g(b) / g(ab) does not:
+    # on Z/3, g(v_1) g(v_2) / g(v_0) = 2^64
+    n = int(np.prod(orders))
+    s = transformed(group_ring_smatrix(orders), range(n), range(n), scales)
+    with pytest.raises(OverflowError, match="lift constants exceed int64"):
+        fannsc_lift(s)
+
+
 @pytest.mark.parametrize("scales", [(1, 2, -1), (1, 3, -2), (1, -1, 2),
                                     (1, -2, 3)])
 def test_lift_gcd_relaxation_reaches_fixpoint(scales):
@@ -354,11 +391,13 @@ def check_structure(L):
 
 @pytest.mark.parametrize("q", [11, 23])
 def test_lift_structure_exhaustive(q):
-    L = fannsc_lift(smatrix_from_tensor(ring_from_hadamard(gen_paley(q))))
+    R = ring_from_hadamard(gen_paley(q))
+    L = fannsc_lift(smatrix_from_tensor(R))
     assert L.lifted.m == {11: 1024, 23: 2048}[q]
     check_structure(L)
     if q == 11:
         assert first_difference(lift_to_text(L), oracle_text(L)) is None
+        assert quotient_verify(L, R)
 
 
 def test_lift_paley24_runtime():
@@ -368,6 +407,63 @@ def test_lift_paley24_runtime():
     elapsed = time.perf_counter() - t0
     assert text.startswith("zbrng-monomial 1\nn 2048\n")
     assert elapsed < 2.0, elapsed
+
+
+# ---------------------------------------------------------------------------
+# the class table of the constants, and the writer on both sides of its bound
+
+SCALARS = [1, 2, 3, 5, 6, 10, 12, 30, 2 ** 40, 3 * 2 ** 40, 2 ** 62]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(SCALARS), min_size=1, max_size=12))
+def test_scalar_classes_match_quotients(g):
+    g = np.array(g, dtype=np.int64)
+    m = len(g)
+    classes = _scalar_classes(g)
+    assert (classes is None) == (len(set(g.tolist())) > 8)
+    if classes is None:
+        return
+    row, col, table = classes
+    for a in range(m):
+        for b in range(m):
+            for p in range(m):
+                x, y, z = int(g[a]), int(g[b]), int(g[p])
+                want = x * y // z if x * y % z == 0 else 0
+                assert table[row[a] + col[b] + p] == want
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def xor_lift(scalar):
+    """A monomial lift on the (Z/2)^8 XOR table, m = 256, with scalars
+    g(h) = scalar(bits of h) and constants g(a) g(b) / g(a xor b)."""
+    h = np.arange(256)
+    bits = (h[:, None] >> np.arange(8)) & 1
+    g = np.array([scalar(b) for b in bits.tolist()], dtype=np.int64)
+    prod = h[:, None] ^ h
+    mu = g[:, None] * g // g[prod]
+    assert np.array_equal(mu * g[prod], g[:, None] * g)
+    lifted = PointedAlgebra([tuple(b) for b in bits.tolist()], prod=prod,
+                            mu=mu)
+    return LiftPresentation(lifted, bits.astype(np.int64),
+                            tuple(1 << i for i in range(8)), g,
+                            bits.sum(axis=1), 2)
+
+
+@pytest.mark.parametrize("scalar, n_scalars", [
+    # the product of the i-th primes over the support: 256 scalars, past
+    # the class table, so each slab ranks its own cells
+    (lambda b: int(np.prod([p for p, t in zip(PRIMES, b) if t])), 256),
+    # 2^min(|h|, 7): 8 scalars, the largest class table
+    (lambda b: 2 ** min(sum(b), 7), 8),
+])
+def test_monomial_writer_on_both_sides_of_class_bound(scalar, n_scalars):
+    L = xor_lift(scalar)
+    assert len(set(L.scalars.tolist())) == n_scalars
+    assert (_scalar_classes(L.scalars) is None) == (n_scalars > 8)
+    assert first_difference(lift_to_text(L), oracle_text(L)) is None
 
 
 def test_dense_tensor_matches_loop():

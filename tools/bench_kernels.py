@@ -27,6 +27,10 @@ its repeats of the mean time per call.  The rows:
     closed group 7 9              closed_subset_heuristic on the Z/7 x Z/9
                                   table (n = 63, q = 63)
     verlinde group 7 9            verlinde_tensor on the same table
+    fannsc_lift paley12           the semigroup lift of the Paley 12 ring's
+                                  s-matrix (m = 1024)
+    lift_lines paley12, paley24   the lift text of Paley 12 and Paley 24
+                                  (m = 1024, 2048), consumed line by line
 
 The JSON written holds the machine description, both checkouts (commit, and
 whether `src/` has uncommitted changes) and one record per row with both
@@ -75,6 +79,18 @@ DIHEDRAL128 = ("import numpy as np\n"
                "N = np.zeros((128, 128, 128), dtype=np.int64)\n"
                "N[k[:, None], k, prod] = 1")
 
+
+def paley_lift(q):
+    """Set-up: the s-matrix s of the Paley q + 1 ring and its lift L."""
+    return ("from collections import deque\n"
+            "from zbrng.generators import gen_paley\n"
+            "from zbrng.hadamard import ring_from_hadamard\n"
+            "from zbrng.quotients import fannsc_lift, lift_lines\n"
+            "from zbrng.spectra import smatrix_from_tensor\n"
+            "s = smatrix_from_tensor(ring_from_hadamard(gen_paley(%d)))\n"
+            "L = fannsc_lift(s)" % q)
+
+
 # row name: (set-up statement, timed statement, calls per repeat, repeats)
 ROWS = {
     "f2_algebra_check k=16": (
@@ -120,6 +136,9 @@ ROWS = {
         "from zbrng.spectra import verlinde_tensor as f\n"
         "s = group_ring_smatrix([7, 9])",
         "f(s)", 1, 3),
+    "fannsc_lift paley12": (paley_lift(11), "fannsc_lift(s)", 1, 15),
+    "lift_lines paley12": (paley_lift(11), "deque(lift_lines(L), 0)", 1, 15),
+    "lift_lines paley24": (paley_lift(23), "deque(lift_lines(L), 0)", 1, 5),
 }
 
 
