@@ -149,29 +149,23 @@ def _held(a, what):
     return a.astype(np.int64, copy=False)
 
 
-def _scalar_classes(g):
-    """The constants g(a) g(b) / g(ab) of a lift with scalars g by class, or
-    None when g has more than 8 distinct values.  Returns (row, col, table):
-    the constant of the cell (a, b) with product ab = p is table[row[a] +
-    col[b] + p], 0 where it is not integral.  The quotients of the nG
-    distinct scalars are computed once in Python ints, and table holds
-    nG^2 m <= _SLAB m entries, no more than one slab of cells."""
+def _class_tokens(g):
+    """The text "p:mu" of every cell of a lift with scalars g, by the classes
+    of the distinct scalars, or None when g has more than 8 distinct values.
+    Returns (row, col, tok): the cell (a, b) with product ab = p and constant
+    mu = g(a) g(b) / g(p) reads tok[row[a] + col[b] + p].  The quotients of
+    the nG distinct scalars are formatted once from Python ints, and tok
+    holds nG^2 m <= _SLAB m tokens, no more than one slab of cells."""
     G, cls = np.unique(g, return_inverse=True)
     nG, m = len(G), len(g)
     if nG * nG > _SLAB:
         return None
     G = G.tolist()
-    quot = [x * y // z if x * y % z == 0 else 0
-            for x in G for y in G for z in G]
-    quot = np.array(quot, dtype=int_dtype(max(quot))).reshape(nG * nG, nG)
-    return cls * (nG * m), cls * m, quot[:, cls].ravel()
-
-
-def _cell_index(classes, lo, block):
-    """The index into the class table of each cell of the rows lo.. of a
-    product table, block = those rows."""
-    row, col, _ = classes
-    return row[lo:lo + len(block), None] + col + block
+    # a triple of classes that no cell has may floor; it is never read
+    tails = np.array([str(x * y // z) for x in G for y in G for z in G],
+                     dtype=object).reshape(nG * nG, nG)
+    heads = np.array(["%d:" % p for p in range(m)], dtype=object)
+    return cls * (nG * m), cls * m, (heads + tails[:, cls]).ravel()
 
 
 # Exponent rows are keyed (exact.row_keys) as big-endian uint16: exponents
@@ -314,24 +308,16 @@ def fannsc_lift(s, cap=4096):
                 changed = True
     garr = _held(g, "lift scalars")
 
-    # mu[a, b] = g(a) g(b) / g(ab): gathered from the class table, or
-    # computed cell by cell where there is none
+    # mu[a, b] = g(a) g(b) / g(ab)
     gmax = int(garr.max())
-    classes = _scalar_classes(garr)
-    if classes is None:
-        gd = garr.astype(int_dtype(gmax * gmax))
+    gd = garr.astype(int_dtype(gmax * gmax))
     mu_table = np.empty((m, m), dtype=np.int64)
     for lo in range(0, m, _SLAB):
-        block = prod[lo:lo + _SLAB]
-        if classes is None:
-            num, den = gd[lo:lo + _SLAB, None] * gd, gd[block]
-            bad, mu = num % den, num // den
-        else:
-            mu = classes[2][_cell_index(classes, lo, block)]
-            bad = mu == 0
-        if np.any(bad):
+        num = gd[lo:lo + _SLAB, None] * gd[None, :]
+        den = gd[prod[lo:lo + _SLAB]]
+        if np.any(num % den):
             raise QuotientError("scalar table not integral")
-        mu_table[lo:lo + _SLAB] = _held(mu, "lift constants")
+        mu_table[lo:lo + _SLAB] = _held(num // den, "lift constants")
 
     labels = [tuple(h) for h in elems.tolist()]
     lifted = PointedAlgebra(labels, prod=prod, mu=mu_table)
@@ -382,20 +368,19 @@ def quotient_verify(L, R):
 
 def _monomial_rows(prod, mu, g):
     """The rows "p:mu p:mu ..." of a monomial product table with constants
-    mu = g(a) g(b) / g(ab), a slab of rows at a time.  With a class table
-    each of its tokens "p:mu" is formatted once and a slab is one gather;
-    without one, each distinct (p, mu) cell of a slab is formatted once."""
+    mu = g(a) g(b) / g(ab), a slab of rows at a time.  With class tokens a
+    slab is one gather of them; without, each distinct (p, mu) cell of a
+    slab is formatted once."""
+    classes = _class_tokens(g)
+    if classes is not None:
+        row, col, tok = classes
+        for lo in range(0, len(prod), _SLAB):
+            block = prod[lo:lo + _SLAB]
+            text = tok[row[lo:lo + len(block), None] + col + block]
+            yield from (" ".join(r) for r in text.tolist())
+        return
     m = prod.shape[1]
     heads = np.array(["%d:" % p for p in range(m)], dtype=object)
-    classes = _scalar_classes(g)
-    if classes is not None:
-        values, at = np.unique(classes[2], return_inverse=True)
-        tails = np.array([str(v) for v in values.tolist()], dtype=object)
-        tok = heads[np.arange(len(at)) % m] + tails[at]
-        for lo in range(0, len(prod), _SLAB):
-            text = tok[_cell_index(classes, lo, prod[lo:lo + _SLAB])]
-            yield from (" ".join(row) for row in text.tolist())
-        return
     for lo in range(0, len(prod), _SLAB):
         block = prod[lo:lo + _SLAB]
         values, rank = np.unique(mu[lo:lo + _SLAB], return_inverse=True)

@@ -17,7 +17,7 @@ from zbrng.exact import CycArray, CycNum, power_table
 from zbrng.generators import gen_paley, group_ring_smatrix
 from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import (LiftPresentation, PointedAlgebra, QuotientError,
-                             _scalar_classes, fannsc_lift, lift_to_text,
+                             _class_tokens, fannsc_lift, lift_to_text,
                              quotient_verify)
 from zbrng.rng_core import ring_blocks, ring_from_tensor
 from zbrng.spectra import SMatrix, smatrix_from_tensor, verlinde_tensor
@@ -272,9 +272,8 @@ def test_lift_matches_oracle_on_fixed_group_tables(orders):
 
 
 @pytest.mark.parametrize("base", [2, 3])
-def test_lift_matches_oracle_without_class_table(base):
-    # Z/16 with column i scaled by base^i: 16 distinct scalars, more than
-    # the class table takes, so the constants are computed cell by cell
+def test_lift_matches_oracle_with_16_scalars(base):
+    # Z/16 with column i scaled by base^i: 16 distinct scalars
     s = transformed(group_ring_smatrix([16]), range(16), range(16),
                     [base ** i for i in range(16)])
     assert len(set(fannsc_lift(s).scalars.tolist())) == 16
@@ -349,15 +348,11 @@ def test_lift_cli_scalars_past_int64(tmp_path, capsys):
     assert cap.err == "input error: lift scalars exceed int64\n"
 
 
-@pytest.mark.parametrize("orders, scales", [
-    ([3], (1, 2 ** 32, 2 ** 32)),             # 2 scalars: the class table
-    ([16], [2 ** (4 * i) for i in range(16)]),    # 16: cell by cell
-])
-def test_lift_constants_past_int64(orders, scales):
+def test_lift_constants_past_int64():
     # the scalars fit in int64 but a constant g(a) g(b) / g(ab) does not:
     # on Z/3, g(v_1) g(v_2) / g(v_0) = 2^64
-    n = int(np.prod(orders))
-    s = transformed(group_ring_smatrix(orders), range(n), range(n), scales)
+    s = transformed(group_ring_smatrix([3]), range(3), range(3),
+                    (1, 2 ** 32, 2 ** 32))
     with pytest.raises(OverflowError, match="lift constants exceed int64"):
         fannsc_lift(s)
 
@@ -410,27 +405,29 @@ def test_lift_paley24_runtime():
 
 
 # ---------------------------------------------------------------------------
-# the class table of the constants, and the writer on both sides of its bound
+# the class tokens of the monomial writer, and the writer on both sides of
+# their bound
 
 SCALARS = [1, 2, 3, 5, 6, 10, 12, 30, 2 ** 40, 3 * 2 ** 40, 2 ** 62]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.sampled_from(SCALARS), min_size=1, max_size=12))
-def test_scalar_classes_match_quotients(g):
+def test_class_tokens_match_quotients(g):
     g = np.array(g, dtype=np.int64)
     m = len(g)
-    classes = _scalar_classes(g)
+    classes = _class_tokens(g)
     assert (classes is None) == (len(set(g.tolist())) > 8)
     if classes is None:
         return
-    row, col, table = classes
+    row, col, tok = classes
     for a in range(m):
         for b in range(m):
             for p in range(m):
                 x, y, z = int(g[a]), int(g[b]), int(g[p])
-                want = x * y // z if x * y % z == 0 else 0
-                assert table[row[a] + col[b] + p] == want
+                if x * y % z == 0:
+                    want = "%d:%d" % (p, x * y // z)
+                    assert tok[row[a] + col[b] + p] == want
 
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19]
@@ -454,15 +451,15 @@ def xor_lift(scalar):
 
 @pytest.mark.parametrize("scalar, n_scalars", [
     # the product of the i-th primes over the support: 256 scalars, past
-    # the class table, so each slab ranks its own cells
+    # the class tokens' bound, so each slab ranks its own cells
     (lambda b: int(np.prod([p for p, t in zip(PRIMES, b) if t])), 256),
-    # 2^min(|h|, 7): 8 scalars, the largest class table
+    # 2^min(|h|, 7): 8 scalars, the most that take class tokens
     (lambda b: 2 ** min(sum(b), 7), 8),
 ])
 def test_monomial_writer_on_both_sides_of_class_bound(scalar, n_scalars):
     L = xor_lift(scalar)
     assert len(set(L.scalars.tolist())) == n_scalars
-    assert (_scalar_classes(L.scalars) is None) == (n_scalars > 8)
+    assert (_class_tokens(L.scalars) is None) == (n_scalars > 8)
     assert first_difference(lift_to_text(L), oracle_text(L)) is None
 
 
