@@ -315,9 +315,10 @@ def fannsc_lift(s, cap=4096):
     for lo in range(0, m, _SLAB):
         num = gd[lo:lo + _SLAB, None] * gd[None, :]
         den = gd[prod[lo:lo + _SLAB]]
-        if np.any(num % den):
+        mu = num // den
+        if not np.array_equal(mu * den, num):
             raise QuotientError("scalar table not integral")
-        mu_table[lo:lo + _SLAB] = _held(num // den, "lift constants")
+        mu_table[lo:lo + _SLAB] = _held(mu, "lift constants")
 
     labels = [tuple(h) for h in elems.tolist()]
     lifted = PointedAlgebra(labels, prod=prod, mu=mu_table)
