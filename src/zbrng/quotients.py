@@ -348,20 +348,29 @@ def fannsc_lift(s, cap=4096):
 
 def quotient_verify(L, R):
     """True iff the distinguished rows are exactly the basis of R and the
-    embedding is multiplicative on every pair of lifted basis elements."""
+    embedding is multiplicative on every pair of lifted basis elements:
+    E[x] E[y] = mu[x, y] E[xy] in R.  A slab of rows x is one product
+    E[slab] @ A, with A[i, (y, t)] = sum_j E[y, j] N[i, j, t] formed once;
+    n^2 max|E|^2 max|N| bounds every partial sum, so below 2^53 both
+    products run in float64 (BLAS) exactly, else in int64 or Python ints."""
     E = L.embedding
     m, n = E.shape
     if n != R.n:
         return False
     if not np.array_equal(E[list(L.distinguished)], np.eye(n, dtype=np.int64)):
         return False
-    N = R.N
     prod, mu = L.lifted.prod, L.lifted.mu
+    bound = n * n * _maxabs(E) ** 2 * _maxabs(R.N)
+    dtype = np.float64 if bound < 2 ** 53 else int_dtype(bound)
+    Ed = E.astype(dtype)
+    A = Ed @ R.N.transpose(1, 0, 2).reshape(n, n * n).astype(dtype)
+    A = A.reshape(m, n, n).transpose(1, 0, 2).reshape(n, m * n)
     for lo in range(0, m, _SLAB):
         hi = min(lo + _SLAB, m)
-        T = np.einsum("xi,ijt->xjt", E[lo:hi], N)
-        P = np.einsum("xjt,yj->xyt", T, E)
+        P = (Ed[lo:hi] @ A).reshape(hi - lo, m, n)
         want = mu[lo:hi, :, None] * E[prod[lo:hi]]
+        # a float P holds exact integers below 2^53: no int64 value that
+        # differs from one rounds onto it
         if not np.array_equal(P, want):
             return False
     return True

@@ -8,11 +8,12 @@ with coefficients N_ij^m.
 """
 
 from functools import cached_property
+from math import gcd, lcm
 
 import numpy as np
 
-from .exact import (CycArray, ExactError, format_cyc, lookup, parse_cyc,
-                    power_table, row_keys)
+from .exact import (CycArray, ExactError, _fit, _maxabs, format_cyc,
+                    int_dtype, lookup, parse_cyc, power_table, row_keys)
 from .hadamard import PreconditionError, character_signs
 from .rng_core import MAX_RING, FormatError
 
@@ -102,14 +103,21 @@ class SMatrix:
         return self.array[:, i]
 
     def inverse(self, tol):
-        """s^-1 in the type of `array`: the certified modular inverse
-        (CycArray.inverse), or np.linalg.inv after a singular-value guard
-        scaled by tol (unused when exact)."""
+        """s^-1 in the type of `array`.  Numeric: np.linalg.inv after a
+        singular-value guard scaled by tol.  Exact (tol unused): the Gram
+        matrix G = s conj(s)^T is computed exactly first.  When it is
+        diagonal with positive rational entries c_k (orthogonal rows, as
+        for character tables and their exterior squares) the inverse is
+        conj(s)^T diag(1/c_k), and G is its certificate; otherwise it is
+        the certified modular inverse (CycArray.inverse)."""
         if self.mode == "numeric":
             sv = np.linalg.svd(self.array, compute_uv=False)
             if sv[-1] <= tol * max(1.0, sv[0]):
                 raise SpectraError("singular matrix")
             return np.linalg.inv(self.array)
+        inv = _orthogonal_inverse(self.array)
+        if inv is not None:
+            return inv
         try:
             return self.array.inverse()
         except ExactError as exc:
@@ -122,6 +130,29 @@ class SMatrix:
 
     def __repr__(self):
         return "SMatrix(%s, n=%d)" % (self.mode, self.n)
+
+
+def _orthogonal_inverse(a):
+    """conj(a)^T diag(1/c_k) over its smallest common denominator when the
+    exact Gram matrix a conj(a)^T is diag(c_k) with every c_k a positive
+    rational, else None.  Then a times it is G diag(1/c_k) = I exactly,
+    and a one-sided inverse of a square matrix is its inverse."""
+    b = a.conj().T
+    gram = (a @ b).num
+    n = gram.shape[0]
+    g = gram[..., 0].diagonal().tolist()
+    # n nonzero entries, all on the diagonal and positive: G is diagonal
+    if (np.any(gram[..., 1:] != 0) or np.count_nonzero(gram[..., 0]) != n
+            or min(g) <= 0):
+        return None
+    # entry (l, k) is b[l, k] / c_k = b.num[l, k] * a.den / g_k, with
+    # c_k = g_k / a.den^2; over L = lcm(g) column k is scaled by a.den L / g_k
+    L = lcm(*g)
+    scale = [a.den * L // c for c in g]
+    dtype = int_dtype(_maxabs(b.num) * max(scale))
+    num = b.num.astype(dtype) * np.array(scale, dtype=dtype)[:, None]
+    h = gcd(L, int(np.gcd.reduce(num, axis=None)))
+    return CycArray(a.q, _fit(num // h), L // h)
 
 
 def unit_roots(q):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zbrng.generators import gen_kronecker, gen_paley, gen_sylvester
 from zbrng.hadamard import (FormatError, HadamardError, HadamardMatrix,
@@ -140,6 +141,48 @@ def test_reconstruct_exact_12(paley12, paley12_ring):
 def test_reconstruct_exact_16(sylvester16, sylvester16_ring):
     H = reconstruct_exact(sylvester16_ring)
     assert sorted_rows(H.array) == sorted_rows(sylvester16.array)
+
+
+@st.composite
+def scrambled_hadamard(draw):
+    """A Paley, Sylvester or Kronecker Hadamard matrix of order <= 24 with
+    rows and columns permuted and negated (still a Hadamard matrix, not
+    normalized)."""
+    H = draw(st.sampled_from([
+        lambda: gen_paley(3), lambda: gen_paley(7), lambda: gen_paley(11),
+        lambda: gen_paley(19), lambda: gen_paley(23),
+        lambda: gen_sylvester(2), lambda: gen_sylvester(3),
+        lambda: gen_sylvester(4),
+        lambda: gen_kronecker(gen_sylvester(2), gen_paley(3)),
+        lambda: gen_kronecker(gen_paley(3), gen_paley(3))]))().array
+    n = len(H)
+    rows = draw(st.permutations(range(n)))
+    cols = draw(st.permutations(range(n)))
+    r = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n,
+                               max_size=n)))
+    c = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=n,
+                               max_size=n)))
+    return H[np.ix_(rows, cols)] * r[:, None] * c[None, :]
+
+
+@settings(max_examples=30, deadline=None)
+@given(scrambled_hadamard())
+def test_hadamard_text_roundtrip(a):
+    text = hadamard_to_text(a)
+    back = hadamard_from_text(text)
+    assert back.dtype == np.int64 and np.array_equal(back, a)
+    assert hadamard_to_text(back) == text
+    # the whitespace-separated +-1 form reads the same matrix
+    spaced = "\n".join(" ".join(map(str, row)) for row in a.tolist())
+    assert np.array_equal(hadamard_from_text(spaced + "\n"), a)
+
+
+@settings(max_examples=15, deadline=None)
+@given(scrambled_hadamard())
+def test_reconstruct_exact_recovers_normalized_matrix(a):
+    H = normalize_hadamard(a)
+    got = reconstruct_exact(ring_from_hadamard(H))
+    assert sorted_rows(got.array) == sorted_rows(H.array)
 
 
 def test_reconstruct_exact_requires_identity_tilde(z3_ring):

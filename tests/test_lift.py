@@ -295,7 +295,9 @@ def test_lift_matches_oracle_on_scrambled_paley12(paley12_smatrix, data):
     cols = data.draw(st.permutations(range(12)))
     signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=12,
                                max_size=12))
-    assert_same_lift(transformed(paley12_smatrix, rows, cols, signs))
+    s = transformed(paley12_smatrix, rows, cols, signs)
+    assert_same_lift(s)
+    assert_lift_verifies(s)
 
 
 def test_lift_column_classification_errors():

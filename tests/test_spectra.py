@@ -1,7 +1,7 @@
 import time
 from fractions import Fraction
 from functools import cache
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -540,6 +540,103 @@ def test_inverse_needs_several_primes(monkeypatch):
             coeffs = {e: Fraction(int(c), inv.den)
                       for e, c in enumerate(inv.num[m, l].tolist()) if c}
             assert CycNum(s.q, coeffs) == want[m][l]
+
+
+def counting_inverse_mod(mp):
+    """Patch exact._inverse_mod (the per-prime step of CycArray.inverse) to
+    record its primes in the returned list."""
+    import zbrng.exact as exact
+    calls = []
+    real = exact._inverse_mod
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+    mp.setattr(exact, "_inverse_mod", counting)
+    return calls
+
+
+def assert_inverse_equals(inv, want, q):
+    """The CycArray inv holds the CycNum matrix want, over the least common
+    denominator of want's power-basis coefficients."""
+    n = len(want)
+    for m in range(n):
+        for l in range(n):
+            coeffs = {e: Fraction(int(c), inv.den)
+                      for e, c in enumerate(inv.num[m, l].tolist()) if c}
+            assert CycNum(q, coeffs) == want[m][l]
+    coeffs = [c for row in want for e in row for c in
+              (e.coeffs.values() if isinstance(e, CycNum) else [e])]
+    assert inv.den == lcm(*(c.denominator for c in coeffs))
+
+
+def test_dixon_primes_that_mislead_or_divide_det(monkeypatch):
+    # the two cases above on CycArray.inverse itself: a 1 x 1 SMatrix has a
+    # diagonal Gram matrix and no longer reaches it
+    calls = counting_inverse_mod(monkeypatch)
+    a = CycArray(1, np.array([[[2 ** 31]]]), 1)
+    assert a.inverse().den == 2 ** 31
+    assert calls[0] == 2 ** 31 - 1
+    calls.clear()
+    inv = CycArray(1, np.array([[[2 ** 31 - 1]]]), 1).inverse()
+    assert (inv.num.tolist(), inv.den) == ([[[1]]], 2 ** 31 - 1)
+    assert len(calls) >= 2 and calls[0] == 2 ** 31 - 1
+
+
+@st.composite
+def orthogonal_tables(draw):
+    """Group tables (order <= 12) or exterior squares of group tables
+    (order <= 6, so n <= 15), each row scaled by a nonzero rational."""
+    if draw(st.booleans()):
+        s = draw(group_tables())
+    else:
+        s = exterior_square(draw(group_tables(max_order=6)))
+    scales = draw(st.lists(st.sampled_from(
+        [1, 1, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]),
+        min_size=s.n, max_size=s.n))
+    return SMatrix.exact([[e * c for e in row]
+                          for row, c in zip(s.rows, scales)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(orthogonal_tables())
+@example(permuted_table([2, 3], [1, 4, 0, 5, 3, 2]))
+@example(exterior_square(group_ring_smatrix([2, 2])))
+def test_orthogonal_inverse_matches_oracle(s):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = counting_inverse_mod(mp)
+        inv = s.inverse(1e-8)
+    assert calls == []
+    assert_inverse_equals(inv, oracle_inverse(s), s.q)
+    assert certify_inverse(s.array, inv)
+
+
+@settings(max_examples=25, deadline=None)
+@given(orthogonal_tables())
+def test_text_roundtrip_exact_tables(s):
+    # group tables and exterior squares, rows scaled by rationals
+    text = smatrix_to_text(s)
+    back = smatrix_from_text(text)
+    assert back.mode == "exact" and back.q == s.q
+    assert back.array.den == s.array.den
+    assert np.array_equal(back.array.num, s.array.num)
+    assert np.array_equal(back.ids, s.ids)
+    assert smatrix_to_text(back) == text
+
+
+def test_orthogonal_rows_of_irrational_norm_take_dixon(monkeypatch):
+    # rows are orthogonal, but |1 + zeta_5|^2 = 2 + zeta_5 + zeta_5^-1 is
+    # not rational: the Gram matrix is diagonal and the inverse is Dixon's
+    calls = counting_inverse_mod(monkeypatch)
+    z = CycNum.zeta(5)
+    zero = CycNum.from_rat(0)
+    for rows in ([[CycNum.from_rat(1), zero], [zero, 1 + z]],
+                 [[1 + z, 1 + z], [1 + z, -1 - z]]):
+        calls.clear()
+        s = SMatrix.exact(rows)
+        inv = s.inverse(1e-8)
+        assert calls
+        assert_inverse_equals(inv, oracle_inverse(s), s.q)
 
 
 def test_python_int_coefficients_match_oracle():

@@ -3,9 +3,12 @@
     python3 tools/bench_kernels.py --before OTHER_CHECKOUT --out BENCH_<n>.json
 
 The checkout this file lies in is the "after" side.  Each checkout's
-`src/zbrng` is imported in a fresh interpreter with one BLAS thread, every
-row is called once untimed and then timed; a row's value is the median over
-its repeats of the mean time per call.  The rows:
+`src/zbrng` is imported in its own long-lived interpreter with one BLAS
+thread.  Row by row, both interpreters set the row up and call it once
+untimed; then they time its repeats in turn, the two sides alternating
+which goes first from one repeat to the next, so that drift of the host
+lands on both sides alike.  A row's value is the median over its repeats of
+the mean time per call.  The rows:
 
     f2_algebra_check k=16, k=24   associativity over GF(2) (`had f2`)
     ring_from_text, ring_to_text  the Sylvester 64 ring (n = 64)
@@ -31,6 +34,13 @@ its repeats of the mean time per call.  The rows:
                                   s-matrix (m = 1024)
     lift_lines paley12, paley24   the lift text of Paley 12 and Paley 24
                                   (m = 1024, 2048), consumed line by line
+    inverse group 3 5             SMatrix.inverse of the Z/3 x Z/5 table
+                                  (orthogonal rows, q = 15)
+    inverse ext2 group 4 6        SMatrix.inverse of the exterior square of
+                                  the Z/4 x Z/6 table (orthogonal, n = 276)
+    inverse random 40 x 2^40      SMatrix.inverse of a seeded 40 x 40
+                                  integer matrix with entries below 2^40 in
+                                  absolute value (rows not orthogonal)
 
 The JSON written holds the machine description, both checkouts (commit, and
 whether `src/` has uncommitted changes) and one record per row with both
@@ -139,27 +149,77 @@ ROWS = {
     "fannsc_lift paley12": (paley_lift(11), "fannsc_lift(s)", 1, 15),
     "lift_lines paley12": (paley_lift(11), "deque(lift_lines(L), 0)", 1, 15),
     "lift_lines paley24": (paley_lift(23), "deque(lift_lines(L), 0)", 1, 5),
+    "inverse group 3 5": (
+        "from zbrng.generators import group_ring_smatrix\n"
+        "s = group_ring_smatrix([3, 5])",
+        "s.inverse(1e-8)", 20, 9),
+    "inverse ext2 group 4 6": (
+        "from zbrng.generators import exterior_square, group_ring_smatrix\n"
+        "s = exterior_square(group_ring_smatrix([4, 6]))",
+        "s.inverse(1e-8)", 1, 5),
+    "inverse random 40 x 2^40": (
+        "import numpy as np\n"
+        "from zbrng.exact import CycArray\n"
+        "from zbrng.spectra import SMatrix\n"
+        "a = np.random.default_rng(17).integers(-2 ** 40, 2 ** 40,\n"
+        "                                        (40, 40, 1))\n"
+        "s = SMatrix(CycArray(1, a, 1))",
+        "s.inverse(1e-8)", 1, 3),
 }
 
 
-def measure(src):
-    """{row: seconds per call} for the zbrng package under src."""
+def serve(src):
+    """The child: import zbrng from src, then answer one line of stdin at a
+    time.  A row name sets that row up and calls it once untimed; an empty
+    line times one repeat of it.  Each answer is one line of stdout."""
     sys.path.insert(0, src)
+    for line in iter(sys.stdin.readline, ""):
+        name = line.strip()
+        if name:
+            setup, stmt, number, _ = ROWS[name]
+            timer = timeit.Timer(stmt, setup)
+            timer.timeit(1)
+            print("ready", flush=True)
+        else:
+            print(timer.timeit(number) / number, flush=True)
+
+
+class Child:
+    """A long-lived child interpreter timing rows for one checkout."""
+
+    def __init__(self, checkout):
+        self.proc = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--child",
+             os.path.join(checkout, "src")],
+            env=ENV, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            text=True)
+
+    def ask(self, line):
+        self.proc.stdin.write(line + "\n")
+        self.proc.stdin.flush()
+        answer = self.proc.stdout.readline()
+        if not answer:
+            raise RuntimeError("child exited with %s" % self.proc.wait())
+        return answer.strip()
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def measure(sides):
+    """{row: [before, after] seconds per call} for the two Child sides,
+    which alternate in timing first from one repeat to the next."""
     out = {}
-    for name, (setup, stmt, number, repeats) in ROWS.items():
-        timer = timeit.Timer(stmt, setup)
-        timer.timeit(1)
-        times = timer.repeat(repeats, number)
-        out[name] = statistics.median(times) / number
+    for name, (_, _, _, repeats) in ROWS.items():
+        for side in sides:
+            side.ask(name)
+        times = ([], [])
+        for r in range(repeats):
+            for k in (0, 1) if r % 2 == 0 else (1, 0):
+                times[k].append(float(sides[k].ask("")))
+        out[name] = [statistics.median(t) for t in times]
     return out
-
-
-def run_child(checkout):
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child",
-         os.path.join(checkout, "src")],
-        env=ENV, check=True, stdout=subprocess.PIPE, text=True)
-    return json.loads(proc.stdout)
 
 
 def describe(checkout):
@@ -194,13 +254,18 @@ def main(argv=None):
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        print(json.dumps(measure(args.child)))
+        serve(args.child)
         return 0
     if not (args.before and args.out):
         ap.error("--before and --out are required")
-    before, after = run_child(args.before), run_child(ROOT)
-    rows = [{"row": name, "unit": "s", "before": before[name],
-             "after": after[name], "repeats": ROWS[name][3],
+    sides = (Child(args.before), Child(ROOT))
+    try:
+        values = measure(sides)
+    finally:
+        for side in sides:
+            side.close()
+    rows = [{"row": name, "unit": "s", "before": values[name][0],
+             "after": values[name][1], "repeats": ROWS[name][3],
              "calls_per_repeat": ROWS[name][2]} for name in ROWS]
     record = {"machine": machine(),
               "before": describe(args.before),
