@@ -336,6 +336,18 @@ def test_lift_scalars_past_int64(c):
                     "distinguished 0 1\n" % (c, c, c, c))
 
 
+@pytest.mark.parametrize("c", [3, 2 ** 51 - 1, 2 ** 51, 2 ** 60, 2 ** 62])
+def test_quotient_verify_on_each_side_of_its_bounds(c):
+    # n^2 max|E|^2 max|N| = 4c: float64 below 2^53, then int64, then
+    # Python ints from 2^63; a constant off by one is seen in each
+    s = scaled_z2(c)
+    assert_lift_verifies(s)
+    L = fannsc_lift(s)
+    R = ring_from_tensor(2, verlinde_tensor(s).tensor, range(2))
+    L.lifted.mu[1, 1] += 1
+    assert not quotient_verify(L, R)
+
+
 def test_lift_cli_scalars_past_int64(tmp_path, capsys):
     f = tmp_path / "c.smat"
     for c in (2 ** 32, 2 ** 40):

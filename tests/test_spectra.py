@@ -557,17 +557,19 @@ def counting_inverse_mod(mp):
 
 
 def assert_inverse_equals(inv, want, q):
-    """The CycArray inv holds the CycNum matrix want, over the least common
-    denominator of want's power-basis coefficients."""
+    """The CycArray inv holds the matrix want of CycNums or Fractions."""
     n = len(want)
     for m in range(n):
         for l in range(n):
             coeffs = {e: Fraction(int(c), inv.den)
                       for e, c in enumerate(inv.num[m, l].tolist()) if c}
             assert CycNum(q, coeffs) == want[m][l]
-    coeffs = [c for row in want for e in row for c in
-              (e.coeffs.values() if isinstance(e, CycNum) else [e])]
-    assert inv.den == lcm(*(c.denominator for c in coeffs))
+
+
+def least_denominator(want):
+    """The lcm of the denominators of want's power-basis coefficients."""
+    return lcm(*(c.denominator for row in want for e in row for c in
+                 (e.coeffs.values() if isinstance(e, CycNum) else [e])))
 
 
 def test_dixon_primes_that_mislead_or_divide_det(monkeypatch):
@@ -607,7 +609,9 @@ def test_orthogonal_inverse_matches_oracle(s):
         calls = counting_inverse_mod(mp)
         inv = s.inverse(1e-8)
     assert calls == []
-    assert_inverse_equals(inv, oracle_inverse(s), s.q)
+    want = oracle_inverse(s)
+    assert_inverse_equals(inv, want, s.q)
+    assert inv.den == least_denominator(want)
     assert certify_inverse(s.array, inv)
 
 

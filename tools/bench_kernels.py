@@ -164,7 +164,7 @@ ROWS = {
         "a = np.random.default_rng(17).integers(-2 ** 40, 2 ** 40,\n"
         "                                        (40, 40, 1))\n"
         "s = SMatrix(CycArray(1, a, 1))",
-        "s.inverse(1e-8)", 1, 3),
+        "s.inverse(1e-8)", 1, 5),
 }
 
 
