@@ -325,6 +325,14 @@ def tolerance(text):
     return value
 
 
+def positive(text):
+    """--cap: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1: %r" % text)
+    return value
+
+
 # options, attached only to the subcommands that read them
 TOL = ("--tol", {"type": tolerance, "default": 1e-8})
 MACHINE = ("--machine", {"action": "store_true"})
@@ -359,7 +367,7 @@ def build_parser():
                 ("indices", {"type": int, "nargs": "+"}), TOL)
     _subcommand(sub, "quotient2", cmd_quotient2, f, ("d", {"type": int}))
     _subcommand(sub, "lift", cmd_lift, f, TOL,
-                ("--cap", {"type": int, "default": 4096}))
+                ("--cap", {"type": positive, "default": 4096}))
 
     had = sub.add_parser("had").add_subparsers(dest="hadcmd", required=True)
     _subcommand(had, "ring", cmd_had_ring, f,

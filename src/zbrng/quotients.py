@@ -4,7 +4,8 @@ realizing a ring with possibly negative constants as a factor ring of a
 pointed algebra with nonnegative constants.
 
 The lifted algebra is monomial (x_v x_w = mu * x_{vw}), so it is stored as an
-index table plus a scalar table instead of a dense m^3 tensor.
+index table plus the scalars g(h) instead of a dense m^3 tensor; the
+constants mu = g(v) g(w) / g(vw) are computed from them when asked for.
 """
 
 from math import gcd
@@ -30,18 +31,31 @@ _SAMPLES = 512
 
 class PointedAlgebra:
     """Commutative associative algebra with a distinguished basis; either a
-    dense integer tensor or a monomial product table (prod index + scalar)."""
+    dense integer tensor or a monomial product table: the index prod[a, b]
+    and either the constants mu or the scalars g of a lift, with mu[a, b] =
+    g(a) g(b) / g(prod[a, b])."""
 
-    def __init__(self, labels, tensor=None, prod=None, mu=None):
+    def __init__(self, labels, tensor=None, prod=None, mu=None, scalars=None):
         self.labels = list(labels)
         self.m = len(self.labels)
         self.tensor = tensor
         self.prod = prod
-        self.mu = mu
+        self.scalars = scalars
+        self._mu = mu
 
     @property
     def monomial(self):
         return self.tensor is None
+
+    @property
+    def mu(self):
+        """The constants as one int64 m x m table, computed from prod and
+        the scalars on first access and kept."""
+        if self._mu is None and self.scalars is not None:
+            self._mu = np.empty(self.prod.shape, dtype=np.int64)
+            for lo, mu in _constant_slabs(self.prod, self.scalars):
+                self._mu[lo:lo + len(mu)] = mu
+        return self._mu
 
     def constant(self, i, j, t):
         if self.tensor is not None:
@@ -77,12 +91,13 @@ def verify_pointed(alg):
     rng = np.random.default_rng(0)
     m = alg.m
     tri = rng.integers(0, m, size=(_SAMPLES, 3))
-    for i, j, k in tri:
-        ij = prod[i, j]
-        jk = prod[j, k]
+    for i, j, k in tri.tolist():
+        ij = int(prod[i, j])
+        jk = int(prod[j, k])
         if prod[ij, k] != prod[i, jk]:
             return False
-        if mu[i, j] * mu[ij, k] != mu[j, k] * mu[i, jk]:
+        # Python ints: the products of two int64 constants may pass 2^63
+        if int(mu[i, j]) * int(mu[ij, k]) != int(mu[j, k]) * int(mu[i, jk]):
             return False
     return True
 
@@ -147,6 +162,26 @@ def _held(a, what):
     if a.dtype == object and _maxabs(a) >= 2 ** 63:
         raise OverflowError("%s exceed int64" % what)
     return a.astype(np.int64, copy=False)
+
+
+def _index_dtype(m):
+    """The smallest signed dtype that holds the indices 0 .. m - 1."""
+    return np.int16 if m <= 2 ** 15 else np.int32
+
+
+def _constant_slabs(prod, g):
+    """(lo, mu[lo:lo + _SLAB]) for every slab of rows of the constants mu[a,
+    b] = g(a) g(b) / g(prod[a, b]) in int64; QuotientError at the first slab
+    where a quotient is not integral, OverflowError where one passes int64."""
+    gmax = int(g.max())
+    gd = g.astype(int_dtype(gmax * gmax))
+    for lo in range(0, len(prod), _SLAB):
+        num = gd[lo:lo + _SLAB, None] * gd[None, :]
+        den = gd[prod[lo:lo + _SLAB]]
+        mu = num // den
+        if not np.array_equal(mu * den, num):
+            raise QuotientError("scalar table not integral")
+        yield lo, _held(mu, "lift constants")
 
 
 def _class_tokens(g):
@@ -281,8 +316,9 @@ def fannsc_lift(s, cap=4096):
     bounds = np.cumsum([0] + sizes)
     dists = np.repeat(np.arange(1, len(sizes) + 1), sizes)
 
-    # product table along the breadth-first parents: a = parent + v_via
-    prod = np.empty((m, m), dtype=np.int64)
+    # product table along the breadth-first parents: a = parent + v_via;
+    # every consumer promotes its entries to int64 before arithmetic
+    prod = np.empty((m, m), dtype=_index_dtype(m))
     prod[:sizes[0]] = nbr[:, via[:sizes[0]]].T
     for a0, a1 in zip(bounds[1:-1], bounds[2:]):
         for lo in range(a0, a1, _SLAB):
@@ -308,25 +344,18 @@ def fannsc_lift(s, cap=4096):
                 changed = True
     garr = _held(g, "lift scalars")
 
-    # mu[a, b] = g(a) g(b) / g(ab)
-    gmax = int(garr.max())
-    gd = garr.astype(int_dtype(gmax * gmax))
-    mu_table = np.empty((m, m), dtype=np.int64)
-    for lo in range(0, m, _SLAB):
-        num = gd[lo:lo + _SLAB, None] * gd[None, :]
-        den = gd[prod[lo:lo + _SLAB]]
-        mu = num // den
-        if not np.array_equal(mu * den, num):
-            raise QuotientError("scalar table not integral")
-        mu_table[lo:lo + _SLAB] = _held(mu, "lift constants")
+    # every mu[a, b] = g(a) g(b) / g(ab) must be integral and fit int64;
+    # the constants are checked here and computed again when asked for
+    for _ in _constant_slabs(prod, garr):
+        pass
 
     labels = [tuple(h) for h in elems.tolist()]
-    lifted = PointedAlgebra(labels, prod=prod, mu=mu_table)
+    lifted = PointedAlgebra(labels, prod=prod, scalars=garr)
 
     # exact integral decomposition of every g(h) h over the columns; column
     # w of W is g(h_w) zeta_Q^h_w on the power basis of Q(zeta_q)
     inv = s.inverse(tol=None)
-    dt = int_dtype(gmax * int(np.max(np.abs(roots))))
+    dt = int_dtype(int(garr.max()) * int(np.max(np.abs(roots))))
     W = garr.astype(dt)[None, :, None] * roots.astype(dt)[elems.T]
     vals, ok = (inv @ CycArray(s.q, W, 1)).integers()
     if not ok.all():
@@ -376,24 +405,26 @@ def quotient_verify(L, R):
     return True
 
 
-def _monomial_rows(prod, mu, g):
+def _monomial_rows(prod, g):
     """The rows "p:mu p:mu ..." of a monomial product table with constants
     mu = g(a) g(b) / g(ab), a slab of rows at a time.  With class tokens a
-    slab is one gather of them; without, each distinct (p, mu) cell of a
-    slab is formatted once."""
+    slab is one gather of them and mu is never formed; without, mu is
+    computed a slab at a time and each distinct (p, mu) cell of a slab is
+    formatted once."""
     classes = _class_tokens(g)
     if classes is not None:
         row, col, tok = classes
         for lo in range(0, len(prod), _SLAB):
             block = prod[lo:lo + _SLAB]
+            # int64 offsets plus the narrow product indices: int64
             text = tok[row[lo:lo + len(block), None] + col + block]
             yield from (" ".join(r) for r in text.tolist())
         return
     m = prod.shape[1]
     heads = np.array(["%d:" % p for p in range(m)], dtype=object)
-    for lo in range(0, len(prod), _SLAB):
+    for lo, mu in _constant_slabs(prod, g):
         block = prod[lo:lo + _SLAB]
-        values, rank = np.unique(mu[lo:lo + _SLAB], return_inverse=True)
+        values, rank = np.unique(mu, return_inverse=True)
         # one key per (p, mu) cell, below _SLAB * m^2
         cells, at = np.unique(rank.reshape(block.shape) * m + block,
                               return_inverse=True)
@@ -411,7 +442,7 @@ def lift_lines(L):
         body = ring_blocks(alg.dense_tensor())
     else:
         yield "zbrng-monomial 1\n"
-        body = _monomial_rows(alg.prod, alg.mu, L.scalars)
+        body = _monomial_rows(alg.prod, L.scalars)
     yield "n %d\n" % alg.m
     yield from (ln + "\n" for ln in body)
     yield "distinguished " + " ".join(str(w) for w in L.distinguished) + "\n"

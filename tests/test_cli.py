@@ -160,6 +160,17 @@ def test_lift(z3_file, capsys):
     assert code == 1 and "exceeds cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5", "x", "1.5"])
+def test_lift_cap_outside_domain_exit2(cap, z3_file, capsys):
+    # a cap below 1 is a bad option value, not a cap that binds
+    with pytest.raises(SystemExit) as exc:
+        main(["lift", str(z3_file[0]), "--cap", cap])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+    code, _, err = run(capsys, "lift", str(z3_file[0]), "--cap", "1")
+    assert code == 1 and "exceeds cap (1)" in err
+
+
 def test_had_ring_parity(paley12_file, capsys):
     code, out, _ = run(capsys, "had", "ring", str(paley12_file),
                        "--check-parity")

@@ -4,6 +4,7 @@ against the tuple-based lift and writer it replaced; exact scalars past
 int64; an exhaustive structural check of the product table; runtime bounds."""
 
 import time
+import tracemalloc
 from collections import deque
 from itertools import zip_longest
 from math import gcd
@@ -17,8 +18,8 @@ from zbrng.exact import CycArray, CycNum, power_table
 from zbrng.generators import gen_paley, group_ring_smatrix
 from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import (LiftPresentation, PointedAlgebra, QuotientError,
-                             _class_tokens, fannsc_lift, lift_to_text,
-                             quotient_verify)
+                             _class_tokens, _index_dtype, fannsc_lift,
+                             lift_lines, lift_to_text, quotient_verify)
 from zbrng.rng_core import ring_blocks, ring_from_tensor
 from zbrng.spectra import SMatrix, smatrix_from_tensor, verlinde_tensor
 
@@ -416,6 +417,27 @@ def test_lift_paley24_runtime():
     elapsed = time.perf_counter() - t0
     assert text.startswith("zbrng-monomial 1\nn 2048\n")
     assert elapsed < 2.0, elapsed
+
+
+def test_lift_paley12_memory(paley12_smatrix):
+    # one m x m index table in int16 (2 MB at m = 1024) and no table of
+    # constants: an int64 prod and mu held 16 MB
+    tracemalloc.start()
+    try:
+        L = fannsc_lift(paley12_smatrix)
+        deque(lift_lines(L), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert L.lifted.m == 1024 and L.lifted.prod.dtype == np.int16
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20
+
+
+def test_index_dtype_holds_every_index():
+    for m in (1, 2 ** 15, 2 ** 15 + 1, 2 ** 20):
+        assert np.iinfo(_index_dtype(m)).max >= m - 1
+    assert _index_dtype(2 ** 15) == np.int16
+    assert _index_dtype(2 ** 15 + 1) == np.int32
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,16 @@ def test_verify_pointed_rejects():
     assert not verify_pointed(PointedAlgebra([0, 1], prod=prod, mu=mu))
 
 
+def test_verify_pointed_compares_past_int64():
+    # on Z/2, at (0, 0, 1) the two sides mu[0, 0] mu[0, 1] and
+    # mu[0, 1] mu[0, 1] differ by exactly 2^64, which int64 products lose
+    a, b = 2 ** 40 + 2 ** 24, 2 ** 40
+    assert a * b - b * b == 2 ** 64
+    prod = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    mu = np.array([[a, b], [b, b]], dtype=np.int64)
+    assert not verify_pointed(PointedAlgebra([0, 1], prod=prod, mu=mu))
+
+
 def test_lift_to_text_small():
     s = group_ring_smatrix([2, 3])
     text = lift_to_text(fannsc_lift(s))

@@ -41,8 +41,12 @@ the mean time per call.  The rows:
     inverse random 40 x 2^40      SMatrix.inverse of a seeded 40 x 40
                                   integer matrix with entries below 2^40 in
                                   absolute value (rows not orthogonal)
+    peak lift paley12, paley24    the tracemalloc peak, in MB, of
+                                  fannsc_lift and the lift text consumed
+                                  line by line (m = 1024, 2048)
 
-The JSON written holds the machine description, both checkouts (commit, and
+A peak row's value is the median over its repeats of that peak.  The JSON
+written holds the machine description, both checkouts (commit, and
 whether `src/` has uncommitted changes) and one record per row with both
 values.  This is the first part of the ladder; it is not the benchmark under
 perfbench/, and no test runs it.
@@ -56,6 +60,7 @@ import statistics
 import subprocess
 import sys
 import timeit
+import tracemalloc
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
@@ -165,7 +170,33 @@ ROWS = {
         "                                        (40, 40, 1))\n"
         "s = SMatrix(CycArray(1, a, 1))",
         "s.inverse(1e-8)", 1, 5),
+    "peak lift paley12": (paley_lift(11),
+                          "deque(lift_lines(fannsc_lift(s)), 0)", 1, 3),
+    "peak lift paley24": (paley_lift(23),
+                          "deque(lift_lines(fannsc_lift(s)), 0)", 1, 3),
 }
+# rows measured in MB of tracemalloc peak rather than in seconds
+PEAKS = {"peak lift paley12", "peak lift paley24"}
+
+
+class Peak:
+    """timeit.Timer's interface, measuring memory: timeit(number) is the
+    tracemalloc peak, in MB, over number runs of stmt.  Peak rows make one
+    call per repeat, so the caller's division by number leaves it as is."""
+
+    def __init__(self, stmt, setup):
+        self.ns = {}
+        exec(setup, self.ns)
+        self.code = compile(stmt, "<peak>", "exec")
+
+    def timeit(self, number):
+        tracemalloc.start()
+        try:
+            for _ in range(number):
+                exec(self.code, self.ns)
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
 
 
 def serve(src):
@@ -177,7 +208,7 @@ def serve(src):
         name = line.strip()
         if name:
             setup, stmt, number, _ = ROWS[name]
-            timer = timeit.Timer(stmt, setup)
+            timer = (Peak if name in PEAKS else timeit.Timer)(stmt, setup)
             timer.timeit(1)
             print("ready", flush=True)
         else:
@@ -264,7 +295,8 @@ def main(argv=None):
     finally:
         for side in sides:
             side.close()
-    rows = [{"row": name, "unit": "s", "before": values[name][0],
+    rows = [{"row": name, "unit": "MB" if name in PEAKS else "s",
+             "before": values[name][0],
              "after": values[name][1], "repeats": ROWS[name][3],
              "calls_per_repeat": ROWS[name][2]} for name in ROWS]
     record = {"machine": machine(),
@@ -275,8 +307,8 @@ def main(argv=None):
         json.dump(record, fh, indent=1)
         fh.write("\n")
     for r in rows:
-        print("%-28s %10.6f -> %10.6f s" % (r["row"], r["before"],
-                                              r["after"]))
+        print("%-28s %10.6f -> %10.6f %s" % (r["row"], r["before"],
+                                               r["after"], r["unit"]))
     return 0
 
 
