@@ -1,7 +1,7 @@
 """Command-line frontend.  File types are recognized by their first line
-("zbrng 1" ring, "smatrix 1" / "smatrix-numeric 1" s-matrix, anything else a
-+-1 matrix).  Exit codes: 0 verified or success, 1 verification failed,
-2 input error.
+("zbrng 1" ring, "smatrix 1" / "smatrix-numeric 1" s-matrix, "zbrng-monomial
+1" a lift, which no command reads, anything else a +-1 matrix).  Exit codes:
+0 verified or success, 1 verification failed, 2 input error.
 """
 
 import argparse
@@ -52,6 +52,9 @@ def load_any(path):
     text = _read(path)
     lines = [ln for ln in text.splitlines() if ln.strip()]
     head = lines[0].strip() if lines else ""
+    if head == "zbrng-monomial 1":
+        raise InputError("%s: lift (pointed algebra) file; expected a ring, "
+                         "s-matrix or Hadamard file" % path)
     try:
         if head == "zbrng 1":
             return ring_from_text(text)

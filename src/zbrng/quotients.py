@@ -171,36 +171,55 @@ def _index_dtype(m):
 
 def _constant_slabs(prod, g):
     """(lo, mu[lo:lo + _SLAB]) for every slab of rows of the constants mu[a,
-    b] = g(a) g(b) / g(prod[a, b]) in int64; QuotientError at the first slab
-    where a quotient is not integral, OverflowError where one passes int64."""
+    b] = g(a) g(b) / g(prod[a, b]) in int64; OverflowError at the first slab
+    where one passes int64.  Every quotient is exact for the scalars of a
+    lift (fannsc_lift)."""
     gmax = int(g.max())
     gd = g.astype(int_dtype(gmax * gmax))
     for lo in range(0, len(prod), _SLAB):
-        num = gd[lo:lo + _SLAB, None] * gd[None, :]
-        den = gd[prod[lo:lo + _SLAB]]
-        mu = num // den
-        if not np.array_equal(mu * den, num):
-            raise QuotientError("scalar table not integral")
+        mu = gd[lo:lo + _SLAB, None] * gd[None, :] // gd[prod[lo:lo + _SLAB]]
         yield lo, _held(mu, "lift constants")
 
 
+def _ascii(texts):
+    """The strings texts as one fixed-width bytes array, as wide as the
+    longest."""
+    return np.array(list(texts), dtype="S")
+
+
+def _terminated(cells):
+    """The tokens "cell " then "cell\n" of the cells, in one array as wide
+    as the longest token: a row's last token is read from the second half."""
+    cells = cells.astype("S%d" % np.strings.str_len(cells).max())
+    return np.concatenate([np.strings.add(cells, b" "),
+                           np.strings.add(cells, b"\n")])
+
+
+def _slab_text(tok, idx):
+    """The text of the tokens tok[idx], padding stripped."""
+    return tok.take(idx).tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _class_tokens(g):
-    """The text "p:mu" of every cell of a lift with scalars g, by the classes
-    of the distinct scalars, or None when g has more than 8 distinct values.
+    """The tokens of every cell of a lift with scalars g, by the classes of
+    the distinct scalars, or None when g has more than 8 distinct values.
     Returns (row, col, tok): the cell (a, b) with product ab = p and constant
-    mu = g(a) g(b) / g(p) reads tok[row[a] + col[b] + p].  The quotients of
-    the nG distinct scalars are formatted once from Python ints, and tok
-    holds nG^2 m <= _SLAB m tokens, no more than one slab of cells."""
+    mu = g(a) g(b) / g(p) reads tok[row[a] + col[b] + p], which is "p:mu "
+    or, in the last column, "p:mu\n".  The quotients of the nG distinct
+    scalars are formatted once from Python ints, and tok holds 2 nG^2 m <= 2
+    _SLAB m tokens, no more than two slabs of cells."""
     G, cls = np.unique(g, return_inverse=True)
     nG, m = len(G), len(g)
     if nG * nG > _SLAB:
         return None
     G = G.tolist()
     # a triple of classes that no cell has may floor; it is never read
-    tails = np.array([str(x * y // z) for x in G for y in G for z in G],
-                     dtype=object).reshape(nG * nG, nG)
-    heads = np.array(["%d:" % p for p in range(m)], dtype=object)
-    return cls * (nG * m), cls * m, (heads + tails[:, cls]).ravel()
+    tails = _ascii(str(x * y // z) for x in G for y in G for z in G)
+    heads = _ascii("%d:" % p for p in range(m))
+    cells = np.strings.add(heads, tails.reshape(nG * nG, nG)[:, cls]).ravel()
+    col = cls * m
+    col[-1] += len(cells)
+    return cls * (nG * m), col, _terminated(cells)
 
 
 # Exponent rows are keyed (exact.row_keys) as big-endian uint16: exponents
@@ -295,26 +314,14 @@ class LiftPresentation:
         return ".".join(str(t) for t in exps)
 
 
-def fannsc_lift(s, cap=4096):
-    """Lift of a ring given by an exact s-matrix with columns mu_i * v_i
-    (v_i entries roots of unity): basis {g(h) h : h in H} where H is the
-    semigroup generated by the v_i and g(h) = gcd of all word scalars; the
-    products x_v x_w = (g(v)g(w)/g(vw)) x_{vw} have nonnegative constants
-    and the target ring is the factor by the ideal of decompositions."""
-    if s.mode != "exact":
-        raise QuotientError("exact s-matrix required")
-    n = s.n
-    Q, roots = unit_roots(s.q)
-    try:
-        T, M = root_columns(s)
-    except SpectraError as exc:
-        raise QuotientError(str(exc)) from exc
-    gens, mus = T.T, M[0].tolist()
-
+def _semigroup(gens, mus, Q, cap):
+    """The semigroup H generated by the rows of gens in (Z/Q)^n, with word
+    scalars mus: (elems, sizes, gen_index, prod, g) from _cayley, the product
+    table prod[a, b] = index(a + b) and the scalars g at the gcd fixpoint
+    (fannsc_lift), int64 or object."""
     elems, sizes, parent, via, gen_index, nbr = _cayley(gens, Q, cap)
     m = len(elems)
     bounds = np.cumsum([0] + sizes)
-    dists = np.repeat(np.arange(1, len(sizes) + 1), sizes)
 
     # product table along the breadth-first parents: a = parent + v_via;
     # every consumer promotes its entries to int64 before arithmetic
@@ -336,18 +343,47 @@ def fannsc_lift(s, cap=4096):
     changed = True
     while changed:
         changed = False
-        for i in range(n):
+        for i in range(len(mus)):
             t = nbr[:, i]
             relaxed = np.gcd(g[t], g * mu_arr[i])
             if np.any(relaxed != g[t]):
                 g[t] = relaxed
                 changed = True
-    garr = _held(g, "lift scalars")
+    return elems, sizes, gen_index, prod, g
 
-    # every mu[a, b] = g(a) g(b) / g(ab) must be integral and fit int64;
-    # the constants are checked here and computed again when asked for
-    for _ in _constant_slabs(prod, garr):
-        pass
+
+def fannsc_lift(s, cap=4096):
+    """Lift of a ring given by an exact s-matrix with columns mu_i * v_i
+    (v_i entries roots of unity): basis {g(h) h : h in H} where H is the
+    semigroup generated by the v_i and g(h) = gcd of all word scalars; the
+    products x_v x_w = (g(v)g(w)/g(vw)) x_{vw} have nonnegative constants
+    and the target ring is the factor by the ideal of decompositions.
+
+    The gcd fixpoint certifies that every constant is a positive integer.
+    When the relaxation stops, g(a + v_i) divides g(a) mu_i for every a and
+    i.  Along a word v_i1 + ... + v_ik of b this gives g(ab) | g(a) mu_i1
+    ... mu_ik, so g(ab) divides g(a) D(b), D(b) the gcd of the scalars of
+    all words of b.  Every g(b) is itself a gcd of scalars of words of b
+    (each step takes the gcd with one more), so D(b) | g(b) and g(ab) | g(a)
+    g(b).  The constants are thus never checked, and are at most gmax^2;
+    only when gmax^2 >= 2^63 are they computed here, to raise OverflowError
+    where one passes int64."""
+    if s.mode != "exact":
+        raise QuotientError("exact s-matrix required")
+    n = s.n
+    Q, roots = unit_roots(s.q)
+    try:
+        T, M = root_columns(s)
+    except SpectraError as exc:
+        raise QuotientError(str(exc)) from exc
+    gens, mus = T.T, M[0].tolist()
+
+    elems, sizes, gen_index, prod, g = _semigroup(gens, mus, Q, cap)
+    dists = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    garr = _held(g, "lift scalars")
+    if int(garr.max()) ** 2 >= 2 ** 63:
+        for _ in _constant_slabs(prod, garr):
+            pass
 
     labels = [tuple(h) for h in elems.tolist()]
     lifted = PointedAlgebra(labels, prod=prod, scalars=garr)
@@ -406,9 +442,9 @@ def quotient_verify(L, R):
 
 
 def _monomial_rows(prod, g):
-    """The rows "p:mu p:mu ..." of a monomial product table with constants
-    mu = g(a) g(b) / g(ab), a slab of rows at a time.  With class tokens a
-    slab is one gather of them and mu is never formed; without, mu is
+    """The rows "p:mu p:mu ...\n" of a monomial product table with constants
+    mu = g(a) g(b) / g(ab), one str per slab of rows, each one gather of
+    fixed-width tokens.  With class tokens mu is never formed; without, mu is
     computed a slab at a time and each distinct (p, mu) cell of a slab is
     formatted once."""
     classes = _class_tokens(g)
@@ -417,34 +453,34 @@ def _monomial_rows(prod, g):
         for lo in range(0, len(prod), _SLAB):
             block = prod[lo:lo + _SLAB]
             # int64 offsets plus the narrow product indices: int64
-            text = tok[row[lo:lo + len(block), None] + col + block]
-            yield from (" ".join(r) for r in text.tolist())
+            yield _slab_text(tok, row[lo:lo + len(block), None] + col + block)
         return
     m = prod.shape[1]
-    heads = np.array(["%d:" % p for p in range(m)], dtype=object)
+    heads = _ascii("%d:" % p for p in range(m))
     for lo, mu in _constant_slabs(prod, g):
         block = prod[lo:lo + _SLAB]
         values, rank = np.unique(mu, return_inverse=True)
         # one key per (p, mu) cell, below _SLAB * m^2
         cells, at = np.unique(rank.reshape(block.shape) * m + block,
                               return_inverse=True)
-        tails = np.array([str(v) for v in values.tolist()], dtype=object)
-        text = heads[cells % m] + tails[cells // m]
-        yield from (" ".join(row) for row in text[at.reshape(-1, m)].tolist())
+        tails = _ascii(str(v) for v in values.tolist())
+        at = at.reshape(block.shape)
+        at[:, -1] += len(cells)
+        yield _slab_text(_terminated(np.strings.add(heads[cells % m],
+                                                    tails[cells // m])), at)
 
 
 def lift_lines(L):
-    """The lines of lift_to_text, each ending in a newline, produced as they
-    are formatted so that a writer never holds the whole text."""
+    """The text of lift_to_text in pieces, each ending in a newline (the
+    monomial table one slab of rows a piece), produced as they are formatted
+    so that a writer never holds the whole text."""
     alg = L.lifted
     if alg.m <= _DENSE_LIMIT:
-        yield "zbrng 1\n"
-        body = ring_blocks(alg.dense_tensor())
+        yield "zbrng 1\nn %d\n" % alg.m
+        yield from (ln + "\n" for ln in ring_blocks(alg.dense_tensor()))
     else:
-        yield "zbrng-monomial 1\n"
-        body = _monomial_rows(alg.prod, L.scalars)
-    yield "n %d\n" % alg.m
-    yield from (ln + "\n" for ln in body)
+        yield "zbrng-monomial 1\nn %d\n" % alg.m
+        yield from _monomial_rows(alg.prod, L.scalars)
     yield "distinguished " + " ".join(str(w) for w in L.distinguished) + "\n"
     dset = set(L.distinguished)
     rest = [w for w in range(alg.m) if w not in dset]

@@ -171,6 +171,20 @@ def test_lift_cap_outside_domain_exit2(cap, z3_file, capsys):
     assert code == 1 and "exceeds cap (1)" in err
 
 
+def test_monomial_lift_file_named_exit2(paley12_file, tmp_path, capsys):
+    # a lift past the dense limit is a monomial table, which no command
+    # reads: the message names it, not the Hadamard reader's first error
+    lift = tmp_path / "p12.lift"
+    code, _, _ = run(capsys, "lift", str(paley12_file), "-o", str(lift))
+    assert code == 0
+    assert lift.read_text().startswith("zbrng-monomial 1\n")
+    for argv in (["verify"], ["smatrix"], ["lift"], ["had", "ring"]):
+        code, out, err = run(capsys, *argv, str(lift))
+        assert code == 2 and out == ""
+        assert err == ("input error: %s: lift (pointed algebra) file; "
+                       "expected a ring, s-matrix or Hadamard file\n" % lift)
+
+
 def test_had_ring_parity(paley12_file, capsys):
     code, out, _ = run(capsys, "had", "ring", str(paley12_file),
                        "--check-parity")

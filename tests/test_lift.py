@@ -18,10 +18,12 @@ from zbrng.exact import CycArray, CycNum, power_table
 from zbrng.generators import gen_paley, group_ring_smatrix
 from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import (LiftPresentation, PointedAlgebra, QuotientError,
-                             _class_tokens, _index_dtype, fannsc_lift,
-                             lift_lines, lift_to_text, quotient_verify)
+                             _class_tokens, _index_dtype, _semigroup,
+                             fannsc_lift, lift_lines, lift_to_text,
+                             quotient_verify)
 from zbrng.rng_core import ring_blocks, ring_from_tensor
-from zbrng.spectra import SMatrix, smatrix_from_tensor, verlinde_tensor
+from zbrng.spectra import (SMatrix, root_columns, smatrix_from_tensor,
+                           unit_roots, verlinde_tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +374,50 @@ def test_lift_constants_past_int64():
         fannsc_lift(s)
 
 
-@pytest.mark.parametrize("scales", [(1, 2, -1), (1, 3, -2), (1, -1, 2),
-                                    (1, -2, 3)])
+# Z/3 column scales whose breadth-first scalars stay above the gcd over all
+# words
+RELAXATION_SCALES = [(1, 2, -1), (1, 3, -2), (1, -1, 2), (1, -2, 3)]
+
+
+@pytest.mark.parametrize("scales", RELAXATION_SCALES)
 def test_lift_gcd_relaxation_reaches_fixpoint(scales):
     # Z/3 with rescaled columns: g(h) from the breadth-first words alone
     # stays above the gcd over all words, and its scalar table is then not
     # integral; the fixpoint fails later, like the oracle
     s = transformed(group_ring_smatrix([3]), range(3), range(3), scales)
     assert outcome(fannsc_lift, s) == outcome(oracle_lift, s)
+
+
+def assert_fixpoint_certifies(s):
+    """At the gcd fixpoint g(prod[a, b]) divides g(a) g(b) for every cell,
+    in Python ints: every constant of the lift is an integer, also where
+    the lift fails later."""
+    T, M = root_columns(s)
+    _, _, _, prod, g = _semigroup(T.T, M[0].tolist(), unit_roots(s.q)[0],
+                                  4096)
+    g = np.array([int(x) for x in g.tolist()], dtype=object)
+    assert all(x >= 1 for x in g)
+    for lo in range(0, len(g), 128):
+        num = g[lo:lo + 128, None] * g[None, :]
+        assert not (num % g[prod[lo:lo + 128]]).any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(group_tables(), st.sampled_from(RELAXATION_SCALES).map(
+    lambda scales: transformed(group_ring_smatrix([3]), range(3), range(3),
+                               scales))))
+def test_gcd_fixpoint_certifies_on_rescaled_group_tables(s):
+    assert_fixpoint_certifies(s)
+
+
+@settings(max_examples=3, deadline=None)
+@given(st.data())
+def test_gcd_fixpoint_certifies_on_scrambled_paley12(paley12_smatrix, data):
+    rows = data.draw(st.permutations(range(12)))
+    cols = data.draw(st.permutations(range(12)))
+    signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=12,
+                               max_size=12))
+    assert_fixpoint_certifies(transformed(paley12_smatrix, rows, cols, signs))
 
 
 # ---------------------------------------------------------------------------
@@ -457,32 +495,40 @@ def test_class_tokens_match_quotients(g):
     if classes is None:
         return
     row, col, tok = classes
+    # fixed-width bytes, as wide as the longest token
+    assert tok.dtype.kind == "S"
+    assert tok.dtype.itemsize == max(len(t) for t in tok.tolist())
     for a in range(m):
         for b in range(m):
+            end = " " if b < m - 1 else "\n"
             for p in range(m):
                 x, y, z = int(g[a]), int(g[b]), int(g[p])
                 if x * y % z == 0:
-                    want = "%d:%d" % (p, x * y // z)
-                    assert tok[row[a] + col[b] + p] == want
+                    want = "%d:%d%s" % (p, x * y // z, end)
+                    assert tok[row[a] + col[b] + p] == want.encode()
 
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19]
 
 
-def xor_lift(scalar):
-    """A monomial lift on the (Z/2)^8 XOR table, m = 256, with scalars
-    g(h) = scalar(bits of h) and constants g(a) g(b) / g(a xor b)."""
-    h = np.arange(256)
-    bits = (h[:, None] >> np.arange(8)) & 1
-    g = np.array([scalar(b) for b in bits.tolist()], dtype=np.int64)
+def xor_lift(scalar, bits=8):
+    """A monomial lift on the (Z/2)^bits XOR table, m = 2^bits, with scalars
+    g(h) = scalar(bits of h) and constants g(a) g(b) / g(a xor b), formed
+    in Python ints."""
+    h = np.arange(2 ** bits)
+    b = (h[:, None] >> np.arange(bits)) & 1
+    g = np.array([scalar(r) for r in b.tolist()], dtype=np.int64)
     prod = h[:, None] ^ h
-    mu = g[:, None] * g // g[prod]
-    assert np.array_equal(mu * g[prod], g[:, None] * g)
-    lifted = PointedAlgebra([tuple(b) for b in bits.tolist()], prod=prod,
-                            mu=mu)
-    return LiftPresentation(lifted, bits.astype(np.int64),
-                            tuple(1 << i for i in range(8)), g,
-                            bits.sum(axis=1), 2)
+    go = g.astype(object)
+    num = go[:, None] * go
+    mu = num // go[prod]
+    assert (mu * go[prod] == num).all()
+    assert (mu >= 1).all() and (mu < 2 ** 63).all()
+    lifted = PointedAlgebra([tuple(r) for r in b.tolist()], prod=prod,
+                            mu=mu.astype(np.int64))
+    return LiftPresentation(lifted, b.astype(np.int64),
+                            tuple(1 << i for i in range(bits)), g,
+                            b.sum(axis=1), 2)
 
 
 @pytest.mark.parametrize("scalar, n_scalars", [
@@ -496,6 +542,25 @@ def test_monomial_writer_on_both_sides_of_class_bound(scalar, n_scalars):
     L = xor_lift(scalar)
     assert len(set(L.scalars.tolist())) == n_scalars
     assert (_class_tokens(L.scalars) is None) == (n_scalars > 8)
+    assert first_difference(lift_to_text(L), oracle_text(L)) is None
+
+
+@pytest.mark.parametrize("step, cap, n_scalars", [
+    # g(h) = 2^(62 - min(5 |h|, 31)): 8 scalars, class tokens
+    (5, 31, 8),
+    # g(h) = 2^(62 - 3 |h|): 11 scalars, ranked per slab
+    (3, 30, 11),
+])
+def test_monomial_writer_token_widths(step, cap, n_scalars):
+    # m = 1024: products of 1 to 4 digits; scalars 2^31 .. 2^62 and
+    # constants 2^(62 - d), d = f(a) + f(b) - f(a xor b) in 0 .. 2 cap for
+    # the subadditive f(h) = min(step |h|, cap), of 1 to 19 digits
+    L = xor_lift(lambda b: 2 ** (62 - min(step * sum(b), cap)), bits=10)
+    assert L.lifted.m == 1024 and L.scalars.max() == 2 ** 62
+    assert len(set(L.scalars.tolist())) == n_scalars
+    assert (_class_tokens(L.scalars) is None) == (n_scalars > 8)
+    digits = {len(str(x)) for x in np.unique(L.lifted.mu).tolist()}
+    assert min(digits) == 1 and max(digits) == 19
     assert first_difference(lift_to_text(L), oracle_text(L)) is None
 
 

@@ -34,6 +34,9 @@ the mean time per call.  The rows:
                                   s-matrix (m = 1024)
     lift_lines paley12, paley24   the lift text of Paley 12 and Paley 24
                                   (m = 1024, 2048), consumed line by line
+    lift -o paley12               cli.main(["lift", f, "-o", out]) on the
+                                  Paley 12 s-matrix file: read, lift,
+                                  format and write (m = 1024)
     inverse group 3 5             SMatrix.inverse of the Z/3 x Z/5 table
                                   (orthogonal rows, q = 15)
     inverse ext2 group 4 6        SMatrix.inverse of the exterior square of
@@ -106,6 +109,20 @@ def paley_lift(q):
             "L = fannsc_lift(s)" % q)
 
 
+# the Paley 12 s-matrix in a file, and a file to write its lift to; stdout
+# is the answer pipe of serve, so the "wrote" line goes to a sink
+LIFT_CLI = ("import atexit, contextlib, io, os, shutil, tempfile\n"
+            "from zbrng.cli import main\n"
+            "from zbrng.generators import gen_paley\n"
+            "from zbrng.hadamard import ring_from_hadamard\n"
+            "from zbrng.spectra import smatrix_from_tensor, smatrix_to_text\n"
+            "d = tempfile.mkdtemp()\n"
+            "atexit.register(shutil.rmtree, d)\n"
+            "f, out = os.path.join(d, 'p12.smat'), os.path.join(d, 'p12.lift')\n"
+            "with open(f, 'w') as fh:\n"
+            "    fh.write(smatrix_to_text(smatrix_from_tensor(\n"
+            "        ring_from_hadamard(gen_paley(11)))))")
+
 # row name: (set-up statement, timed statement, calls per repeat, repeats)
 ROWS = {
     "f2_algebra_check k=16": (
@@ -154,6 +171,10 @@ ROWS = {
     "fannsc_lift paley12": (paley_lift(11), "fannsc_lift(s)", 1, 15),
     "lift_lines paley12": (paley_lift(11), "deque(lift_lines(L), 0)", 1, 15),
     "lift_lines paley24": (paley_lift(23), "deque(lift_lines(L), 0)", 1, 5),
+    "lift -o paley12": (
+        LIFT_CLI,
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['lift', f, '-o', out]) == 0", 1, 15),
     "inverse group 3 5": (
         "from zbrng.generators import group_ring_smatrix\n"
         "s = group_ring_smatrix([3, 5])",
