@@ -190,9 +190,9 @@ def _ascii(texts):
 def _terminated(cells):
     """The tokens "cell " then "cell\n" of the cells, in one array as wide
     as the longest token: a row's last token is read from the second half."""
-    cells = cells.astype("S%d" % np.strings.str_len(cells).max())
-    return np.concatenate([np.strings.add(cells, b" "),
-                           np.strings.add(cells, b"\n")])
+    cells = cells.astype("S%d" % np.char.str_len(cells).max())
+    return np.concatenate([np.char.add(cells, b" "),
+                           np.char.add(cells, b"\n")])
 
 
 def _slab_text(tok, idx):
@@ -216,7 +216,7 @@ def _class_tokens(g):
     # a triple of classes that no cell has may floor; it is never read
     tails = _ascii(str(x * y // z) for x in G for y in G for z in G)
     heads = _ascii("%d:" % p for p in range(m))
-    cells = np.strings.add(heads, tails.reshape(nG * nG, nG)[:, cls]).ravel()
+    cells = np.char.add(heads, tails.reshape(nG * nG, nG)[:, cls]).ravel()
     col = cls * m
     col[-1] += len(cells)
     return cls * (nG * m), col, _terminated(cells)
@@ -466,7 +466,7 @@ def _monomial_rows(prod, g):
         tails = _ascii(str(v) for v in values.tolist())
         at = at.reshape(block.shape)
         at[:, -1] += len(cells)
-        yield _slab_text(_terminated(np.strings.add(heads[cells % m],
+        yield _slab_text(_terminated(np.char.add(heads[cells % m],
                                                     tails[cells // m])), at)
 
 

@@ -118,7 +118,8 @@ LIFT_CLI = ("import atexit, contextlib, io, os, shutil, tempfile\n"
             "from zbrng.spectra import smatrix_from_tensor, smatrix_to_text\n"
             "d = tempfile.mkdtemp()\n"
             "atexit.register(shutil.rmtree, d)\n"
-            "f, out = os.path.join(d, 'p12.smat'), os.path.join(d, 'p12.lift')\n"
+            "f = os.path.join(d, 'p12.smat')\n"
+            "out = os.path.join(d, 'p12.lift')\n"
             "with open(f, 'w') as fh:\n"
             "    fh.write(smatrix_to_text(smatrix_from_tensor(\n"
             "        ring_from_hadamard(gen_paley(11)))))")
