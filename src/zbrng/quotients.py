@@ -316,9 +316,9 @@ class LiftPresentation:
 
 def _semigroup(gens, mus, Q, cap):
     """The semigroup H generated by the rows of gens in (Z/Q)^n, with word
-    scalars mus: (elems, sizes, gen_index, prod, g) from _cayley, the product
-    table prod[a, b] = index(a + b) and the scalars g at the gcd fixpoint
-    (fannsc_lift), int64 or object."""
+    scalars mus: (elems, sizes, gen_index, prod, g), the first three as
+    _cayley returns them, the product table prod[a, b] = index(a + b) and
+    the scalars g at the gcd fixpoint (int64 or object; see fannsc_lift)."""
     elems, sizes, parent, via, gen_index, nbr = _cayley(gens, Q, cap)
     m = len(elems)
     bounds = np.cumsum([0] + sizes)
@@ -381,6 +381,7 @@ def fannsc_lift(s, cap=4096):
     elems, sizes, gen_index, prod, g = _semigroup(gens, mus, Q, cap)
     dists = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     garr = _held(g, "lift scalars")
+    # every constant is at most gmax^2: below 2^63 none can pass int64
     if int(garr.max()) ** 2 >= 2 ** 63:
         for _ in _constant_slabs(prod, garr):
             pass
