@@ -57,11 +57,6 @@ class PointedAlgebra:
                 self._mu[lo:lo + len(mu)] = mu
         return self._mu
 
-    def constant(self, i, j, t):
-        if self.tensor is not None:
-            return int(self.tensor[i, j, t])
-        return int(self.mu[i, j]) if int(self.prod[i, j]) == t else 0
-
     def dense_tensor(self):
         if self.tensor is not None:
             return self.tensor
@@ -300,13 +295,6 @@ class LiftPresentation:
         self.distances = distances
         self.group_order = group_order
 
-    def ideal_rows(self):
-        """(label, decomposition) for lifted basis elements outside the
-        distinguished set: the kernel generators w - sum mu_wi b_i."""
-        dset = set(self.distinguished)
-        return [(self.lifted.labels[w], self.embedding[w])
-                for w in range(self.lifted.m) if w not in dset]
-
     def label_str(self, w):
         exps = self.lifted.labels[w]
         if self.group_order == 2:
@@ -472,9 +460,13 @@ def _monomial_rows(prod, g):
 
 
 def lift_lines(L):
-    """The text of lift_to_text in pieces, each ending in a newline (the
-    monomial table one slab of rows a piece), produced as they are formatted
-    so that a writer never holds the whole text."""
+    """The text of a lift in pieces, each ending in a newline, produced as
+    they are formatted so that a writer never holds the whole text: the
+    lifted tensor in block format (no involution line, the lift carries
+    none), or, for lifts too large for dense text, the monomial product table
+    (index:scalar pairs, one slab of rows a piece); then the distinguished
+    preimages, and one ideal line per non-distinguished basis element giving
+    its decomposition over the target basis."""
     alg = L.lifted
     if alg.m <= _DENSE_LIMIT:
         yield "zbrng 1\nn %d\n" % alg.m
@@ -487,11 +479,3 @@ def lift_lines(L):
     rest = [w for w in range(alg.m) if w not in dset]
     for w, row in zip(rest, L.embedding[rest].tolist()):
         yield "w%s : %s\n" % (L.label_str(w), " ".join(map(str, row)))
-
-
-def lift_to_text(L):
-    """Lifted tensor in block format (no involution line, the lift carries
-    none), then one ideal line per non-distinguished basis element giving its
-    decomposition over the target basis.  Lifts too large for dense text get
-    the monomial product table (index:scalar pairs) instead."""
-    return "".join(lift_lines(L))

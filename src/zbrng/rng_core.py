@@ -1,5 +1,6 @@
 """Based rings from structure constants alone: identity and trace recovery,
-axiom verification, products, closed subsets, subring extraction.
+axiom verification, products, closed subsets, involution search, text
+format.
 
 Convention: b_i b_j = sum_m N[i,j,m] b_m with an integer tensor N, an
 involutive basis permutation tilde, and an identity e that in general only
@@ -13,8 +14,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .exact import (CycArray, CycNum, _maxabs, exact_int, int_dtype, primes,
-                    rref_mod)
+from .exact import (CycArray, CycNum, _maxabs, exact_int, format_cyc,
+                    int_dtype, primes, rref_mod)
 
 
 class RingError(ValueError):
@@ -59,10 +60,6 @@ class RingElement:
     def from_ints(cls, vec):
         return cls([CycNum.from_rat(int(v)) for v in vec])
 
-    @classmethod
-    def basis(cls, n, i):
-        return cls([1 if j == i else 0 for j in range(n)])
-
     def __len__(self):
         return len(self.coeffs)
 
@@ -80,7 +77,6 @@ class RingElement:
         return np.array(ints, dtype=int_dtype(bound))
 
     def __repr__(self):
-        from .exact import format_cyc
         return "RingElement([%s])" % ", ".join(format_cyc(c) for c in self.coeffs)
 
 
@@ -352,18 +348,6 @@ def search_involution(n, N):
     return None
 
 
-def tau_power_search(ring, i):
-    """Smallest m >= 1 with tau(b_i^m) != 0; search bounded by 2n+2."""
-    bound = 2 * ring.n + 2
-    b = RingElement.basis(ring.n, i)
-    power = b
-    for m in range(1, bound + 1):
-        if not trace_eval(ring, power).is_zero():
-            return m
-        power = multiply(ring, power, b)
-    raise RingError("bound exceeded")
-
-
 def is_closed_subset(ring, S):
     S = sorted(set(S))
     if not S or S[0] < 0 or S[-1] >= ring.n:
@@ -372,20 +356,6 @@ def is_closed_subset(ring, S):
     if not comp:
         return True
     return not np.any(ring.N[np.ix_(S, S, comp)])
-
-
-def subring_restrict(ring, S):
-    S = sorted(set(S))
-    if not is_closed_subset(ring, S):
-        raise RingError("S not closed")
-    sset = set(S)
-    if any(ring.tilde[i] not in sset for i in S):
-        raise RingError("S not tilde-stable")
-    pos = {b: a for a, b in enumerate(S)}
-    sub_n = len(S)
-    sub_N = ring.N[np.ix_(S, S, S)].copy()
-    sub_tilde = tuple(pos[ring.tilde[b]] for b in S)
-    return ring_from_tensor(sub_n, sub_N, sub_tilde)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """s-matrix computations: Verlinde structure constants, orthogonality,
-Fourier normalization, involution recovery, numeric diagonalization of a
-tensor, closed-subset read-off and heuristic search.
+involution recovery, numeric diagonalization of a tensor, closed-subset
+read-off and heuristic search, root-of-unity column classification.
 
 Columns of an s-matrix are the basis images under the splitting isomorphism,
 so the componentwise product of columns i and j decomposes over the columns
@@ -253,24 +253,6 @@ def row_orthogonality_check(s, tilde, tol=1e-9):
     return dev <= tol, dev
 
 
-def fourier_matrix(s, tol=1e-9):
-    """Rows scaled to unit hermitian norm by positive square roots; refuses
-    input whose rows are not mutually orthogonal."""
-    a = s.to_numeric()
-    g = a @ a.conj().T
-    norms = np.abs(np.diag(g))
-    if np.any(norms <= tol):
-        raise SpectraError("zero row")
-    scale = float(np.max(norms))
-    off = g - np.diag(np.diag(g))
-    if s.n > 1 and float(np.max(np.abs(off))) > tol * max(1.0, scale):
-        raise SpectraError("rows not orthogonal")
-    f = a / np.sqrt(norms)[:, None]
-    if float(np.max(np.abs(f @ f.conj().T - np.eye(s.n)))) > 1e-9:
-        raise SpectraError("normalization failed unitarity check")
-    return f
-
-
 def involution_from_smatrix(s, tol=1e-9):
     """The unique permutation with column ~i = conjugate of column i; the
     candidate must also give orthogonal rows, which rules out matrices that
@@ -385,9 +367,6 @@ class ClosedSubsetResult:
         self.sets = sets
         self.flags = flags
 
-    def __iter__(self):
-        return iter(self.sets)
-
 
 def _closed(s, inv, S, tol):
     """Whether N_ij^m = 0 for i, j in S and m outside S: the rows of
@@ -462,28 +441,6 @@ def subring_smatrix(s, S, tol=1e-8):
                            " expected %d" % (len(picked), len(S)))
     order = _row_order(s.to_numeric()[np.ix_(picked, S)])
     return SMatrix(s.array[np.ix_([picked[r] for r in order], S)])
-
-
-def mu_uniformity_check(s, tol=1e-8):
-    """Common |mu| when every column is mu_i times a root-of-unity vector."""
-    if s.mode == "exact":
-        mus = root_columns(s)[1][0].tolist()
-    else:
-        mus = []
-        a = np.abs(s.array)
-        scale = max(1.0, float(np.max(a)))
-        for i in range(s.n):
-            col = a[:, i]
-            mu = float(np.mean(col))
-            if np.max(np.abs(col - mu)) > tol * scale or mu <= tol:
-                raise SpectraError("column not of root-of-unity type")
-            mu_int = int(round(mu))
-            if abs(mu - mu_int) > tol * scale:
-                raise SpectraError("column not of root-of-unity type")
-            mus.append(mu_int)
-    if len(set(mus)) != 1:
-        raise SpectraError("moduli differ")
-    return mus[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ from zbrng.generators import gen_paley, group_ring_smatrix
 from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import (LiftPresentation, PointedAlgebra, QuotientError,
                              _class_tokens, _index_dtype, _semigroup,
-                             fannsc_lift, lift_lines, lift_to_text,
-                             quotient_verify)
+                             fannsc_lift, lift_lines, quotient_verify)
 from zbrng.rng_core import ring_blocks, ring_from_tensor
 from zbrng.spectra import (SMatrix, root_columns, smatrix_from_tensor,
                            unit_roots, verlinde_tensor)
@@ -218,7 +217,8 @@ def assert_same_lift(s):
     assert got.lifted.mu.dtype == np.int64
     assert got.distinguished == want.distinguished
     assert got.group_order == want.group_order
-    assert first_difference(lift_to_text(got), oracle_text(want)) is None
+    text = "".join(lift_lines(got))
+    assert first_difference(text, oracle_text(want)) is None
     if got.lifted.m <= 128:
         assert np.array_equal(got.lifted.dense_tensor(),
                               oracle_dense(want.lifted))
@@ -334,7 +334,7 @@ def test_lift_scalars_past_int64(c):
     assert L.scalars.tolist() == [c, c]
     assert L.lifted.mu.tolist() == [[c, c], [c, c]]
     assert L.lifted.prod.tolist() == [[0, 1], [1, 0]]
-    text = lift_to_text(L)
+    text = "".join(lift_lines(L))
     assert text == ("zbrng 1\nn 2\nN 0\n%d 0\n0 %d\nN 1\n0 %d\n%d 0\n"
                     "distinguished 0 1\n" % (c, c, c, c))
 
@@ -444,14 +444,15 @@ def test_lift_structure_exhaustive(q):
     assert L.lifted.m == {11: 1024, 23: 2048}[q]
     check_structure(L)
     if q == 11:
-        assert first_difference(lift_to_text(L), oracle_text(L)) is None
+        text = "".join(lift_lines(L))
+        assert first_difference(text, oracle_text(L)) is None
         assert quotient_verify(L, R)
 
 
 def test_lift_paley24_runtime():
     s = smatrix_from_tensor(ring_from_hadamard(gen_paley(23)))
     t0 = time.perf_counter()
-    text = lift_to_text(fannsc_lift(s))
+    text = "".join(lift_lines(fannsc_lift(s)))
     elapsed = time.perf_counter() - t0
     assert text.startswith("zbrng-monomial 1\nn 2048\n")
     assert elapsed < 2.0, elapsed
@@ -542,7 +543,8 @@ def test_monomial_writer_on_both_sides_of_class_bound(scalar, n_scalars):
     L = xor_lift(scalar)
     assert len(set(L.scalars.tolist())) == n_scalars
     assert (_class_tokens(L.scalars) is None) == (n_scalars > 8)
-    assert first_difference(lift_to_text(L), oracle_text(L)) is None
+    text = "".join(lift_lines(L))
+    assert first_difference(text, oracle_text(L)) is None
 
 
 @pytest.mark.parametrize("step, cap, n_scalars", [
@@ -561,7 +563,8 @@ def test_monomial_writer_token_widths(step, cap, n_scalars):
     assert (_class_tokens(L.scalars) is None) == (n_scalars > 8)
     digits = {len(str(x)) for x in np.unique(L.lifted.mu).tolist()}
     assert min(digits) == 1 and max(digits) == 19
-    assert first_difference(lift_to_text(L), oracle_text(L)) is None
+    text = "".join(lift_lines(L))
+    assert first_difference(text, oracle_text(L)) is None
 
 
 def test_dense_tensor_matches_loop():

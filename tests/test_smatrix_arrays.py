@@ -1,7 +1,7 @@
 """The coefficient-array s-matrix (no stored CycNum rows) against the CycNum
 constructions it replaced: group character tables, exact exterior squares,
-the exact subring read-off, the per-entry mu check and the lift's column
-classifier; text, order q and interned ids must agree exactly."""
+the exact subring read-off and the lift's column classifier; text, order q
+and interned ids must agree exactly."""
 
 import time
 from math import isqrt, lcm, prod
@@ -14,8 +14,7 @@ from zbrng.cli import main
 from zbrng.exact import CycArray, CycNum, ExactError, format_cyc, power_table
 from zbrng.generators import exterior_square, group_ring_smatrix
 from zbrng.spectra import (SMatrix, SpectraError, closed_subset_heuristic,
-                           mu_uniformity_check, root_columns, smatrix_to_text,
-                           subring_smatrix)
+                           root_columns, smatrix_to_text, subring_smatrix)
 
 
 # ---------------------------------------------------------------------------
@@ -88,20 +87,6 @@ def oracle_subring(rows, S):
     return oracle_text(oracle_rows(sub)[1])
 
 
-def oracle_mu(rows):
-    """mu_uniformity_check on CycNum entries: the common mu or the error."""
-    mus = []
-    for i in range(len(rows)):
-        col_mu = None
-        for r in rows:
-            f = r[i].root_of_unity_factor()
-            if f is None or col_mu not in (None, f[0]):
-                return "column not of root-of-unity type"
-            col_mu = f[0]
-        mus.append(col_mu)
-    return mus[0] if len(set(mus)) == 1 else "moduli differ"
-
-
 def oracle_columns(q, rows):
     """The lift's old column classifier: (T, mus) with rows[l][i] =
     mus[i] * zeta_Q^T[l, i], or its error."""
@@ -158,7 +143,6 @@ def assert_same_classifier(s, rows):
         T, M = got
         assert np.array_equal(T, want[0]) and M[0].tolist() == want[1]
         assert all(type(mu) is int for mu in M.ravel())
-    assert outcome(mu_uniformity_check, s) == oracle_mu(rows)
 
 
 def assert_same_subrings(s, rows):

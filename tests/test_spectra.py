@@ -15,8 +15,7 @@ from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import fannsc_lift
 from zbrng.rng_core import FormatError, is_closed_subset
 from zbrng.spectra import (SMatrix, SpectraError, _closed, _distinct_rows,
-                           closed_subset_heuristic, fourier_matrix,
-                           involution_from_smatrix, mu_uniformity_check,
+                           closed_subset_heuristic, involution_from_smatrix,
                            row_orthogonality_check, smatrix_from_tensor,
                            smatrix_from_text, smatrix_to_text,
                            subring_smatrix, verlinde_tensor)
@@ -134,15 +133,6 @@ def test_row_orthogonality(paley12):
     assert not bad
 
 
-def test_fourier_matrix():
-    f = fourier_matrix(group_ring_smatrix([4]))
-    assert np.allclose(f @ f.conj().T, np.eye(4), atol=1e-12)
-    with pytest.raises(SpectraError, match="not orthogonal"):
-        fourier_matrix(SMatrix.numeric(MONOID))
-    with pytest.raises(SpectraError, match="zero row"):
-        fourier_matrix(SMatrix.numeric(np.array([[0.0, 0.0], [1.0, 1.0]])))
-
-
 def test_involution_group_ring():
     tilde = involution_from_smatrix(group_ring_smatrix([5]))
     assert tilde == (0, 4, 3, 2, 1)
@@ -210,27 +200,6 @@ def test_subring_smatrix_hadamard_pair(paley12_ring):
     vals = sorted(tuple(int(e.rational_value()) for e in row)
                   for row in sub.rows)
     assert vals == [(3, -3), (3, 3)]
-
-
-def test_mu_uniformity():
-    assert mu_uniformity_check(group_ring_smatrix([3])) == 1
-    assert mu_uniformity_check(
-        smatrix_from_tensor(ring_from_hadamard(gen_paley(11)))) == 3
-    with pytest.raises(SpectraError):
-        mu_uniformity_check(fixture_ds3())
-
-
-def test_mu_uniformity_numeric():
-    a = group_ring_smatrix([2, 3]).to_numeric()
-    assert mu_uniformity_check(SMatrix.numeric(a)) == 1
-    assert mu_uniformity_check(SMatrix.numeric(3 * a)) == 3
-    for bad in (kac_peterson_a1(20), SMatrix.numeric(1.5 * a)):
-        with pytest.raises(SpectraError,
-                           match="column not of root-of-unity type"):
-            mu_uniformity_check(bad)
-    a[:, 0] *= 2
-    with pytest.raises(SpectraError, match="moduli differ"):
-        mu_uniformity_check(SMatrix.numeric(a))
 
 
 def test_text_roundtrip_exact():
