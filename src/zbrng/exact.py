@@ -10,7 +10,7 @@ denominator; its products and certified inverse are computed modulo primes.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, cos, sin, pi, isqrt
+from math import gcd, lcm, cos, sin, pi, isqrt, prod
 
 import numpy as np
 
@@ -443,7 +443,7 @@ def rref_mod(A, p):
     pivot only the rows with a nonzero entry in its column are updated, and
     only from that column on (the pivot row is zero before it).  Entries
     stay residues below p and each update subtracts one product below p^2,
-    so int64 is exact for p < 2^31."""
+    so int64 is exact for every p that primes() yields."""
     R = np.array(A, dtype=np.int64) % p
     pivots = []
     for c in range(R.shape[1]):
@@ -580,22 +580,20 @@ class CycArray:
                       reduce=False)
 
     def _product(self, other, op, terms):
-        """np.multiply or np.matmul (summing terms products) root by root on
-        images mod primes p = 1 (mod q), max(phi, terms) * p^2 < 2^63, until
-        the modulus passes twice the coefficient bound; it sets the dtype."""
+        """op(a, b, p) (matmul_mod summing terms products, or one product)
+        root by root on the images mod primes(q, max(phi, terms)), until the
+        modulus passes twice the coefficient bound; it sets the dtype."""
         if other.q != self.q:
             raise ExactError("order mismatch")
         phi = self.num.shape[-1]
         bound = (terms * phi * _maxabs(self.num) * _maxabs(other.num)
                  * (2 * phi - 1) * _maxabs(power_table(self.q)[:2 * phi - 1]))
         residues, modulus = None, 1
-        for p in primes(self.q, (63 - max(phi, terms).bit_length()) // 2):
+        for p in primes(self.q, max(phi, terms)):
             V, Vi = _nodes(self.q, p)
-            y = op(*(_apply_mod(V, (x.num % p).astype(np.int64, copy=False), p)
-                     for x in (self, other)))
-            y %= p
-            y = _apply_mod(Vi, np.moveaxis(y, 0, -1), p)
-            residues, modulus = _crt(residues, modulus, y, p)
+            y = op(*(_images(V, x.num, p) for x in (self, other)), p)
+            y = matmul_mod(Vi, y.reshape(phi, -1), p).reshape(y.shape)
+            residues, modulus = _crt(residues, modulus, y.astype(np.int64), p)
             if modulus > 2 * bound:
                 break
         else:
@@ -606,7 +604,7 @@ class CycArray:
 
     def __mul__(self, other):
         """Entrywise product, broadcasting leading axes of equal count."""
-        return self._product(other, np.multiply, 1)
+        return self._product(other, lambda a, b, p: floor_mod(a * b, p), 1)
 
     def __sub__(self, other):
         """Entrywise difference of two arrays over one order and one
@@ -619,7 +617,7 @@ class CycArray:
 
     def __matmul__(self, other):
         """Matrix product of two 2-d arrays."""
-        return self._product(other, np.matmul, self.num.shape[1])
+        return self._product(other, matmul_mod, self.num.shape[1])
 
     def is_nonzero(self):
         return np.any(self.num != 0, axis=-1)
@@ -665,28 +663,23 @@ class CycArray:
 
     def inverse(self):
         """Exact inverse of a square matrix by modular images (Dixon, Numer.
-        Math. 1982): for primes p = 1 (mod q) with phi * p^2 < 2^63, the
-        images at the phi(q) primitive q-th roots of unity of GF(p) are
-        inverted and interpolated back; the primes are combined by CRT, the
-        rationals recovered by reconstruction, and the result is returned
-        only once certify_inverse holds.  Raises ExactError("singular
-        matrix") once more primes were singular than can divide the norm of
-        det, a nonzero integer bounded by Hadamard's inequality."""
+        Math. 1982): for the primes(q, 1), the images at the phi(q) primitive
+        q-th roots of unity of GF(p) are inverted and interpolated back,
+        combined by CRT and reconstructed, and returned once certify_inverse
+        holds.  Each of the k images singular mod p is a prime ideal of norm
+        p dividing det, so p^k divides N(det), a nonzero integer of size at
+        most h2^(phi/2) (Hadamard) when det != 0: ExactError("singular
+        matrix") once the product of those p^k passes that."""
         num = self.num
         phi = num.shape[-1]
-        # |N(det)|^2 <= h2^phi, and each prime used exceeds 2^(bits - 1)
-        h2 = 1
-        for row in np.abs(num.astype(object)).sum(axis=-1).tolist():
-            h2 *= sum(x * x for x in row)
-        bits = (63 - phi.bit_length()) // 2
-        max_singular = phi * h2.bit_length() // (2 * bits - 2)
-        singular = used = 0
-        residues, modulus = None, 1
-        for p in primes(self.q, bits):
-            y = _inverse_mod(num, self.q, p)
-            if y is None:
-                singular += 1
-                if singular > max_singular:
+        h2 = prod(sum(x * x for x in row) for row in
+                  np.abs(num.astype(object)).sum(axis=-1).tolist())
+        failed, used, residues, modulus = 1, 0, None, 1
+        for p in primes(self.q, 1):
+            y, singular = _inverse_mod(num, self.q, p)
+            if singular:
+                failed *= p ** singular
+                if failed ** 2 > h2 ** phi:
                     raise ExactError("singular matrix")
                 continue
             residues, modulus = _crt(residues, modulus, y, p)
@@ -699,6 +692,7 @@ class CycArray:
                 inv = CycArray(self.q, _fit(found[0] * self.den), found[1])
                 if certify_inverse(self, inv):
                     return inv
+        raise ExactError("coefficients too large")
 
 
 def certify_inverse(a, b):
@@ -711,7 +705,6 @@ def certify_inverse(a, b):
             and not np.any(num[..., 0][~eye] != 0))
 
 
-@lru_cache(maxsize=4096)
 def is_prime(m):
     """Deterministic Miller-Rabin for m < 3,215,031,751."""
     bases = (2, 3, 5, 7)
@@ -737,15 +730,37 @@ def is_prime(m):
     return True
 
 
-def primes(q, bits):
-    """Primes p = 1 (mod q) between 2^(bits-1) and 2^bits, largest first;
-    bits <= 31 keeps them within the range is_prime decides."""
+def primes(q, terms):
+    """Primes p = 1 (mod q) with terms * (p - 1)^2 < 2^53, largest first,
+    the prime-size rule of every modular kernel: a float64 sum of terms
+    products of residues below p is then exact (matmul_mod)."""
     step = lcm(q, 2)
-    p = (2 ** bits - 2) // step * step + 1
-    while p > 2 ** (bits - 1):
-        if is_prime(p):
-            yield p
-        p -= step
+    p = isqrt((2 ** 53 - 1) // terms) // step * step + 1
+    for top in range(p, 2, -64 * step):
+        yield from _primes_among(top, step)
+
+
+@lru_cache(maxsize=4096)
+def _primes_among(top, step):
+    """The primes among 64 candidates top, top - step, ... above 2."""
+    return tuple(filter(is_prime, range(top, max(top - 64 * step, 2), -step)))
+
+
+def floor_mod(d, p):
+    """d mod p in place, as d - p floor(d / p), for float32 or float64
+    integers below 2^24 or 2^53 in size: d / p is then an integer or at
+    least 1/p, over half an ulp, from one, so every step is exact."""
+    q = d / p
+    d -= np.multiply(np.floor(q, out=q), p, out=q)
+    return d
+
+
+def matmul_mod(A, B, p):
+    """A @ B mod p for arrays of residues below p, one of them float64: one
+    BLAS product, exact while A.shape[-1] (p - 1)^2 < 2^53, and floor_mod."""
+    if A.shape[-1] * (p - 1) ** 2 >= 2 ** 53:
+        raise ValueError("modulus too large: terms * (p - 1)^2 >= 2^53")
+    return floor_mod(A @ B, p)
 
 
 @lru_cache(maxsize=16)
@@ -753,7 +768,7 @@ def _nodes(q, p):
     """Evaluation matrix V (V[t, e] = w_t^e for the primitive q-th roots
     w_t of unity in GF(p), in order of exponent) and its inverse mod p,
     whose column t is the Lagrange polynomial Phi_q(x) / ((x - w_t)
-    Phi_q'(w_t))."""
+    Phi_q'(w_t)); both float64, for matmul_mod."""
     poly = cyclotomic_poly(q)
     phi = len(poly) - 1
     exps = (p - 1) // q
@@ -761,33 +776,33 @@ def _nodes(q, p):
         w = pow(a, exps, p)
         if all(pow(w, q // r, p) != 1 for r in _prime_factors(q)):
             break
-    roots = np.array([pow(w, t, p) for t in range(q) if gcd(t, q) == 1],
-                     dtype=np.int64)
-    V = np.ones((phi, phi), dtype=np.int64)
-    for e in range(1, phi):
-        V[:, e] = V[:, e - 1] * roots % p
-    # synthetic division of Phi_q by x - w_t for every t at once
+    powers = np.array([pow(w, j, p) for j in range(q)], dtype=np.int64)
+    units = np.array([t for t in range(q) if gcd(t, q) == 1])
+    V = powers[np.outer(units, np.arange(phi)) % q]
+    # synthetic division of Phi_q by x - w_t for every t at once; the
+    # derivative Phi_q'(w_t) sums phi < 2^10 products below 2^53 in int64
     quot = np.zeros((phi, phi), dtype=np.int64)
     quot[:, phi - 1] = 1
     for k in range(phi - 1, 0, -1):
-        quot[:, k - 1] = (poly[k] + roots * quot[:, k]) % p
-    deriv = np.zeros(phi, dtype=np.int64)
-    for k in range(phi):
-        deriv = (deriv + quot[:, k] * V[:, k]) % p
-    scale = np.array([pow(int(x), -1, p) for x in deriv], dtype=np.int64)
-    Vi = np.ascontiguousarray((quot * scale[:, None] % p).T)
+        quot[:, k - 1] = (poly[k] + powers[units] * quot[:, k]) % p
+    scale = [pow(int(x), -1, p) for x in (quot * V).sum(axis=1) % p]
+    Vi = np.ascontiguousarray((quot * np.array(scale)[:, None] % p).T)
+    V, Vi = V.astype(np.float64), Vi.astype(np.float64)
     V.flags.writeable = Vi.flags.writeable = False
     return V, Vi
 
 
-def _apply_mod(V, A, p):
-    """out[t] = sum_e V[t, e] A[..., e] mod p, for int64 residues below p:
-    one int64 product, exact while V.shape[1] * p^2 < 2^63."""
-    if V.shape[1] * p * p >= 2 ** 63:
-        raise ValueError("modulus too large: phi * p^2 >= 2^63")
-    out = np.tensordot(V, A, axes=(1, A.ndim - 1))
-    out %= p
-    return out
+def _images(V, num, p):
+    """The images mod p of an integer coefficient array num (..., phi) at
+    the roots of V, root axis first: out[t] = sum_e V[t, e] num[..., e],
+    one matmul_mod per slice of e as long as p allows, the slices summed."""
+    flat = (num % p).astype(np.float64).reshape(-1, num.shape[-1]).T
+    k = (2 ** 53 - 1) // (p - 1) ** 2
+    out = matmul_mod(V[:, :k], flat[:k], p)
+    for e in range(k, len(flat), k):
+        out += matmul_mod(V[:, e:e + k], flat[e:e + k], p)
+    out = floor_mod(out, p) if k < len(flat) else out
+    return out.reshape((-1,) + num.shape[:-1])
 
 
 def _crt(x, modulus, y, p):
@@ -796,29 +811,26 @@ def _crt(x, modulus, y, p):
     if x is None:
         return y, p
     x = x.astype(int_dtype(modulus * p), copy=False)
-    t = x % p
-    np.subtract(y, t, out=t)
-    t *= pow(modulus, -1, p)
-    t %= p
-    t *= modulus
-    x += t
+    x += (y - x % p) * pow(modulus, -1, p) % p * modulus
     return x, modulus * p
 
 
 def _inverse_mod(num, q, p):
-    """Coefficients mod p of the inverse of the integer coefficient matrix
-    num (n, n, phi(q)), or None when an image at a root of unity is
-    singular mod p: rref_mod of [A_t | I] for each image A_t, which is
-    singular exactly when the pivots are not the columns 0 .. n-1."""
+    """(y, k): the coefficients y mod p of the inverse of the integer
+    coefficient matrix num (n, n, phi(q)), or y = None when k > 0 of its
+    images at the roots of unity are singular mod p: rref_mod of [A_t | I]
+    for each image A_t, singular exactly when the pivots are not 0..n-1."""
     V, Vi = _nodes(q, p)
     n = num.shape[0]
     images = []
-    for A in _apply_mod(V, (num % p).astype(np.int64), p):
+    for A in _images(V, num, p).astype(np.int64):
         R, pivots = rref_mod(np.hstack([A, np.eye(n, dtype=np.int64)]), p)
-        if pivots != list(range(n)):
-            return None
-        images.append(R[:, n:])
-    return np.moveaxis(_apply_mod(Vi, np.stack(images, axis=-1), p), 0, -1)
+        images.append(R[:, n:] if pivots == list(range(n)) else None)
+    singular = sum(x is None for x in images)
+    if singular:
+        return None, singular
+    y = _images(Vi, np.stack(images, axis=-1), p)
+    return np.moveaxis(y, 0, -1).astype(np.int64), 0
 
 
 def _reconstruct(x, modulus):

@@ -10,7 +10,8 @@ from math import comb
 
 import numpy as np
 
-from .exact import _maxabs, int_dtype, kernel_mod, primes, row_keys, rref_mod
+from .exact import (_maxabs, int_dtype, kernel_mod, matmul_mod, primes,
+                    row_keys, rref_mod)
 from .rng_core import (MAX_RING, FormatError, assoc_witness,
                        is_closed_subset, ring_from_tensor)
 
@@ -254,13 +255,11 @@ def hadamard_type(ring):
 
 def split_pm(N, k, p):
     """Common-eigenspace splitting over GF(p) of the commuting matrices
-    M_i = N_i^T with eigenvalues +-k, for an odd prime p not dividing k.
-    Returns the sign rows (+1 where the character is k, -1 where it is -k
-    mod p), sorted.  Values are residues below p and every product sums at
-    most n terms below p^2, so n * p^2 < 2^63 keeps int64 exact."""
-    n = N.shape[0]
-    kp = k % p
-    spaces = [np.eye(n, dtype=np.int64)]     # one basis vector per row
+    M_i = N_i^T with eigenvalues +-k, for an odd prime p not dividing k and
+    at most the primes(1, n) (matmul_mod sums n terms).  Returns the sign
+    rows (+1 where the character is k, -1 where it is -k mod p), sorted."""
+    n, kp = N.shape[0], k % p
+    spaces = [np.eye(n)]                    # one basis vector per row
     for i in range(n):
         if all(len(B) == 1 for B in spaces):
             break
@@ -270,11 +269,11 @@ def split_pm(N, k, p):
             if len(B) == 1:
                 nxt.append(B)
                 continue
-            img = B @ Ni % p                    # row r: M_i applied to B[r]
+            img = matmul_mod(B, Ni, p)          # row r: M_i applied to B[r]
             kers = [kernel_mod((img - e * B).T, p) for e in (kp, p - kp)]
             if sum(map(len, kers)) != len(B):
                 raise HadamardError("non-+-k eigenvalue at basis %d" % i)
-            nxt += [K @ B % p for K in kers if len(K)]
+            nxt += [matmul_mod(K, B, p) for K in kers if len(K)]
         spaces = nxt
     if any(len(B) != 1 for B in spaces):
         raise HadamardError("splitting stalls")
@@ -283,7 +282,8 @@ def split_pm(N, k, p):
     # (M_i v)_c / v_c = sum_j N_ijc v_j / v_c
     V = np.concatenate(spaces)
     c = (V != 0).argmax(axis=1)
-    chi = np.array([(N[:, :, cr] % p) @ v for v, cr in zip(V, c)]) % p
+    chi = np.array([matmul_mod(N[:, :, cr] % p, v, p)
+                    for v, cr in zip(V, c)], dtype=np.int64)
     inv = [pow(int(x), -1, p) for x in V[np.arange(n), c]]
     chi = chi * np.array(inv, dtype=np.int64)[:, None] % p
     signs = (chi == kp).astype(np.int64) - (chi == p - kp)
@@ -308,19 +308,13 @@ def _is_character_table(N, k, signs):
 
 def character_signs(ring):
     """(k, signs) for a ring of Hadamard type: its characters are the rows
-    of k * signs, sorted.  split_pm runs at primes p not dividing 2k with
-    n * p^2 < 2^63, and a result is returned only when the integer check
-    _is_character_table holds.  A prime that does not divide det(s / k), a
-    nonzero integer of absolute value at most n^(n/2) (Hadamard's
-    inequality), splits a genuine character table s; so failure is reported
-    only after more primes failed than can divide it."""
+    of k * signs, sorted.  split_pm runs at the primes(1, n) not dividing
+    k, until _is_character_table holds.  A prime not dividing det(s / k),
+    nonzero and at most n^(n/2) (Hadamard), splits a character table; so
+    failure is reported once the failed primes multiply past that."""
     k = hadamard_type(ring)
-    N, n = ring.N, ring.n
-    bits = (63 - n.bit_length()) // 2        # n * p^2 < 2^63 for p < 2^bits
-    # c failed primes above 2^(bits-1) dividing det: 2^(2 c (bits-1)) < n^n
-    max_failed = (n ** n).bit_length() // (2 * (bits - 1))
-    failed = 0
-    for p in primes(1, bits):
+    N, n, failed = ring.N, ring.n, 1
+    for p in primes(1, n):
         if k % p == 0:
             continue
         try:
@@ -329,8 +323,8 @@ def character_signs(ring):
                 return k, signs
             raise HadamardError("rows fail the integer character check")
         except HadamardError:
-            failed += 1
-            if failed > max_failed:
+            failed *= p
+            if failed ** 2 > n ** n:
                 raise
 
 

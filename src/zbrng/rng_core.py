@@ -14,8 +14,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .exact import (CycArray, CycNum, _maxabs, exact_int, format_cyc,
-                    int_dtype, primes, rref_mod)
+from .exact import (CycArray, CycNum, _maxabs, exact_int, floor_mod,
+                    format_cyc, int_dtype, primes, rref_mod)
 
 
 class RingError(ValueError):
@@ -123,32 +123,32 @@ def identity_coefficients(ring):
     """Solve (sum_i e_i b_i) b_j = b_j for all j: the n^2 linear conditions
     A e = b with A[(j, m), i] = N_ijm and b = vec(I).
 
-    The rows of [A|b] independent mod a prime p < 2^31 (the pivots of
-    rref_mod on [A|b]^T) are independent over Q.  When A has full rank mod
-    p, so has A over Q: with n + 1 such rows [A|b] has rank n + 1 and there
-    is no identity; with n, the certified inverse (CycArray.inverse) of
-    those rows gives the only candidate, which is certified against all n^2
-    equations over Z.  Otherwise more primes are tried.  A prime fails only
-    by dividing a nonzero minor of [A|b]; by Hadamard's inequality, with
-    column norms at most n max|N_i| and n, that minor is below 2^bits, so at
-    most bits // 30 primes above 2^30 divide it.  After that many failures
-    the largest pivot set spans the row space of [A|b] over Q and the
-    largest rank mod p is the rank of A over Q, so the system is
-    inconsistent exactly when the first exceeds the second."""
+    The rows of [A|b] independent mod a prime p (the pivots of rref_mod on
+    [A|b]^T) are independent over Q.  When A has full rank mod p, so has A
+    over Q: with n + 1 such rows [A|b] has rank n + 1 and there is no
+    identity; with n, the certified inverse (CycArray.inverse) of those rows
+    gives the only candidate, which is certified against all n^2 equations
+    over Z.  Otherwise more primes are tried.  A prime fails only by
+    dividing a nonzero minor of [A|b], below 2^bits by Hadamard's
+    inequality (column norms at most n max|N_i| and n); once the failed
+    primes multiply past 2^bits, the largest pivot set spans the row space
+    of [A|b] over Q and the largest rank mod p is the rank of A over Q, so
+    the system is inconsistent exactly when the first exceeds the second."""
     n, N = ring.n, ring.N
     A = N.reshape(n, n * n).T                       # row (j, m), column i
     b = np.eye(n, dtype=np.int64).reshape(n * n)
     Ab = np.column_stack([A, b])
     big = [_maxabs(Ni) for Ni in N]
     bits = sum((n * x).bit_length() for x in big) + n.bit_length()
-    span = rank = 0
-    for tried, p in enumerate(primes(1, 31), 1):
+    span, rank, failed = 0, 0, 1
+    for p in primes(1, 1):
         piv = rref_mod(Ab.T, p)[1]
         r = len(rref_mod(A[piv], p)[1])
         if r == n:
             break
         span, rank = max(span, len(piv)), max(rank, r)
-        if tried > bits // 30:
+        failed *= p
+        if failed > 2 ** bits:
             raise RingError("no identity in R(x)C" if span > rank
                             else "identity not unique")
     if len(piv) > n:
@@ -213,9 +213,9 @@ def assoc_witness(N, modulus):
     2^53; every partial sum is then an integer the dtype holds exactly, and
     a nonzero difference of two such sums cannot round to 0.  From 2^53 on
     (no modulus) the difference, at most 2 max|N|^2 n in size, is zero
-    exactly when it is zero modulo each of a few primes p with n p^2 < 2^53
-    whose product exceeds that size; each prime is one float64 pass, and
-    the witness is the first index nonzero modulo any of them."""
+    exactly when it is zero modulo the first primes(1, n), whose product
+    exceeds it: one float64 pass each, the witness the first index nonzero
+    modulo any of them."""
     N = np.asarray(N, dtype=np.int64)
     if modulus is not None:
         N = N % modulus
@@ -228,11 +228,10 @@ def assoc_witness(N, modulus):
     if modulus is not None:
         raise ValueError("modulus too large: (modulus-1)^2 * n >= 2^53")
     best, product = None, 1
-    for p in primes(1, (53 - n.bit_length()) // 2):
+    for p in primes(1, n):
         stop = n if best is None else best[0] + 1
         w = _assoc_scan((N % p).astype(np.float64), p, stop)
-        if w is not None and (best is None or w < best):
-            best = w
+        best = min((x for x in (best, w) if x is not None), default=None)
         product *= p
         if product > 2 * bound:
             return best
@@ -254,14 +253,8 @@ def _assoc_scan(A, modulus, stop):
         Tk = T[lo:]
         diff = np.matmul(A[i], Tk)                      # diff[k - lo, j, l]
         diff -= (Tk.reshape(-1, n) @ A[i]).reshape(Tk.shape)
-        if modulus is not None:
-            # only zero matters; both sums lie in [0, 2^mantissa), so d / p
-            # is an integer or at least 1/p from one, more than half an ulp:
-            # the floor is exact, and so is d - p floor(d / p)
-            q = diff / modulus
-            np.floor(q, out=q)
-            q *= modulus
-            diff -= q
+        if modulus is not None:     # sums in [0, 2^mantissa): exact
+            floor_mod(diff, modulus)
         if diff.any():
             bad = np.flatnonzero(diff.transpose(1, 0, 2))[0]
             j, k, l = np.unravel_index(bad, (n, n - lo, n))

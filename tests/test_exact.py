@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import zbrng.exact as exact
 from zbrng.exact import (CycArray, CycNum, ExactError, cyclotomic_poly,
                          format_cyc, int_dtype, kernel_mod, mat_inverse,
-                         parse_cyc, power_table, primes, rref_mod)
-from zbrng.rng_core import FusionRing, identity_coefficients
+                         matmul_mod, parse_cyc, power_table, primes, rref_mod)
+from zbrng.rng_core import FusionRing, _assoc_scan, identity_coefficients
 
 
 @pytest.mark.parametrize("q,coeffs", [
@@ -210,13 +210,15 @@ def batched_gauss_jordan(A, p):
 
 
 def oracle_inverse_mod(num, q, p):
-    V, Vi = exact._nodes(q, p)
-    images = batched_gauss_jordan(
-        exact._apply_mod(V, (num % p).astype(np.int64), p), p)
+    """_inverse_mod with both root-of-unity transforms in Python ints and
+    batched_gauss_jordan for the images."""
+    V, Vi = (x.astype(np.int64).astype(object) for x in exact._nodes(q, p))
+    images = np.tensordot(V, num.astype(object), axes=(1, 2)) % p
+    images = batched_gauss_jordan(images.astype(np.int64), p)
     if images is None:
         return None
-    return np.moveaxis(exact._apply_mod(Vi, np.moveaxis(images, 0, -1), p),
-                       0, -1)
+    coeffs = np.tensordot(Vi, images.astype(object), axes=(1, 0)) % p
+    return np.moveaxis(coeffs, 0, -1).astype(np.int64)
 
 
 @st.composite
@@ -258,17 +260,17 @@ def test_rref_mod_zero_and_rank_deficient():
 @pytest.mark.parametrize("q", [1, 3, 4, 8])
 def test_inverse_mod_matches_batched_gauss_jordan(q):
     phi = len(cyclotomic_poly(q)) - 1
-    p = next(primes(q, (63 - phi.bit_length()) // 2))
+    p = next(primes(q, 1))
     rng = np.random.default_rng(q)
     for n in (1, 2, 5):
         num = rng.integers(-50, 51, size=(n, n, phi))
-        got = exact._inverse_mod(num, q, p)
-        assert got is not None
+        got, singular = exact._inverse_mod(num, q, p)
+        assert singular == 0
         assert np.array_equal(got, oracle_inverse_mod(num, q, p))
     # singular at every root: two equal rows
     num = rng.integers(-5, 6, size=(3, 3, phi))
     num[1] = num[0]
-    assert exact._inverse_mod(num, q, p) is None
+    assert exact._inverse_mod(num, q, p) == (None, phi)
     assert oracle_inverse_mod(num, q, p) is None
 
 
@@ -277,16 +279,17 @@ def test_inverse_mod_singular_at_one_root(q):
     # diag(zeta - w_0, 1) with w_0 the first primitive root mod p: its image
     # vanishes at w_0 only, and one singular image makes the prime fail
     phi = len(cyclotomic_poly(q)) - 1
-    p = next(primes(q, (63 - phi.bit_length()) // 2))
+    p = next(primes(q, 1))
     w0 = int(exact._nodes(q, p)[0][0, 1])
     num = np.zeros((2, 2, phi), dtype=np.int64)
     num[0, 0, :2] = (-w0, 1)
     num[1, 1, 0] = 1
-    assert exact._inverse_mod(num, q, p) is None
+    assert exact._inverse_mod(num, q, p) == (None, 1)
     assert oracle_inverse_mod(num, q, p) is None
     num[0, 0, 0] += 1
-    assert np.array_equal(exact._inverse_mod(num, q, p),
-                          oracle_inverse_mod(num, q, p))
+    got, singular = exact._inverse_mod(num, q, p)
+    assert singular == 0
+    assert np.array_equal(got, oracle_inverse_mod(num, q, p))
 
 
 def oracle_operands(x, y, terms):
@@ -347,7 +350,7 @@ def product_cases(draw):
 
 # x times 1 with x = p - 1 for the largest prime p used at q = 1: x is the
 # bound, so p alone exceeds it but not twice it, and x > p / 2
-EDGE = next(primes(1, 31)) - 1
+EDGE = next(primes(1, 1)) - 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -366,47 +369,122 @@ def test_products_match_convolution(case):
     assert (got.q, got.den) == (want.q, want.den)
 
 
+def test_largest_order_product_and_inverse():
+    # q = 1024 (phi = 512), the largest order a literal may have, where
+    # the primes(1024, 512) hold about 2^11800 in all
+    q, phi = 1024, 512
+    rng = random.Random(q)
+    a, b = (cyc_array(q, [[[rng.randint(-2 ** 300, 2 ** 300)
+                            for _ in range(phi)] for _ in range(2)]
+                          for _ in range(2)]) for _ in range(2))
+    got = a @ b
+    want = oracle_matmul(a, b)
+    assert got.num.tolist() == want.num.tolist() and got.den == want.den
+    assert (a * b).num.tolist() == oracle_mul(a, b).num.tolist()
+    # [[1 + z, z], [0, 1]] has det 1 + z, of norm Phi_1024(-1) = 2; with
+    # two equal rows all 512 images are singular at the first prime p, and
+    # p^512 passes h2^(phi/2) = 25^256
+    s = np.zeros((2, 2, phi), dtype=np.int64)
+    s[0, 0, :2] = s[0, 1, 1] = s[1, 1, 0] = 1
+    inv = CycArray(q, s, 1).inverse()
+    assert exact.certify_inverse(CycArray(q, s, 1), inv) and inv.den == 2
+    s[1] = s[0]
+    with pytest.raises(ExactError, match="singular matrix"):
+        CycArray(q, s, 1).inverse()
+
+
 def test_product_out_of_primes(monkeypatch):
-    # one prime below 2^31 cannot hold the coefficient 2^62 of 2^31 * 2^31
+    # one prime below 2^27 cannot hold the coefficient 2^62 of 2^31 * 2^31
     real = exact.primes
     monkeypatch.setattr(exact, "primes",
-                        lambda q, bits: itertools.islice(real(q, bits), 1))
+                        lambda q, terms: itertools.islice(real(q, terms), 1))
     x = cyc_array(1, [[[2 ** 31]]])
     with pytest.raises(ExactError, match="coefficients too large"):
         x * x
 
 
-def test_apply_mod_refuses_to_wrap():
-    q, p = 8, next(primes(8, 31))
-    V = exact._nodes(q, p)[0]
+@pytest.mark.parametrize("q,terms", [(1, 1), (8, 4), (63, 36), (1024, 1024)])
+def test_matmul_mod_refuses_to_wrap(q, terms):
+    # the largest prime for terms passes at every inner dimension k with
+    # k (p - 1)^2 < 2^53, at least terms, and is refused at the next one
+    p = next(primes(q, terms))
+    k = -(-2 ** 53 // (p - 1) ** 2)
+    assert k > terms
+    ones = np.ones((2, k))
+    assert matmul_mod(ones[:, 1:], ones[:, 1:].T, p).tolist() == \
+        [[(k - 1) % p] * 2] * 2
     with pytest.raises(ValueError, match="modulus too large"):
-        exact._apply_mod(V, np.zeros((1, 4), dtype=np.int64), p)
+        matmul_mod(ones, ones.T, p)
+
+
+def first_witness_mod(N, p):
+    """The associativity witness of an int64 tensor modulo p by einsum:
+    exact while n max|N|^2 < 2^63."""
+    d = (np.einsum("ijm,mkl->ijkl", N, N)
+         - np.einsum("jkm,iml->ijkl", N, N)) % p
+    bad = np.argwhere(d)
+    return tuple(int(x) for x in bad[0]) if len(bad) else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([1, 3, 4, 8, 63]),
+       st.integers(1, 24) | st.sampled_from([36, 512, 1024, 4096]),
+       st.lists(st.tuples(*[st.integers(0, 23)] * 3), max_size=6))
+def test_prime_rule_boundary(q, terms, low):
+    # the largest prime the rule yields for terms, at the largest residues
+    # p - 1, with some p - 2 so that sums of terms products can be odd: a
+    # float64 sum at or past 2^53 (one bit more than the rule allows) could
+    # not hold them all
+    p = next(primes(q, terms))
+    assert (p - 1) % q == 0 and terms * (p - 1) ** 2 < 2 ** 53
+    A = np.full((3, terms), p - 1.0)
+    B = np.full((terms, 3), p - 1.0)
+    A[1, 0] = A[2, :] = B[0, 1] = B[:, 2] = p - 2
+    a, b = (x.astype(np.int64).astype(object) for x in (A, B))
+    assert matmul_mod(A, B, p).tolist() == (a @ b % p).tolist()
+    assert exact.floor_mod(A * A, p).tolist() == (a * a % p).tolist()
+    # the residue tier of the associativity scan at n = terms
+    if terms <= 24:
+        N = np.full((terms,) * 3, p - 1, dtype=np.int64)
+        for i, j, m in low:
+            if max(i, j, m) < terms:
+                N[i, j, m] = N[j, i, m] = p - 2
+        assert _assoc_scan(N.astype(np.float64), p, terms) == \
+            first_witness_mod(N, p)
 
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_inverse_singular_budget(monkeypatch, extra):
-    # [[1, z], [z, -1]] at q = 63 has det -1 - z^2 != 0 and h2 = 2 * 2: the
-    # budget is phi * 3 // (2 * 28 - 2) = 2 primes of 28 bits (1 at // 60)
+    # [[1, z], [z, -1]] at q = 63 has det -1 - z^2 != 0 and h2 = 2 * 2, so
+    # |N(det)| <= h2^(phi/2) = 2^36: primes with one singular image each
+    # are retried while their product stays within 2^36 (one of 27 bits)
     z = CycNum.zeta(63)
     s = CycArray.from_rows([[1, z], [z, -1]])
+    budget, product = 0, 1
+    for p in primes(63, 1):
+        product *= p
+        if product > 2 ** 36:
+            break
+        budget += 1
+    assert budget == 1
     calls = []
     real = exact._inverse_mod
 
     def singular_first(*args):
         calls.append(args[2])
-        return None if len(calls) <= 2 + extra else real(*args)
+        return (None, 1) if len(calls) <= budget + extra else real(*args)
     monkeypatch.setattr(exact, "_inverse_mod", singular_first)
     if extra:
         with pytest.raises(ExactError, match="singular matrix"):
             s.inverse()
-        assert len(calls) == 3
+        assert len(calls) == budget + 1
     else:
         assert exact.certify_inverse(s, s.inverse())
 
 
 def test_identity_needs_several_primes(monkeypatch):
     # e = 1 / N_000 reconstructs only past 2 N_000^2 > 2^81: the product of
-    # at least three primes below 2^31
+    # at least four primes(1, 1), each below 2^27
     calls = []
     real = exact._inverse_mod
 
@@ -418,4 +496,4 @@ def test_identity_needs_several_primes(monkeypatch):
     ring = FusionRing(1, np.array([[[big]]], dtype=np.int64), (0,))
     e = identity_coefficients(ring)
     assert [c.rational_value() for c in e] == [Fraction(1, big)]
-    assert len(calls) >= 3 and len(set(calls)) == len(calls)
+    assert len(calls) >= 4 and len(set(calls)) == len(calls)

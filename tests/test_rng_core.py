@@ -224,7 +224,7 @@ def test_assoc_witness_zero_modulo_first_primes():
     # at (0, 0, 1, 1) the difference is b (a - b) = p1 p2, which vanishes
     # modulo the first two primes of the passes and not modulo the third;
     # the later mismatch at (0, 0, 2, 2), 2b - 2, is seen by every prime
-    p1, p2 = itertools.islice(primes(1, (53 - (3).bit_length()) // 2), 2)
+    p1, p2 = itertools.islice(primes(1, 3), 2)
     b = p1 * p2
     N = np.zeros((3, 3, 3), dtype=np.int64)
     N[0, 0, 0] = b + 1

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zbrng.exact import (CycArray, CycNum, ExactError, certify_inverse,
-                         exact_int, format_cyc, mat_inverse)
+                         exact_int, format_cyc, mat_inverse, primes)
 from zbrng.generators import (fixture_ds3, gen_paley, group_ring_smatrix,
                               exterior_square, kac_peterson_a1)
 from zbrng.hadamard import ring_from_hadamard
@@ -542,16 +542,18 @@ def least_denominator(want):
 
 
 def test_dixon_primes_that_mislead_or_divide_det(monkeypatch):
-    # the two cases above on CycArray.inverse itself: a 1 x 1 SMatrix has a
-    # diagonal Gram matrix and no longer reaches it
+    # the two cases above on CycArray.inverse itself, at its first prime p:
+    # 1/(p + 1) is 1 modulo p, and p divides det (a 1 x 1 SMatrix has a
+    # diagonal Gram matrix and no longer reaches it)
+    p = next(primes(1, 1))
     calls = counting_inverse_mod(monkeypatch)
-    a = CycArray(1, np.array([[[2 ** 31]]]), 1)
-    assert a.inverse().den == 2 ** 31
-    assert calls[0] == 2 ** 31 - 1
+    a = CycArray(1, np.array([[[p + 1]]]), 1)
+    assert a.inverse().den == p + 1
+    assert calls[0] == p
     calls.clear()
-    inv = CycArray(1, np.array([[[2 ** 31 - 1]]]), 1).inverse()
-    assert (inv.num.tolist(), inv.den) == ([[[1]]], 2 ** 31 - 1)
-    assert len(calls) >= 2 and calls[0] == 2 ** 31 - 1
+    inv = CycArray(1, np.array([[[p]]]), 1).inverse()
+    assert (inv.num.tolist(), inv.den) == ([[[1]]], p)
+    assert len(calls) >= 2 and calls[0] == p
 
 
 @st.composite

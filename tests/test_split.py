@@ -295,7 +295,7 @@ def counting_split(monkeypatch, fail_first):
 
 def test_primes_dividing_k_are_skipped(monkeypatch):
     # k is the first prime tried at n = 8
-    k = next(primes(1, (63 - (8).bit_length()) // 2))
+    k = next(primes(1, 8))
     want = character_signs(scaled_group_ring([2, 2, 2], 1))[1]
     used = counting_split(monkeypatch, 0)
     got_k, signs = character_signs(scaled_group_ring([2, 2, 2], k))
@@ -328,10 +328,13 @@ def test_python_int_certificate(monkeypatch):
 
 
 def failure_allowance(n):
-    """Primes above 2^(bits-1) that can divide a nonzero |det| <= n^(n/2);
-    4 at n = 44."""
-    bits = (63 - n.bit_length()) // 2
-    return (n ** n).bit_length() // (2 * (bits - 1))
+    """How many of the first primes(1, n) can all divide a nonzero
+    |det| <= n^(n/2): the most whose product stays within that bound."""
+    product = 1
+    for count, p in enumerate(primes(1, n)):
+        product *= p
+        if product ** 2 > n ** n:
+            return count
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +344,7 @@ def paley44():
 
 def test_failed_primes_are_retried(monkeypatch, paley44):
     allowed = failure_allowance(44)
-    assert allowed == 4
+    assert allowed == 5
     used = counting_split(monkeypatch, allowed)
     H = reconstruct_exact(ring_from_hadamard(paley44))
     assert sorted(H.array.tolist()) == sorted(paley44.array.tolist())

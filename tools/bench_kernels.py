@@ -23,6 +23,8 @@ the mean time per call.  The rows:
                                   scan takes k > i only)
     assoc_witness dihedral128     the group law of the dihedral group of
                                   order 128 (not commutative: every k)
+    smatrix sylvester128          character_signs of the Sylvester 128 ring
+                                  (the +-k splitting and its certificate)
     closed ext2 group 4 6         closed_subset_heuristic on the exterior
                                   square of the Z/4 x Z/6 table (n = 276)
     closed kp 40                  closed_subset_heuristic on the level-40
@@ -44,6 +46,9 @@ the mean time per call.  The rows:
     inverse random 40 x 2^40      SMatrix.inverse of a seeded 40 x 40
                                   integer matrix with entries below 2^40 in
                                   absolute value (rows not orthogonal)
+    product q=3 small             the entrywise CycArray product of seeded
+                                  (9, 8, 2) and (9, 1, 2) arrays at q = 3,
+                                  the fixed cost of one modular product
     peak lift paley12, paley24    the tracemalloc peak, in MB, of
                                   fannsc_lift and the lift text consumed
                                   line by line (m = 1024, 2048)
@@ -149,6 +154,11 @@ ROWS = {
         SYLVESTER128, "assert assoc_witness(N, None) is None", 1, 3),
     "assoc_witness dihedral128": (
         DIHEDRAL128, "assert assoc_witness(N, None) is None", 1, 3),
+    "smatrix sylvester128": (
+        "from zbrng.generators import gen_sylvester\n"
+        "from zbrng.hadamard import character_signs, ring_from_hadamard\n"
+        "ring = ring_from_hadamard(gen_sylvester(7))",
+        "character_signs(ring)", 1, 5),
     "closed ext2 group 4 6": (
         "from zbrng.generators import exterior_square, group_ring_smatrix\n"
         "from zbrng.spectra import closed_subset_heuristic as f\n"
@@ -192,6 +202,13 @@ ROWS = {
         "                                        (40, 40, 1))\n"
         "s = SMatrix(CycArray(1, a, 1))",
         "s.inverse(1e-8)", 1, 5),
+    "product q=3 small": (
+        "import numpy as np\n"
+        "from zbrng.exact import CycArray\n"
+        "rng = np.random.default_rng(3)\n"
+        "a = CycArray(3, rng.integers(-3, 4, (9, 8, 2)), 1)\n"
+        "b = CycArray(3, rng.integers(-3, 4, (9, 1, 2)), 1)",
+        "a * b", 2000, 9),
     "peak lift paley12": (paley_lift(11),
                           "deque(lift_lines(fannsc_lift(s)), 0)", 1, 3),
     "peak lift paley24": (paley_lift(23),
