@@ -10,6 +10,7 @@ denominator; its products and certified inverse are computed modulo primes.
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, takewhile
 from math import gcd, lcm, cos, sin, pi, isqrt, prod
 
 import numpy as np
@@ -580,19 +581,19 @@ class CycArray:
                       reduce=False)
 
     def _product(self, other, op, terms):
-        """op(a, b, p) (matmul_mod summing terms products, or one product)
-        root by root on the images mod primes(q, max(phi, terms)), until the
-        modulus passes twice the coefficient bound; it sets the dtype."""
+        """op(a, b, p) (_dot_mod summing terms products, or one product)
+        root by root on the images mod _transform_primes(q, terms), until
+        the modulus passes twice the coefficient bound; it sets the dtype."""
         if other.q != self.q:
             raise ExactError("order mismatch")
         phi = self.num.shape[-1]
         bound = (terms * phi * _maxabs(self.num) * _maxabs(other.num)
                  * (2 * phi - 1) * _maxabs(power_table(self.q)[:2 * phi - 1]))
         residues, modulus = None, 1
-        for p in primes(self.q, max(phi, terms)):
+        for p in _transform_primes(self.q, terms):
             V, Vi = _nodes(self.q, p)
             y = op(*(_images(V, x.num, p) for x in (self, other)), p)
-            y = matmul_mod(Vi, y.reshape(phi, -1), p).reshape(y.shape)
+            y = _dot_mod(Vi, y.reshape(phi, -1), p).reshape(y.shape)
             residues, modulus = _crt(residues, modulus, y.astype(np.int64), p)
             if modulus > 2 * bound:
                 break
@@ -617,7 +618,7 @@ class CycArray:
 
     def __matmul__(self, other):
         """Matrix product of two 2-d arrays."""
-        return self._product(other, matmul_mod, self.num.shape[1])
+        return self._product(other, _dot_mod, self.num.shape[1])
 
     def is_nonzero(self):
         return np.any(self.num != 0, axis=-1)
@@ -663,19 +664,19 @@ class CycArray:
 
     def inverse(self):
         """Exact inverse of a square matrix by modular images (Dixon, Numer.
-        Math. 1982): for the primes(q, 1), the images at the phi(q) primitive
-        q-th roots of unity of GF(p) are inverted and interpolated back,
-        combined by CRT and reconstructed, and returned once certify_inverse
-        holds.  Each of the k images singular mod p is a prime ideal of norm
-        p dividing det, so p^k divides N(det), a nonzero integer of size at
-        most h2^(phi/2) (Hadamard) when det != 0: ExactError("singular
+        Math. 1982): at the _transform_primes(q, 1), the images at the
+        phi(q) primitive q-th roots of unity of GF(p) are inverted,
+        interpolated back, combined by CRT and reconstructed, and returned
+        once certify_inverse holds.  Each of k images singular mod p is a
+        prime ideal of norm p dividing det, so p^k divides N(det), nonzero
+        and at most h2^(phi/2) (Hadamard) if det != 0: ExactError("singular
         matrix") once the product of those p^k passes that."""
         num = self.num
         phi = num.shape[-1]
         h2 = prod(sum(x * x for x in row) for row in
                   np.abs(num.astype(object)).sum(axis=-1).tolist())
         failed, used, residues, modulus = 1, 0, None, 1
-        for p in primes(self.q, 1):
+        for p in _transform_primes(self.q, 1):
             y, singular = _inverse_mod(num, self.q, p)
             if singular:
                 failed *= p ** singular
@@ -697,26 +698,18 @@ class CycArray:
 
 def certify_inverse(a, b):
     """True iff a @ b is exactly the identity matrix."""
-    prod = a @ b
-    num = prod.num
-    eye = np.eye(num.shape[0], dtype=bool)
-    return (not np.any(num[..., 1:] != 0)
-            and bool(np.all(num[..., 0][eye] == prod.den))
-            and not np.any(num[..., 0][~eye] != 0))
+    vals, ok = (a @ b).integers()
+    return bool(ok.all() and (vals == np.eye(len(vals), dtype=int)).all())
 
 
 def is_prime(m):
     """Deterministic Miller-Rabin for m < 3,215,031,751."""
     bases = (2, 3, 5, 7)
-    if m < 2:
-        return False
-    for b in bases:
-        if m % b == 0:
-            return m == b
+    if m < 2 or any(m % b == 0 for b in bases):
+        return m in bases
     d, s = m - 1, 0
     while d % 2 == 0:
-        d //= 2
-        s += 1
+        d, s = d // 2, s + 1
     for b in bases:
         x = pow(b, d, m)
         if x in (1, m - 1):
@@ -738,6 +731,15 @@ def primes(q, terms):
     p = isqrt((2 ** 53 - 1) // terms) // step * step + 1
     for top in range(p, 2, -64 * step):
         yield from _primes_among(top, step)
+
+
+def _transform_primes(q, terms):
+    """primes(q, 1), first those at which each phi(q)-term transform at the
+    roots of unity and each terms-term sum is one matmul_mod (the primes(q,
+    max(phi, terms))), then the larger ones, where _dot_mod slices them."""
+    fast = primes(q, max(_euler_phi(q), terms))
+    top = next(fast)
+    return chain([top], fast, takewhile(lambda p: p > top, primes(q, 1)))
 
 
 @lru_cache(maxsize=4096)
@@ -771,38 +773,39 @@ def _nodes(q, p):
     Phi_q'(w_t)); both float64, for matmul_mod."""
     poly = cyclotomic_poly(q)
     phi = len(poly) - 1
-    exps = (p - 1) // q
-    for a in range(2, p):
-        w = pow(a, exps, p)
-        if all(pow(w, q // r, p) != 1 for r in _prime_factors(q)):
-            break
+    w = next(w for w in (pow(a, (p - 1) // q, p) for a in range(2, p))
+             if all(pow(w, q // r, p) != 1 for r in _prime_factors(q)))
     powers = np.array([pow(w, j, p) for j in range(q)], dtype=np.int64)
     units = np.array([t for t in range(q) if gcd(t, q) == 1])
     V = powers[np.outer(units, np.arange(phi)) % q]
-    # synthetic division of Phi_q by x - w_t for every t at once; the
-    # derivative Phi_q'(w_t) sums phi < 2^10 products below 2^53 in int64
+    # synthetic division of Phi_q by every x - w_t (row k: the coefficients
+    # of x^k); Phi_q'(w_t) sums phi < 2^10 products below 2^53 in int64
     quot = np.zeros((phi, phi), dtype=np.int64)
-    quot[:, phi - 1] = 1
+    quot[phi - 1] = 1
     for k in range(phi - 1, 0, -1):
-        quot[:, k - 1] = (poly[k] + powers[units] * quot[:, k]) % p
-    scale = [pow(int(x), -1, p) for x in (quot * V).sum(axis=1) % p]
-    Vi = np.ascontiguousarray((quot * np.array(scale)[:, None] % p).T)
-    V, Vi = V.astype(np.float64), Vi.astype(np.float64)
+        quot[k - 1] = (poly[k] + powers[units] * quot[k]) % p
+    scale = [pow(int(x), -1, p) for x in (quot * V.T).sum(axis=0) % p]
+    V, Vi = V.astype(np.float64), (quot * scale % p).astype(np.float64)
     V.flags.writeable = Vi.flags.writeable = False
     return V, Vi
 
 
+def _dot_mod(A, B, p):
+    """A @ B mod p for float64 residues at any p that primes() yields: one
+    matmul_mod per slice of the inner axis as long as p allows, the slices
+    summed."""
+    k = (2 ** 53 - 1) // (p - 1) ** 2
+    out = matmul_mod(A[..., :k], B[..., :k, :], p)
+    for e in range(k, B.shape[-2], k):
+        out += matmul_mod(A[..., e:e + k], B[..., e:e + k, :], p)
+    return floor_mod(out, p) if k < B.shape[-2] else out
+
+
 def _images(V, num, p):
     """The images mod p of an integer coefficient array num (..., phi) at
-    the roots of V, root axis first: out[t] = sum_e V[t, e] num[..., e],
-    one matmul_mod per slice of e as long as p allows, the slices summed."""
+    the roots of V, root axis first: out[t] = sum_e V[t, e] num[..., e]."""
     flat = (num % p).astype(np.float64).reshape(-1, num.shape[-1]).T
-    k = (2 ** 53 - 1) // (p - 1) ** 2
-    out = matmul_mod(V[:, :k], flat[:k], p)
-    for e in range(k, len(flat), k):
-        out += matmul_mod(V[:, e:e + k], flat[e:e + k], p)
-    out = floor_mod(out, p) if k < len(flat) else out
-    return out.reshape((-1,) + num.shape[:-1])
+    return _dot_mod(V, flat, p).reshape((-1,) + num.shape[:-1])
 
 
 def _crt(x, modulus, y, p):
@@ -811,7 +814,12 @@ def _crt(x, modulus, y, p):
     if x is None:
         return y, p
     x = x.astype(int_dtype(modulus * p), copy=False)
-    x += (y - x % p) * pow(modulus, -1, p) % p * modulus
+    t = x % p
+    np.subtract(y, t, out=t)
+    t *= pow(modulus, -1, p)
+    t %= p
+    t *= modulus
+    x += t
     return x, modulus * p
 
 
@@ -822,14 +830,13 @@ def _inverse_mod(num, q, p):
     for each image A_t, singular exactly when the pivots are not 0..n-1."""
     V, Vi = _nodes(q, p)
     n = num.shape[0]
-    images = []
-    for A in _images(V, num, p).astype(np.int64):
-        R, pivots = rref_mod(np.hstack([A, np.eye(n, dtype=np.int64)]), p)
-        images.append(R[:, n:] if pivots == list(range(n)) else None)
-    singular = sum(x is None for x in images)
+    eye = np.eye(n, dtype=np.int64)
+    images = [rref_mod(np.hstack([A, eye]), p)
+              for A in _images(V, num, p).astype(np.int64)]
+    singular = sum(pivots != list(range(n)) for _, pivots in images)
     if singular:
         return None, singular
-    y = _images(Vi, np.stack(images, axis=-1), p)
+    y = _images(Vi, np.stack([R[:, n:] for R, _ in images], axis=-1), p)
     return np.moveaxis(y, 0, -1).astype(np.int64), 0
 
 

@@ -149,12 +149,7 @@ def triangular_bound(k):
         raise PreconditionError("k must be >= 3")
     j = (k - 3) // 2
     target = j * (j + 1) // 2
-    parts = []
-    t, i = 1, 2
-    while t <= target:
-        parts.append(t)
-        t += i
-        i += 1
+    parts = [t * (t + 1) // 2 for t in range(1, j + 1)]
     ways = [1] + [0] * target
     for part in parts:
         for v in range(part, target + 1):
@@ -187,10 +182,8 @@ def multiset_census(ring):
 
 def census_values(entry):
     """Decode a count vector to a descending value tuple."""
-    vals = []
-    for v in range(len(entry) - 1, -1, -1):
-        vals.extend([v] * entry[v])
-    return tuple(vals)
+    return tuple(v for v in range(len(entry) - 1, -1, -1)
+                 for _ in range(entry[v]))
 
 
 def had_closed_subsets(ring):

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -393,6 +394,64 @@ def test_largest_order_product_and_inverse():
         CycArray(q, s, 1).inverse()
 
 
+# q = 1019 (phi = 1018): the primes(1019, 1018), at which every transform at
+# the roots of unity is one matmul_mod, hold less than 2^4100 in all; a
+# product past that goes on at the larger primes(1019, terms), its
+# transforms summed a slice at a time
+BIG_Q = 1019
+
+
+def big_q_array(entries):
+    """A matrix at q = BIG_Q from {(row, col): {exponent: coefficient}}."""
+    num = np.zeros((3, 3, BIG_Q - 1), dtype=object)
+    for (i, j), coeffs in entries.items():
+        for e, c in coeffs.items():
+            num[i, j, e] = c
+    return CycArray(BIG_Q, num, 1)
+
+
+def test_square_past_transform_primes():
+    assert prod(primes(BIG_Q, BIG_Q - 1)) < 2 ** 4100
+    x = big_q_array({(0, 0): {0: 2 ** 2100}})[:1, :1]
+    try:
+        # the bound 1018 * 2037 * 2^4200 needs a modulus past 2^4222
+        assert (x * x).num.tolist() == [[[2 ** 4200] + [0] * (BIG_Q - 2)]]
+    finally:
+        exact._nodes.cache_clear()
+
+
+def test_certificate_past_transform_primes():
+    # a = [[1, X, 0], [0, 1, X], [0, 0, 1]] with X = 2^1360 (2 + z) has the
+    # inverse b = [[1, -X, X^2], [0, 1, -X], [0, 0, 1]], X^2 = 2^2720 (4 +
+    # 4z + z^2): the bound of a @ b is 3 * 1018 * 2037 * 2^1361 * 2^2723
+    one, X = {0: 1}, {0: 2 ** 1361, 1: 2 ** 1360}
+    minus_X = {e: -c for e, c in X.items()}
+    a = big_q_array({(0, 0): one, (1, 1): one, (2, 2): one,
+                     (0, 1): X, (1, 2): X})
+    b = big_q_array({(0, 0): one, (1, 1): one, (2, 2): one,
+                     (0, 1): minus_X, (1, 2): minus_X,
+                     (0, 2): {0: 2 ** 2722, 1: 2 ** 2722, 2: 2 ** 2720}})
+    try:
+        assert exact.certify_inverse(a, b)
+    finally:
+        exact._nodes.cache_clear()
+
+
+def test_products_on_sliced_primes(monkeypatch):
+    # with one prime at which nothing is sliced, the products go on at the
+    # larger primes(8, 1): transforms and the matmul_mod sums of 5 terms in
+    # slices (one product of residues per slice at the largest primes)
+    real = exact.primes
+    monkeypatch.setattr(exact, "primes", lambda q, terms: real(q, terms)
+                        if terms == 1 else itertools.islice(real(q, terms), 1))
+    rng = random.Random(8)
+    a, b = (cyc_array(8, [[[rng.randint(-2 ** 200, 2 ** 200)
+                            for _ in range(4)] for _ in range(5)]
+                          for _ in range(5)]) for _ in range(2))
+    assert (a @ b).num.tolist() == oracle_matmul(a, b).num.tolist()
+    assert (a * b).num.tolist() == oracle_mul(a, b).num.tolist()
+
+
 def test_product_out_of_primes(monkeypatch):
     # one prime below 2^27 cannot hold the coefficient 2^62 of 2^31 * 2^31
     real = exact.primes
@@ -443,6 +502,15 @@ def test_prime_rule_boundary(q, terms, low):
     a, b = (x.astype(np.int64).astype(object) for x in (A, B))
     assert matmul_mod(A, B, p).tolist() == (a @ b % p).tolist()
     assert exact.floor_mod(A * A, p).tolist() == (a * a % p).tolist()
+    # _dot_mod at the largest prime of all, primes(q, 1), where a sum of
+    # terms products is sliced, on a stack of these residues and of random
+    # ones whose products are large mod p1
+    p1 = next(primes(q, 1))
+    rng = np.random.default_rng(terms)
+    A1, B1 = (np.stack([x + p1 - p, rng.integers(0, p1, x.shape)])
+              for x in (A, B))
+    a1, b1 = (x.astype(np.int64).astype(object) for x in (A1, B1))
+    assert exact._dot_mod(A1, B1, p1).tolist() == (a1 @ b1 % p1).tolist()
     # the residue tier of the associativity scan at n = terms
     if terms <= 24:
         N = np.full((terms,) * 3, p - 1, dtype=np.int64)
