@@ -1,17 +1,18 @@
 """Exact arithmetic: rationals, cyclotomic numbers, exact linear algebra.
 
-Scalars live in Q(zeta_q).  A CycNum stores rational coefficients on the
-power basis zeta_q^0 .. zeta_q^{phi(q)-1}; reduction modulo the q-th
-cyclotomic polynomial makes the representation canonical, so equality of
-values is equality of coefficient dicts (at a common order).  A CycArray
-holds a whole array on the same basis as integer coefficients over one
+Scalars live in Q(zeta_q).  A CycArray holds a whole array on the power
+basis zeta_q^0 .. zeta_q^{phi(q)-1} as integer coefficients over one
 denominator; its products and certified inverse are computed modulo primes.
+A CycNum is one scalar on that basis with rational coefficients, reduced
+modulo the q-th cyclotomic polynomial, so equality of values is equality of
+coefficient dicts (at a common order): the view in which entries are parsed
+and formatted and ring elements are held.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, takewhile
-from math import gcd, lcm, cos, sin, pi, isqrt, prod
+from math import gcd, lcm, isqrt, prod
 
 import numpy as np
 
@@ -125,9 +126,6 @@ class CycNum:
             raise ExactError("not a rational value")
         return self.coeffs.get(0, Fraction(0))
 
-    def is_integer(self):
-        return self.is_rational() and self.rational_value().denominator == 1
-
     def to_order(self, q2):
         """Embed into Q(zeta_q2); q must divide q2."""
         if q2 == self.q:
@@ -136,52 +134,6 @@ class CycNum:
             raise ExactError("order mismatch")
         step = q2 // self.q
         return CycNum(q2, {e * step: c for e, c in self.coeffs.items()})
-
-    def key(self):
-        """Hashable canonical key, independent of the storage order."""
-        if self.is_rational():
-            v = self.rational_value()
-            return (1, ((0, v),) if v else ())
-        x = self._minimal_order()
-        return (x.q, tuple(sorted(x.coeffs.items())))
-
-    def _minimal_order(self):
-        """Re-express in the smallest cyclotomic field Q(zeta_d), d | q."""
-        x = self
-        changed = True
-        while changed:
-            changed = False
-            q = x.q
-            for p in sorted(_prime_factors(q)):
-                d = q // p
-                if d < 2:
-                    continue
-                fixed = all(x.galois(t) == x for t in range(1, q)
-                            if gcd(t, q) == 1 and t % d == 1)
-                if fixed:
-                    x = x._descend(d)
-                    changed = True
-                    break
-        return x
-
-    def _descend(self, d):
-        """Rewrite in the power basis of Q(zeta_d); assumes membership.  The
-        embedding A of that basis has full column rank, so the coordinates
-        solve the normal equations (A^T A) x = A^T b."""
-        phi_q, phi_d = _euler_phi(self.q), _euler_phi(d)
-        A = [[Fraction(0)] * phi_d for _ in range(phi_q)]
-        for f in range(phi_d):
-            emb = CycNum(d, {f: Fraction(1)}).to_order(self.q)
-            for e, c in emb.coeffs.items():
-                A[e][f] = c
-        b = [self.coeffs.get(e, Fraction(0)) for e in range(phi_q)]
-        cols = list(zip(*A))
-        gram = [[sum(x * y for x, y in zip(u, v)) for v in cols] for u in cols]
-        rhs = [sum(x * y for x, y in zip(u, b)) for u in cols]
-        sol = [sum(x * y for x, y in zip(row, rhs))
-               for row in mat_inverse(gram)]
-        return CycNum(d, {f: sol[f] for f in range(phi_d) if sol[f]},
-                      reduce=False)
 
     # -- arithmetic
 
@@ -203,13 +155,6 @@ class CycNum:
     def __neg__(self):
         return CycNum(self.q, {e: -c for e, c in self.coeffs.items()}, reduce=False)
 
-    def __sub__(self, other):
-        a, b = self._common(other)
-        return a + (-b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         a, b = self._common(other)
         out = {}
@@ -221,45 +166,8 @@ class CycNum:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e):
-        if e < 0:
-            return self.inv() ** (-e)
-        out = CycNum.from_rat(1)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def conj(self):
         return CycNum(self.q, {(-e) % self.q: c for e, c in self.coeffs.items()})
-
-    def galois(self, t):
-        """Apply zeta -> zeta^t; t must be coprime to q."""
-        if gcd(t, self.q) != 1:
-            raise ExactError("galois exponent not coprime to order")
-        return CycNum(self.q, {(t * e) % self.q: c for e, c in self.coeffs.items()})
-
-    def inv(self):
-        if self.is_zero():
-            raise ZeroDivisionError("cyclotomic division by zero")
-        if self.is_rational():
-            return CycNum.from_rat(1 / self.rational_value())
-        # multiply by all nontrivial Galois conjugates; the product with self
-        # is the field norm, a nonzero rational
-        prod = CycNum.from_rat(1)
-        for t in range(2, self.q):
-            if gcd(t, self.q) == 1:
-                prod = prod * self.galois(t)
-        norm = (self * prod).rational_value()
-        return prod * CycNum.from_rat(Fraction(1) / norm)
-
-    def __truediv__(self, other):
-        if not isinstance(other, CycNum):
-            other = CycNum.from_rat(other)
-        return self * other.inv()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -268,18 +176,6 @@ class CycNum:
             return NotImplemented
         a, b = self._common(other)
         return a.coeffs == b.coeffs
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def embed(self):
-        """Double-precision complex value, zeta_q = exp(2*pi*i/q)."""
-        re = im = 0.0
-        for e, c in self.coeffs.items():
-            t = 2.0 * pi * e / self.q
-            re += c * cos(t)
-            im += c * sin(t)
-        return complex(re, im)
 
     def root_of_unity_factor(self):
         """If self = mu * w with mu a positive integer and w a root of unity,
@@ -401,7 +297,7 @@ def format_cyc(a):
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra: one inverse over Fractions or CycNums
+# exact linear algebra over Q
 
 def exact_int(c):
     """The integer value of an int, Fraction or CycNum, or None if it is not
@@ -414,19 +310,17 @@ def exact_int(c):
 
 
 def mat_inverse(rows):
-    """Exact inverse of a square matrix of Fractions or of CycNums
-    (Gauss-Jordan); raises ExactError("singular matrix")."""
+    """Exact inverse of a square matrix of Fractions (Gauss-Jordan); raises
+    ExactError("singular matrix")."""
     n = len(rows)
-    unit = CycNum.from_rat if isinstance(rows[0][0], CycNum) else Fraction
-    zero, one = unit(0), unit(1)
-    aug = [list(rows[i]) + [one if i == j else zero for j in range(n)]
+    aug = [list(rows[i]) + [Fraction(int(i == j)) for j in range(n)]
            for i in range(n)]
     for c in range(n):
         p = next((i for i in range(c, n) if aug[i][c]), None)
         if p is None:
             raise ExactError("singular matrix")
         aug[c], aug[p] = aug[p], aug[c]
-        piv_inv = one / aug[c][c]
+        piv_inv = 1 / aug[c][c]
         aug[c] = [x * piv_inv for x in aug[c]]
         for i in range(n):
             if i != c and aug[i][c]:

@@ -14,8 +14,7 @@ import numpy as np
 
 from .exact import (CycArray, _maxabs, exact_int, int_dtype, lookup,
                     row_keys)
-from .rng_core import (RingError, assoc_witness, identity_coefficients,
-                       ring_blocks)
+from .rng_core import RingError, identity_coefficients, ring_blocks
 from .spectra import SpectraError, root_columns, unit_roots
 
 
@@ -24,9 +23,8 @@ class QuotientError(ValueError):
 
 
 # Largest monomial algebra expanded to a dense m^3 tensor (and written as
-# ring blocks); triples sampled by verify_pointed on a monomial algebra.
+# ring blocks).
 _DENSE_LIMIT = 128
-_SAMPLES = 512
 
 
 class PointedAlgebra:
@@ -42,10 +40,6 @@ class PointedAlgebra:
         self.prod = prod
         self.scalars = scalars
         self._mu = mu
-
-    @property
-    def monomial(self):
-        return self.tensor is None
 
     @property
     def mu(self):
@@ -68,33 +62,8 @@ class PointedAlgebra:
         return N
 
     def __repr__(self):
-        kind = "monomial" if self.monomial else "dense"
+        kind = "monomial" if self.tensor is None else "dense"
         return "PointedAlgebra(m=%d, %s)" % (self.m, kind)
-
-
-def verify_pointed(alg):
-    """Commutativity and associativity; exhaustive for dense tensors,
-    exhaustive pairs + _SAMPLES sampled triples for monomial algebras."""
-    if not alg.monomial:
-        N = alg.tensor
-        if not np.array_equal(N, N.transpose(1, 0, 2)):
-            return False
-        return assoc_witness(N, None) is None
-    prod, mu = alg.prod, alg.mu
-    if not (np.array_equal(prod, prod.T) and np.array_equal(mu, mu.T)):
-        return False
-    rng = np.random.default_rng(0)
-    m = alg.m
-    tri = rng.integers(0, m, size=(_SAMPLES, 3))
-    for i, j, k in tri.tolist():
-        ij = int(prod[i, j])
-        jk = int(prod[j, k])
-        if prod[ij, k] != prod[i, jk]:
-            return False
-        # Python ints: the products of two int64 constants may pass 2^63
-        if int(mu[i, j]) * int(mu[ij, k]) != int(mu[j, k]) * int(mu[i, jk]):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .exact import (CycArray, CycNum, _maxabs, exact_int, floor_mod,
-                    format_cyc, int_dtype, primes, rref_mod)
+from .exact import (CycArray, CycNum, _maxabs, floor_mod, format_cyc,
+                    int_dtype, primes, rref_mod)
 
 
 class RingError(ValueError):
@@ -60,22 +60,6 @@ class RingElement:
     def from_ints(cls, vec):
         return cls([CycNum.from_rat(int(v)) for v in vec])
 
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __eq__(self, other):
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    def integer_vector(self):
-        """Integer vector (int64, or Python ints where int64 cannot hold every
-        coefficient), or None if some coefficient is not integral."""
-        ints = [exact_int(c) for c in self.coeffs]
-        if None in ints:
-            return None
-        bound = max(map(abs, ints), default=0) + 1
-        return np.array(ints, dtype=int_dtype(bound))
-
     def __repr__(self):
         return "RingElement([%s])" % ", ".join(format_cyc(c) for c in self.coeffs)
 
@@ -92,9 +76,6 @@ class VerifyReport:
     @property
     def all_pass(self):
         return all(p for _, p, _ in self.entries)
-
-    def failures(self):
-        return [(a, w) for a, p, w in self.entries if not p]
 
     def __str__(self):
         lines = []
@@ -176,28 +157,21 @@ def trace_eval(ring, r):
 
 
 def multiply(ring, r1, r2):
-    n = ring.n
-    v1, v2 = r1.integer_vector(), r2.integer_vector()
-    if v1 is not None and v2 is not None:
-        # each coefficient is a sum of n^2 terms v1_i v2_j N_ijm
-        dtype = int_dtype(n * n * _maxabs(v1) * _maxabs(v2) * _maxabs(ring.N))
-        out = np.einsum("i,j,ijm->m", v1.astype(dtype, copy=False),
-                        v2.astype(dtype, copy=False),
-                        ring.N.astype(dtype, copy=False))
-        return RingElement.from_ints(out)
-    out = [CycNum.from_rat(0)] * n
-    for i, c1 in enumerate(r1.coeffs):
-        if c1.is_zero():
-            continue
-        for j, c2 in enumerate(r2.coeffs):
-            if c2.is_zero():
-                continue
-            cc = c1 * c2
-            for m in range(n):
-                v = int(ring.N[i, j, m])
-                if v:
-                    out[m] = out[m] + cc * v
-    return RingElement(out)
+    """r1 r2 for rational coefficients: each element as an integer vector
+    over its coefficients' common denominator, one exact einsum, and the
+    result divided back; ExactError at a coefficient that is not rational."""
+    vecs, den = [], 1
+    for r in (r1, r2):
+        vals = [c.rational_value() for c in r.coeffs]
+        d = lcm(*(v.denominator for v in vals))
+        vecs.append(np.array([int(v * d) for v in vals], dtype=object))
+        den *= d
+    # each coefficient is a sum of n^2 terms v1_i v2_j N_ijm
+    dtype = int_dtype(ring.n ** 2 * _maxabs(vecs[0]) * _maxabs(vecs[1])
+                      * _maxabs(ring.N))
+    out = np.einsum("i,j,ijm->m", *(v.astype(dtype) for v in vecs),
+                    ring.N.astype(dtype, copy=False))
+    return RingElement([Fraction(int(x), den) for x in out])
 
 
 def _first_mismatch(a, b):
@@ -392,6 +366,8 @@ def ring_from_text(text):
         if not lines[1].startswith("n "):
             raise FormatError("missing size line")
         n = int(lines[1].split()[1])
+        if n < 1:
+            raise FormatError("ring order %d below 1" % n)
         if n > MAX_RING:
             raise FormatError("ring order %d above %d" % (n, MAX_RING))
         if not lines[2].startswith("involution"):

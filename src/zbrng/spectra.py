@@ -27,8 +27,7 @@ class SMatrix:
     q = 1 when every non-constant coefficient is zero) or a complex ndarray
     (numeric) of finite values.  Exact entries are interned: `ids[l, i]` is
     equal exactly when the entries are, and `conj_ids[ids[l, i]]` is the id
-    of the conjugate entry; `rows` and `column` view them as CycNums, built
-    once."""
+    of the conjugate entry; `rows` views them as CycNums, built once."""
 
     def __init__(self, array):
         if isinstance(array, CycArray):
@@ -96,11 +95,6 @@ class SMatrix:
     def rows(self):
         values = self.values
         return [[values[k] for k in row] for row in self.ids.tolist()]
-
-    def column(self, i):
-        if self.mode == "exact":
-            return [row[i] for row in self.rows]
-        return self.array[:, i]
 
     def inverse(self, tol):
         """s^-1 in the type of `array`.  Numeric: np.linalg.inv after a

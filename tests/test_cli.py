@@ -453,6 +453,32 @@ def test_ring_size_bound_exit2(tmp_path, capsys):
         2, "", "input error: %s: ring order 820 above 512\n" % ring)
 
 
+MALFORMED_RINGS = {
+    "order 0": "zbrng 1\nn 0\ninvolution\n",
+    "order -1": "zbrng 1\nn -1\ninvolution\n",
+    "order x": "zbrng 1\nn x\ninvolution 0\n",
+    "missing block": "zbrng 1\nn 2\ninvolution 0 1\nN 0\n1 0\n0 1\n",
+    "trailing": "zbrng 1\nn 1\ninvolution 0\nN 0\n1\nN 1\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    "verify {}", "identity {}", "smatrix {}", "verlinde {}", "closed {}",
+    "subring {} 0", "quotient2 {} 0", "lift {}", "had reconstruct {}",
+    "had reconstruct3 {}"])
+def test_malformed_ring_file_exit2(argv, tmp_path, capsys):
+    # every command that takes a ring refuses each file at its reader
+    f = tmp_path / "bad.zbrng"
+    for name, text in MALFORMED_RINGS.items():
+        f.write_text(text)
+        code, out, err = run(capsys, *argv.format(f).split())
+        assert code == 2 and out == "", name
+        assert err.startswith("input error: %s: " % f), name
+        assert "Traceback" not in err, name
+        if name in ("order 0", "order -1"):
+            assert err.endswith("ring order %s below 1\n" % name[6:]), err
+
+
 def test_deterministic_output(paley12_file, capsys):
     a = run(capsys, "had", "profile", str(paley12_file))
     b = run(capsys, "had", "profile", str(paley12_file))

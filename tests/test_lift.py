@@ -6,6 +6,7 @@ int64; an exhaustive structural check of the product table; runtime bounds."""
 import time
 import tracemalloc
 from collections import deque
+from fractions import Fraction
 from itertools import zip_longest
 from math import gcd
 
@@ -47,7 +48,7 @@ def oracle_lift(s, cap=4096):
     mus = []
     gens = []
     for i in range(n):
-        col = s.column(i)
+        col = [row[i] for row in s.rows]
         mu_i = None
         exps = []
         for e in col:
@@ -310,7 +311,7 @@ def test_lift_column_classification_errors():
         [[one, one], [one, z + one]],           # 1 + zeta_3 is a root, -z^2
         [[one, CycNum.from_rat(2)], [one, one]],   # two moduli in a column
         [[one, CycNum.from_rat(0)], [one, one]],   # a zero entry
-        [[one, one + one / 2], [one, one]],        # not an integer modulus
+        [[one, one + Fraction(1, 2)], [one, one]],  # not an integer modulus
     ]
     for rows in bad:
         s = SMatrix.exact(rows)

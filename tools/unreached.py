@@ -23,6 +23,7 @@ import sys
 import tempfile
 import threading
 import types
+from collections import Counter
 
 # real paths, so that the imported modules' co_filename match PKG's files
 HERE = os.path.dirname(os.path.realpath(__file__))
@@ -53,13 +54,18 @@ def defined():
     return found
 
 
-def run_workloads(cli):
-    """One seed-0 pass of every workload; returns its failed commands."""
+def run_workloads(cli, seed=SEED):
+    """One pass of every workload's command list at seed, each command
+    through cli.main in a fresh temporary directory per workload.  Returns
+    one (workload, argv, exit code, stdout and stderr text, bytes of the -o
+    file or None) per command; an exception a command raises is its exit
+    code, as "raised <repr>"."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import workloads
-    failed = []
+    cwd = os.getcwd()
+    runs = []
     for name in workloads.WORKLOADS:
-        spec = workloads.build(name, SEED)
+        spec = workloads.build(name, seed)
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
             for fname, text in spec.inputs.items():
@@ -75,11 +81,15 @@ def run_workloads(cli):
                         rc = exc.code
                     except Exception as exc:
                         rc = "raised %r" % exc
-                if rc != 0:
-                    failed.append("%s: %s exit %s" % (name, " ".join(argv),
-                                                      rc))
-        print("workload %s: %d commands" % (name, len(spec.commands)))
-    return failed
+                out = None
+                if "-o" in argv:
+                    path = argv[argv.index("-o") + 1]
+                    if os.path.exists(path):
+                        with open(path, "rb") as fh:
+                            out = fh.read()
+                runs.append((name, argv, rc, sink.getvalue(), out))
+            os.chdir(cwd)
+    return runs
 
 
 def main():
@@ -103,15 +113,19 @@ def main():
                                 os.path.join(scratch, "pytest")]
                                + [os.path.join(ROOT, t) for t in TESTS])
             from zbrng import cli
-            failed = run_workloads(cli)
+            runs = run_workloads(cli)
         finally:
             threading.setprofile(None)
             sys.setprofile(None)
             os.chdir(cwd)
     if code != 0:
         print("pytest exit code %d (failures above)" % code)
-    for line in failed:
-        print("failed command:", line)
+    for name, count in Counter(run[0] for run in runs).items():
+        print("workload %s: %d commands" % (name, count))
+    for name, argv, rc, _, _ in runs:
+        if rc != 0:
+            print("failed command: %s: %s exit %s" % (name, " ".join(argv),
+                                                      rc))
 
     entered = {(c.co_filename, c.co_firstlineno, c.co_name) for c in seen}
     found = defined()
