@@ -106,10 +106,6 @@ class CycNum:
         c = Fraction(value)
         return cls(1, {0: c} if c else {}, reduce=False)
 
-    @classmethod
-    def zeta(cls, q, e=1):
-        return cls(q, {e: Fraction(1)})
-
     # -- predicates / views
 
     def is_zero(self):
@@ -168,36 +164,6 @@ class CycNum:
 
     def conj(self):
         return CycNum(self.q, {(-e) % self.q: c for e, c in self.coeffs.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycNum.from_rat(other)
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        a, b = self._common(other)
-        return a.coeffs == b.coeffs
-
-    def root_of_unity_factor(self):
-        """If self = mu * w with mu a positive integer and w a root of unity,
-        return (mu, w); otherwise None."""
-        if self.is_zero():
-            return None
-        n2 = (self * self.conj())
-        if not n2.is_rational():
-            return None
-        n2 = n2.rational_value()
-        if n2.denominator != 1:
-            return None
-        mu = isqrt(n2.numerator)
-        if mu * mu != n2.numerator:
-            return None
-        w = self * Fraction(1, mu)
-        # roots of unity in Q(zeta_q) are +-zeta_q^e
-        for e in range(w.q):
-            z = CycNum.zeta(w.q, e)
-            if w == z or w == -z:
-                return mu, w
-        return None
 
     def __repr__(self):
         return "CycNum(%s)" % format_cyc(self)
@@ -527,11 +493,8 @@ class CycArray:
 
     def conj(self):
         table = power_table(self.q)
-        phi = table.shape[1]
-        flip = table[-np.arange(phi) % self.q]
-        dtype = int_dtype(phi * _maxabs(self.num) * _maxabs(flip))
-        return CycArray(self.q, self.num.astype(dtype) @ flip.astype(dtype),
-                        self.den)
+        flip = table[-np.arange(table.shape[1]) % self.q]
+        return CycArray(self.q, int_matmul(self.num, flip), self.den)
 
     def embed(self):
         """Complex values, zeta_q = exp(2 pi i / q)."""
@@ -657,6 +620,22 @@ def matmul_mod(A, B, p):
     if A.shape[-1] * (p - 1) ** 2 >= 2 ** 53:
         raise ValueError("modulus too large: terms * (p - 1)^2 >= 2^53")
     return floor_mod(A @ B, p)
+
+
+def int_matmul(A, B):
+    """A @ B exactly, for integer arrays in int64 or Python ints (object
+    dtype), shaped as np.matmul takes them.  Every partial sum is at most
+    A.shape[-1] max|A| max|B|: below 2^53 one float64 BLAS product holds
+    each exactly and the result is int64, below 2^63 the product runs in
+    int64, and above that in Python ints.  The one rule for the integer
+    matrix products of zbrng; the kernels with rules of their own say so
+    in their docstrings (the modular products, the associativity scan's
+    tiers, the +-1 triple product and profile)."""
+    bound = A.shape[-1] * _maxabs(A) * _maxabs(B)
+    if bound < 2 ** 53:
+        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
+    dtype = int_dtype(bound)
+    return A.astype(dtype, copy=False) @ B.astype(dtype, copy=False)
 
 
 @lru_cache(maxsize=16)

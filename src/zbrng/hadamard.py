@@ -10,8 +10,8 @@ from math import comb
 
 import numpy as np
 
-from .exact import (_maxabs, int_dtype, kernel_mod, matmul_mod, primes,
-                    row_keys, rref_mod)
+from .exact import (int_matmul, kernel_mod, matmul_mod, primes, row_keys,
+                    rref_mod)
 from .rng_core import (MAX_RING, FormatError, assoc_witness,
                        is_closed_subset, ring_from_tensor)
 
@@ -48,9 +48,7 @@ def normalize_hadamard(M):
         raise HadamardError("entries not +-1")
     if n % 4 != 0:
         raise HadamardError("order not divisible by 4")
-    # float64 BLAS, exact: each inner product is a sum of n unit terms
-    f = a.astype(np.float64)
-    if not np.array_equal(f @ f.T, n * np.eye(n)):
+    if not np.array_equal(int_matmul(a, a.T), n * np.eye(n, dtype=np.int64)):
         raise HadamardError("not orthogonal")
     a = a * a[:, :1]
     return HadamardMatrix(a)
@@ -66,7 +64,9 @@ def xi_sets(H):
 def triple_product(a):
     """T[i, j, m] = sum_l a_li a_lj a_lm for an integer matrix with entries
     in {-1, 0, 1}, as int64: one float64 BLAS product of the pair columns
-    a_i a_j with a, exact because every sum has at most len(a) unit terms."""
+    a_i a_j with a, exact because every sum has at most len(a) unit terms.
+    Not int_matmul: the pair columns are built in float64 and freed before
+    the int64 copy of T, so the peak holds one n^2-column matrix."""
     f = np.asarray(a, dtype=np.float64)
     rows, n = f.shape
     pairs = (f[:, :, None] * f[:, None, :]).reshape(rows, n * n)
@@ -108,9 +108,10 @@ def profile(H):
     i < j < l < m.  Each is the inner product of the pair columns (i, j) and
     (l, m); for each j one float64 BLAS block takes the pairs (i, j), i < j,
     against the pairs (l, m), l > j, a suffix of the pairs in combinations
-    order.  The sums are at most n in absolute value, so float64 is exact.
-    Raises on a value not congruent to 4k mod 8 at the lexicographically
-    first such quadruple."""
+    order.  The sums are at most n in absolute value, so float64 is exact;
+    the pair columns stay in float64 across the blocks (not int_matmul,
+    which would convert them once a block).  Raises on a value not
+    congruent to 4k mod 8 at the lexicographically first such quadruple."""
     a = H.array
     n, k = H.n, H.k
     I, J = np.triu_indices(n, 1)                # combinations order
@@ -219,7 +220,7 @@ def wmatrix(ring, i):
     eye = np.eye(len(keep), dtype=np.int64)
     W = np.block([[A + eye, A - eye], [A - eye, -A - eye]])
     want = (2 * k * k + 2) * np.eye(W.shape[0], dtype=np.int64)
-    if not np.array_equal(W @ W.T, want):
+    if not np.array_equal(int_matmul(W, W.T), want):
         raise HadamardError("orthogonality failure")
     if np.any(W == 0):
         raise HadamardError("orthogonality failure: zero entry")
@@ -292,11 +293,9 @@ def _is_character_table(N, k, signs):
     n = len(signs)
     if len(np.unique(row_keys(signs, np.int64), return_index=True)[0]) != n:
         return False
-    # |sum_m N_ijm s_km| <= n max|N| k, and k^2 <= that bound too
-    dtype = int_dtype(n * _maxabs(N) * k)
-    s = signs.astype(dtype) * k
-    lhs = (s[:, :, None] * s[:, None, :]).reshape(n, n * n)
-    return np.array_equal(lhs, s @ N.astype(dtype).reshape(n * n, n).T)
+    s = signs * k
+    lhs = int_matmul(s[:, :, None], s[:, None, :]).reshape(n, n * n)
+    return np.array_equal(lhs, int_matmul(s, N.reshape(n * n, n).T))
 
 
 def character_signs(ring):

@@ -12,8 +12,8 @@ from math import gcd
 
 import numpy as np
 
-from .exact import (CycArray, _maxabs, exact_int, int_dtype, lookup,
-                    row_keys)
+from .exact import (CycArray, _maxabs, exact_int, int_dtype, int_matmul,
+                    lookup, row_keys)
 from .rng_core import RingError, identity_coefficients, ring_blocks
 from .spectra import SpectraError, root_columns, unit_roots
 
@@ -72,7 +72,8 @@ class PointedAlgebra:
 def order2_quotient(R, d):
     """Quotient of R by <1 - b_d> where b_d^2 = 1 and b_d permutes the basis
     up to sign; basis = smallest-index class representatives; returns the
-    pointed algebra and the class map i -> (representative position, sign)."""
+    pointed algebra and the class map i -> (representative position, sign).
+    OverflowError when a folded constant passes int64."""
     n, N = R.n, R.N
     if not 0 <= d < n:
         raise QuotientError("d out of range")
@@ -108,7 +109,7 @@ def order2_quotient(R, d):
 
     F = np.zeros((n, len(reps)), dtype=np.int64)
     F[np.arange(n), fold_to] = fold_sign
-    Nq = N[np.ix_(reps, reps)] @ F
+    Nq = _held(int_matmul(N[np.ix_(reps, reps)], F), "quotient constants")
     labels = [tuple(sorted({r, perm[r]})) for r in reps]
     classmap = [(fold_to[i], fold_sign[i]) for i in range(n)]
     return PointedAlgebra(labels, tensor=Nq), classmap
@@ -372,10 +373,9 @@ def fannsc_lift(s, cap=4096):
 def quotient_verify(L, R):
     """True iff the distinguished rows are exactly the basis of R and the
     embedding is multiplicative on every pair of lifted basis elements:
-    E[x] E[y] = mu[x, y] E[xy] in R.  A slab of rows x is one product
-    E[slab] @ A, with A[i, (y, t)] = sum_j E[y, j] N[i, j, t] formed once;
-    n^2 max|E|^2 max|N| bounds every partial sum, so below 2^53 both
-    products run in float64 (BLAS) exactly, else in int64 or Python ints."""
+    E[x] E[y] = mu[x, y] E[xy] in R.  A slab of columns y is one product
+    E @ A[:, slab], with A[i, (y, t)] = sum_j E[y, j] N[i, j, t] formed
+    once, each an exact int_matmul."""
     E = L.embedding
     m, n = E.shape
     if n != R.n:
@@ -383,17 +383,12 @@ def quotient_verify(L, R):
     if not np.array_equal(E[list(L.distinguished)], np.eye(n, dtype=np.int64)):
         return False
     prod, mu = L.lifted.prod, L.lifted.mu
-    bound = n * n * _maxabs(E) ** 2 * _maxabs(R.N)
-    dtype = np.float64 if bound < 2 ** 53 else int_dtype(bound)
-    Ed = E.astype(dtype)
-    A = Ed @ R.N.transpose(1, 0, 2).reshape(n, n * n).astype(dtype)
+    A = int_matmul(E, R.N.transpose(1, 0, 2).reshape(n, n * n))
     A = A.reshape(m, n, n).transpose(1, 0, 2).reshape(n, m * n)
     for lo in range(0, m, _SLAB):
         hi = min(lo + _SLAB, m)
-        P = (Ed[lo:hi] @ A).reshape(hi - lo, m, n)
-        want = mu[lo:hi, :, None] * E[prod[lo:hi]]
-        # a float P holds exact integers below 2^53: no int64 value that
-        # differs from one rounds onto it
+        P = int_matmul(E, A[:, lo * n:hi * n]).reshape(m, hi - lo, n)
+        want = mu[:, lo:hi, None] * E[prod[:, lo:hi]]
         if not np.array_equal(P, want):
             return False
     return True

@@ -15,7 +15,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .exact import (CycArray, CycNum, _maxabs, floor_mod, format_cyc,
-                    int_dtype, primes, rref_mod)
+                    int_matmul, primes, rref_mod)
 
 
 class RingError(ValueError):
@@ -139,11 +139,8 @@ def identity_coefficients(ring):
     num = [int(x) for x in e.num.ravel()]
     g = gcd(e.den, *num)
     den, num = e.den // g, [x // g for x in num]
-    # A num = den b over Z; every sum is at most n max|N| max|num|, and den
-    # is one of them when the certificate holds
-    dtype = int_dtype(max(n * max(big) * max(map(abs, num)), den))
-    lhs = np.array(num, dtype=dtype) @ N.reshape(n, n * n).astype(dtype)
-    if not np.array_equal(lhs, den * b.astype(dtype)):
+    # A num = den b over Z: [A|b] (num, -den) = 0
+    if np.any(int_matmul(Ab, np.array(num + [-den], dtype=object))):
         raise RingError("no identity in R(x)C")
     return [CycNum.from_rat(Fraction(x, den)) for x in num]
 
@@ -158,20 +155,19 @@ def trace_eval(ring, r):
 
 def multiply(ring, r1, r2):
     """r1 r2 for rational coefficients: each element as an integer vector
-    over its coefficients' common denominator, one exact einsum, and the
-    result divided back; ExactError at a coefficient that is not rational."""
+    over its coefficients' common denominator, two exact products (v1 N,
+    then v2 times that) and the result divided back; ExactError at a
+    coefficient that is not rational."""
     vecs, den = [], 1
     for r in (r1, r2):
         vals = [c.rational_value() for c in r.coeffs]
         d = lcm(*(v.denominator for v in vals))
         vecs.append(np.array([int(v * d) for v in vals], dtype=object))
         den *= d
-    # each coefficient is a sum of n^2 terms v1_i v2_j N_ijm
-    dtype = int_dtype(ring.n ** 2 * _maxabs(vecs[0]) * _maxabs(vecs[1])
-                      * _maxabs(ring.N))
-    out = np.einsum("i,j,ijm->m", *(v.astype(dtype) for v in vecs),
-                    ring.N.astype(dtype, copy=False))
-    return RingElement([Fraction(int(x), den) for x in out])
+    n = ring.n
+    left = int_matmul(vecs[0], ring.N.reshape(n, n * n)).reshape(n, n)
+    return RingElement([Fraction(int(x), den)
+                        for x in int_matmul(vecs[1], left)])
 
 
 def _first_mismatch(a, b):
@@ -212,7 +208,9 @@ def assoc_witness(N, modulus):
 
 
 def _assoc_scan(A, modulus, stop):
-    """assoc_witness on an exact float32 or float64 tensor, over i < stop.
+    """assoc_witness on an exact float32 or float64 tensor, over i < stop:
+    the tiers of assoc_witness, not int_matmul's, so that a bound below
+    2^24 runs in float32 and residues mod p are reduced in place.
 
     With T[k] the matrix T[k, j, m] = N[j, k, m], the differences of slab i
     are d(i, j, k, l) = (N[i] T[k] - T[k] N[i])[j, l].  When N is
@@ -269,10 +267,11 @@ def verify_axioms(ring):
     w = next((i for i in range(n) if num[i] != num[tl[i]]), None)
     rep.add("e~ = e", w is None, w)
 
-    # tau(b~_i b_j) = sum_m conj(e_m) N[~i, j, m] = delta_ij
-    t = N[tl].astype(object) @ num
-    t[np.diag_indices(n)] -= den
-    w = _first_mismatch(t, 0)
+    # tau(b~_i b_j) = sum_m conj(e_m) N[~i, j, m] = delta_ij; den = sum_i
+    # N_i00 num_i (e's certificate) is within the product's bound, so
+    # t.dtype holds it
+    t = int_matmul(N[tl], num)
+    w = _first_mismatch(t, den * np.eye(n, dtype=t.dtype))
     rep.add("duality", w is None, w)
     return rep
 

@@ -8,7 +8,7 @@ with coefficients N_ij^m.
 """
 
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -164,17 +164,28 @@ def unit_roots(q):
 def root_columns(s):
     """(T, M) for an exact s with every column of root-of-unity type:
     s[l, i] = M[l, i] * zeta_Q^T[l, i] (Q from unit_roots) with M a positive
-    integer constant on each column.  Each distinct entry (interned id) is
-    factored once and its root looked up in the table of unit_roots."""
+    integer constant on each column.  The distinct entries v (one per
+    interned id) are factored at once: mu^2 = v conj(v) must be the square
+    of a positive integer, and v / mu a row of the table of unit_roots."""
     roots = unit_roots(s.q)[1]
-    exponent = {tuple(r): t for t, r in enumerate(roots.tolist())}
-    factors = [e.root_of_unity_factor() for e in s.values]
-    if None in factors:
+    a = s.array
+    phi = a.num.shape[-1]
+    first = np.unique(s.ids, return_index=True)[1]
+    v = CycArray(a.q, a.num.reshape(-1, phi)[first], a.den)
+    sq, ok = (v * v.conj()).integers()
+    sq = sq.tolist()
+    mu = [isqrt(x) if x > 0 else 0 for x in sq]
+    if not ok.all() or any(m == 0 or m * m != x for m, x in zip(mu, sq)):
         raise SpectraError("column not of root-of-unity type")
-    mu_of = np.array([mu for mu, _ in factors], dtype=object)
-    texp = np.array([exponent[tuple(w.coeffs.get(x, 0) for x in
-                                    range(roots.shape[1]))]
-                     for _, w in factors], dtype=np.int64)
+    scale = _fit(np.array([m * a.den for m in mu], dtype=object))[:, None]
+    w = v.num // scale
+    if np.any(v.num % scale) or _maxabs(w) > _maxabs(roots):
+        raise SpectraError("column not of root-of-unity type")
+    keys, idx = np.unique(row_keys(roots, np.int64), return_index=True)
+    texp = lookup(keys, idx, row_keys(w, np.int64))
+    if np.any(texp < 0):
+        raise SpectraError("column not of root-of-unity type")
+    mu_of = np.array(mu, dtype=object)
     T, M = texp[s.ids], mu_of[s.ids]
     if np.any(M != M[:1]):
         raise SpectraError("column not of root-of-unity type")

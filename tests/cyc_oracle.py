@@ -1,14 +1,28 @@
 """CycNum arithmetic that only the tests use, as an oracle for the
-coefficient-array kernels: the Galois action, inverse, quotient and
-difference of cyclotomic numbers, a Gauss-Jordan inverse over CycNums or
-Fractions, entry keys and complex values.  zbrng computes over Q(zeta_q)
-with CycArray and keeps CycNum for parsing, formatting and the acceptance
-gate's rational reads."""
+coefficient-array kernels: roots of unity, equality, the Galois action,
+inverse, quotient and difference of cyclotomic numbers, a Gauss-Jordan
+inverse over CycNums or Fractions, entry keys, complex values and the
+root-of-unity factor.  zbrng computes over Q(zeta_q) with CycArray and keeps CycNum for
+parsing, formatting and the acceptance gate's rational reads."""
 
 from fractions import Fraction
-from math import cos, gcd, pi, sin
+from math import cos, gcd, isqrt, pi, sin
 
 from zbrng.exact import CycNum, ExactError
+
+
+def zeta(q, e=1):
+    """zeta_q^e."""
+    return CycNum(q, {e: Fraction(1)})
+
+
+def equal(a, b):
+    """a = b for CycNums or rationals, or entry by entry for nested lists
+    of them: their difference is zero."""
+    if isinstance(a, list) or isinstance(b, list):
+        return (isinstance(a, list) and isinstance(b, list)
+                and len(a) == len(b) and all(map(equal, a, b)))
+    return (CycNum.from_rat(0) + a + -b).is_zero()
 
 
 def galois(x, t):
@@ -75,3 +89,25 @@ def embed(x):
         re += c * cos(t)
         im += c * sin(t)
     return complex(re, im)
+
+
+def root_of_unity_factor(x):
+    """(mu, w) with x = mu * w, mu a positive integer and w a root of unity,
+    or None: mu^2 = x conj(x) and w one of the +-zeta_q^e."""
+    if x.is_zero():
+        return None
+    n2 = x * x.conj()
+    if not n2.is_rational():
+        return None
+    n2 = n2.rational_value()
+    if n2.denominator != 1:
+        return None
+    mu = isqrt(n2.numerator)
+    if mu * mu != n2.numerator:
+        return None
+    w = x * Fraction(1, mu)
+    for e in range(w.q):
+        z = zeta(w.q, e)
+        if equal(w, z) or equal(w, -z):
+            return mu, w
+    return None

@@ -152,6 +152,34 @@ def test_quotient2(tmp_path, capsys):
         assert code == 2 and "out of range" in err
 
 
+def fold_ring(c):
+    """n = 4 with identity b_0 and b_1 of order 2 (b_1 b_2 = b_3): the
+    quotient by <1 - b_1> folds N[2, 2] = c b_2 + c b_3 onto 2c."""
+    e = np.eye(4, dtype=object)
+    N = np.zeros((4, 4, 4), dtype=object)
+    N[0], N[:, 0] = e, e
+    N[1, 1], N[3, 3] = e[0], e[2]
+    N[1, 2] = N[2, 1] = e[3]
+    N[1, 3] = N[3, 1] = e[2]
+    N[2, 3] = N[3, 2] = e[0]
+    N[2, 2] = (0, 0, c, c)
+    return "zbrng 1\nn 4\ninvolution 0 1 2 3\n" + "".join(
+        "N %d\n" % i + "".join(" ".join(map(str, row)) + "\n" for row in N[i])
+        for i in range(4))
+
+
+@pytest.mark.parametrize("c", [2 ** 61, 2 ** 62])
+def test_quotient2_fold_past_int64(tmp_path, capsys, c):
+    f = tmp_path / "fold.zbrng"
+    f.write_text(fold_ring(c))
+    code, out, err = run(capsys, "quotient2", str(f), "1")
+    if 2 * c < 2 ** 63:
+        assert code == 0 and out.splitlines()[7] == "0 %d" % (2 * c)
+    else:
+        assert code == 2 and out == ""
+        assert err == "input error: quotient constants exceed int64\n"
+
+
 def test_lift(z3_file, capsys):
     code, out, _ = run(capsys, "lift", str(z3_file[0]))
     assert code == 0

@@ -25,6 +25,9 @@ the mean time per call.  The rows:
                                   order 128 (not commutative: every k)
     smatrix sylvester128          character_signs of the Sylvester 128 ring
                                   (the +-k splitting and its certificate)
+    verify_axioms sylvester128    verify_axioms on a fresh FusionRing over
+                                  the Sylvester 128 tensor: the scan, the
+                                  identity solve and the duality product
     closed ext2 group 4 6         closed_subset_heuristic on the exterior
                                   square of the Z/4 x Z/6 table (n = 276)
     closed kp 40                  closed_subset_heuristic on the level-40
@@ -32,6 +35,9 @@ the mean time per call.  The rows:
     closed group 7 9              closed_subset_heuristic on the Z/7 x Z/9
                                   table (n = 63, q = 63)
     verlinde group 7 9            verlinde_tensor on the same table
+    root_columns group 7 9        root_columns on a fresh SMatrix over the
+                                  same table's array (entries interned and
+                                  factored)
     fannsc_lift paley12           the semigroup lift of the Paley 12 ring's
                                   s-matrix (m = 1024)
     lift_lines paley12, paley24   the lift text of Paley 12 and Paley 24
@@ -159,6 +165,12 @@ ROWS = {
         "from zbrng.hadamard import character_signs, ring_from_hadamard\n"
         "ring = ring_from_hadamard(gen_sylvester(7))",
         "character_signs(ring)", 1, 5),
+    "verify_axioms sylvester128": (
+        "from zbrng.generators import gen_sylvester\n"
+        "from zbrng.hadamard import ring_from_hadamard\n"
+        "from zbrng.rng_core import FusionRing, verify_axioms\n"
+        "ring = ring_from_hadamard(gen_sylvester(7))",
+        "verify_axioms(FusionRing(ring.n, ring.N, ring.tilde))", 1, 5),
     "closed ext2 group 4 6": (
         "from zbrng.generators import exterior_square, group_ring_smatrix\n"
         "from zbrng.spectra import closed_subset_heuristic as f\n"
@@ -179,6 +191,11 @@ ROWS = {
         "from zbrng.spectra import verlinde_tensor as f\n"
         "s = group_ring_smatrix([7, 9])",
         "f(s)", 1, 3),
+    "root_columns group 7 9": (
+        "from zbrng.generators import group_ring_smatrix\n"
+        "from zbrng.spectra import SMatrix, root_columns\n"
+        "s = group_ring_smatrix([7, 9])",
+        "root_columns(SMatrix(s.array))", 1, 9),
     "fannsc_lift paley12": (paley_lift(11), "fannsc_lift(s)", 1, 15),
     "lift_lines paley12": (paley_lift(11), "deque(lift_lines(L), 0)", 1, 15),
     "lift_lines paley24": (paley_lift(23), "deque(lift_lines(L), 0)", 1, 5),
