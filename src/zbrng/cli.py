@@ -186,7 +186,8 @@ def cmd_quotient2(args):
 
 
 def cmd_lift(args):
-    s = as_smatrix(load_any(args.file), args.tol)
+    # no lift reads a tolerance: a numeric s-matrix is refused
+    s = as_smatrix(load_any(args.file), TOL[1]["default"])
     L = fannsc_lift(s, cap=args.cap)
     return emit(args, lift_lines(L))
 
@@ -369,7 +370,7 @@ def build_parser():
     _subcommand(sub, "subring", cmd_subring, f,
                 ("indices", {"type": int, "nargs": "+"}), TOL)
     _subcommand(sub, "quotient2", cmd_quotient2, f, ("d", {"type": int}))
-    _subcommand(sub, "lift", cmd_lift, f, TOL,
+    _subcommand(sub, "lift", cmd_lift, f,
                 ("--cap", {"type": positive, "default": 4096}))
 
     had = sub.add_parser("had").add_subparsers(dest="hadcmd", required=True)

@@ -265,16 +265,6 @@ def format_cyc(a):
 # ---------------------------------------------------------------------------
 # exact linear algebra over Q
 
-def exact_int(c):
-    """The integer value of an int, Fraction or CycNum, or None if it is not
-    an integer."""
-    if isinstance(c, CycNum):
-        if not c.is_rational():
-            return None
-        c = c.rational_value()
-    return c.numerator if c.denominator == 1 else None
-
-
 def mat_inverse(rows):
     """Exact inverse of a square matrix of Fractions (Gauss-Jordan); raises
     ExactError("singular matrix")."""
@@ -321,20 +311,6 @@ def rref_mod(A, p):
         R[rows, c:] = (R[rows, c:] - R[rows, c, None] * R[r, c:]) % p
         pivots.append(c)
     return R, pivots
-
-
-def kernel_mod(A, p):
-    """Basis of the right kernel of A mod p, one residue vector per row: the
-    vector of free column c has 1 at c and minus column c of R at the
-    pivots."""
-    R, pivots = rref_mod(A, p)
-    free = np.ones(R.shape[1], dtype=bool)
-    free[pivots] = False
-    free = np.flatnonzero(free)
-    K = np.zeros((len(free), R.shape[1]), dtype=np.int64)
-    K[np.arange(len(free)), free] = 1
-    K[:, pivots] = -R[:len(pivots), free].T % p
-    return K
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ from math import comb
 
 import numpy as np
 
-from .exact import (int_matmul, kernel_mod, matmul_mod, primes, row_keys,
-                    rref_mod)
+from .exact import int_matmul, matmul_mod, primes, row_keys, rref_mod
 from .rng_core import (MAX_RING, FormatError, assoc_witness,
                        is_closed_subset, ring_from_tensor)
 
@@ -250,8 +249,15 @@ def hadamard_type(ring):
 def split_pm(N, k, p):
     """Common-eigenspace splitting over GF(p) of the commuting matrices
     M_i = N_i^T with eigenvalues +-k, for an odd prime p not dividing k and
-    at most the primes(1, n) (matmul_mod sums n terms).  Returns the sign
-    rows (+1 where the character is k, -1 where it is -k mod p), sorted."""
+    at most the primes(1, n) (matmul_mod sums n terms).  Each space is a
+    basis B in reduced row echelon form, so a vector of its span has its
+    coordinates at the pivots: M_i maps the span into itself exactly when
+    img = A B with A = img[:, pivots], and then acts as A on coordinates.
+    A has only eigenvalues +-k, each space of eigenvectors spanned, exactly
+    when rank(A + k I) + rank(A - k I) = dim B; the row spaces of A + k I
+    and A - k I are then those spaces, and their reduced forms times B are
+    reduced bases again.  Returns the sign rows (+1 where the character is
+    k, -1 where it is -k mod p), sorted."""
     n, kp = N.shape[0], k % p
     spaces = [np.eye(n)]                    # one basis vector per row
     for i in range(n):
@@ -264,22 +270,27 @@ def split_pm(N, k, p):
                 nxt.append(B)
                 continue
             img = matmul_mod(B, Ni, p)          # row r: M_i applied to B[r]
-            kers = [kernel_mod((img - e * B).T, p) for e in (kp, p - kp)]
-            if sum(map(len, kers)) != len(B):
+            A = img[:, (B != 0).argmax(axis=1)]     # columns at the pivots
+            if not np.array_equal(matmul_mod(A, B, p), img):
                 raise HadamardError("non-+-k eigenvalue at basis %d" % i)
-            nxt += [matmul_mod(K, B, p) for K in kers if len(K)]
+            eye = np.eye(len(B))
+            if any(np.array_equal(A, e * eye) for e in (kp, p - kp)):
+                nxt.append(B)                   # M_i is +-k on all of it
+                continue
+            halves = [rref_mod(A + e * eye, p) for e in (kp, -kp)]
+            if sum(len(piv) for _, piv in halves) != len(B):
+                raise HadamardError("non-+-k eigenvalue at basis %d" % i)
+            nxt += [matmul_mod(R[:len(piv)], B, p) for R, piv in halves]
         spaces = nxt
     if any(len(B) != 1 for B in spaces):
         raise HadamardError("splitting stalls")
 
-    # character i of eigenvector v, read at its first nonzero coordinate c:
-    # (M_i v)_c / v_c = sum_j N_ijc v_j / v_c
+    # character i of eigenvector v, read at its pivot c, where v_c = 1:
+    # (M_i v)_c = sum_j N_ijc v_j
     V = np.concatenate(spaces)
-    c = (V != 0).argmax(axis=1)
-    chi = np.array([matmul_mod(N[:, :, cr] % p, v, p)
-                    for v, cr in zip(V, c)], dtype=np.int64)
-    inv = [pow(int(x), -1, p) for x in V[np.arange(n), c]]
-    chi = chi * np.array(inv, dtype=np.int64)[:, None] % p
+    chi = np.array([matmul_mod(N[:, :, c] % p, v, p)
+                    for v, c in zip(V, (V != 0).argmax(axis=1))],
+                   dtype=np.int64)
     signs = (chi == kp).astype(np.int64) - (chi == p - kp)
     bad = np.argwhere(signs == 0)
     if len(bad):

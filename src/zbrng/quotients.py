@@ -12,9 +12,9 @@ from math import gcd
 
 import numpy as np
 
-from .exact import (CycArray, _maxabs, exact_int, int_dtype, int_matmul,
-                    lookup, row_keys)
-from .rng_core import RingError, identity_coefficients, ring_blocks
+from .exact import (CycArray, _maxabs, int_dtype, int_matmul, lookup,
+                    row_keys)
+from .rng_core import ring_blocks
 from .spectra import SpectraError, root_columns, unit_roots
 
 
@@ -73,15 +73,14 @@ def order2_quotient(R, d):
     """Quotient of R by <1 - b_d> where b_d^2 = 1 and b_d permutes the basis
     up to sign; basis = smallest-index class representatives; returns the
     pointed algebra and the class map i -> (representative position, sign).
-    OverflowError when a folded constant passes int64."""
+    b_d^2 = N[d, d] is 1 exactly when it acts as 1 on every b_j (the ring is
+    commutative, so an identity is unique): one product.  OverflowError
+    when a folded constant passes int64."""
     n, N = R.n, R.N
     if not 0 <= d < n:
         raise QuotientError("d out of range")
-    try:
-        e = identity_coefficients(R)
-    except RingError as exc:
-        raise QuotientError("d not of order 2") from exc
-    if any(exact_int(e[m]) != N[d, d, m] for m in range(n)):
+    if not np.array_equal(int_matmul(N[d, d], N.reshape(n, n * n)),
+                          np.eye(n, dtype=np.int64).ravel()):
         raise QuotientError("d not of order 2")
 
     perm, sign = [0] * n, [0] * n

@@ -1,9 +1,10 @@
 """CycNum arithmetic that only the tests use, as an oracle for the
-coefficient-array kernels: roots of unity, equality, the Galois action,
-inverse, quotient and difference of cyclotomic numbers, a Gauss-Jordan
-inverse over CycNums or Fractions, entry keys, complex values and the
-root-of-unity factor.  zbrng computes over Q(zeta_q) with CycArray and keeps CycNum for
-parsing, formatting and the acceptance gate's rational reads."""
+coefficient-array kernels: roots of unity, equality, integer values, the
+Galois action, inverse, quotient and difference of cyclotomic numbers, a
+Gauss-Jordan inverse over CycNums or Fractions, entry keys, complex values
+and the root-of-unity factor.  zbrng computes over Q(zeta_q) with CycArray
+and keeps CycNum for parsing, formatting and the acceptance gate's rational
+reads."""
 
 from fractions import Fraction
 from math import cos, gcd, isqrt, pi, sin
@@ -23,6 +24,16 @@ def equal(a, b):
         return (isinstance(a, list) and isinstance(b, list)
                 and len(a) == len(b) and all(map(equal, a, b)))
     return (CycNum.from_rat(0) + a + -b).is_zero()
+
+
+def exact_int(c):
+    """The integer value of an int, Fraction or CycNum, or None if it is not
+    an integer."""
+    if isinstance(c, CycNum):
+        if not c.is_rational():
+            return None
+        c = c.rational_value()
+    return c.numerator if c.denominator == 1 else None
 
 
 def galois(x, t):

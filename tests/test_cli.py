@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -197,6 +198,22 @@ def test_lift_cap_outside_domain_exit2(cap, z3_file, capsys):
     assert "--cap" in capsys.readouterr().err
     code, _, err = run(capsys, "lift", str(z3_file[0]), "--cap", "1")
     assert code == 1 and "exceeds cap (1)" in err
+
+
+def test_lift_output_pinned(z3_file, paley12_file, capsys):
+    # lift reads no tolerance: exact s-matrices ignore it, Hadamard input
+    # splits exactly, and a numeric s-matrix is refused; the outputs are
+    # pinned byte for byte (sha256 of stdout)
+    for f, want in (
+            (z3_file[0], "761b381a44f7b3037aec3ee01868670b"
+                         "b371d93c1750989cabea57a1cb96d68e"),
+            (paley12_file, "7b816dd8899a47acdcfdaf3f488a28d7"
+                           "0219a23b1488eef2d6b54218aab1e9c5")):
+        code, out, _ = run(capsys, "lift", str(f))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+    assert run(capsys, "lift", str(z3_file[1])) == (
+        1, "", "failed: exact s-matrix required\n")
 
 
 def test_monomial_lift_file_named_exit2(paley12_file, tmp_path, capsys):
@@ -426,6 +443,7 @@ def test_exit2_paths(tmp_path, capsys):
     ("verify", "{ring}", "--tol", "1"),
     ("verlinde", "{smat}", "--machine"),
     ("gen", "paley", "11", "--tol", "1"),
+    ("lift", "{smat}", "--tol", "1e-3"),
 ])
 def test_flags_only_where_read(argv, paley12_file, z3_file, capsys):
     # --tol and --machine belong to the subcommands that read them

@@ -9,13 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import zbrng.exact as exact
 from zbrng.exact import (CycArray, CycNum, ExactError, cyclotomic_poly,
-                         exact_int, format_cyc, int_dtype, kernel_mod,
-                         mat_inverse, matmul_mod, parse_cyc, power_table,
-                         primes, rref_mod)
+                         format_cyc, int_dtype, mat_inverse, matmul_mod,
+                         parse_cyc, power_table, primes, rref_mod)
 from zbrng.rng_core import FusionRing, _assoc_scan, identity_coefficients
 
 import cyc_oracle
-from cyc_oracle import equal, zeta
+from cyc_oracle import equal, exact_int, zeta
 
 
 @pytest.mark.parametrize("q,coeffs", [
@@ -111,16 +110,11 @@ def test_mat_inverse_fractions():
 
 
 def test_rat_kernel_rank():
-    # the rational case over a large prime: rank and kernel as over Q
+    # the rational case over a large prime: the rank as over Q
     p = 2 ** 31 - 1
     M = [[1, 2, 3],
          [2, 4, 6]]
     assert len(rref_mod(M, p)[1]) == 1
-    ker = kernel_mod(M, p)
-    assert len(ker) == 2
-    for v in ker.tolist():
-        for row in M:
-            assert sum(a * b for a, b in zip(row, v)) % p == 0
 
 
 def test_cyc_matrix_inverse():
@@ -143,17 +137,8 @@ def test_cyc_matrix_inverse():
 def test_gf_linear_algebra():
     rows = [[1, 2, 0], [2, 4, 0], [0, 0, 1]]
     assert len(rref_mod(rows, 5)[1]) == 2
-    ker = kernel_mod(rows, 5)
-    assert len(ker) == 1
-    v = ker[0].tolist()
-    for row in rows:
-        assert sum(a * b for a, b in zip(row, v)) % 5 == 0
     ech, pivots = rref_mod([[1, 1], [1, 0]], 2)
     assert pivots == [0, 1] and ech.tolist() == [[1, 0], [0, 1]]
-
-
-def test_gf_kernel_full_rank_empty():
-    assert kernel_mod([[1, 0], [0, 1]], 3).tolist() == []
 
 
 # ---------------------------------------------------------------------------

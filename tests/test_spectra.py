@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zbrng.exact import (CycArray, CycNum, ExactError, certify_inverse,
-                         exact_int, format_cyc, primes)
+                         format_cyc, primes)
 from zbrng.generators import (fixture_ds3, gen_paley, group_ring_smatrix,
                               exterior_square, kac_peterson_a1)
 from zbrng.hadamard import ring_from_hadamard
@@ -21,7 +21,7 @@ from zbrng.spectra import (SMatrix, SpectraError, _closed, _distinct_rows,
                            subring_smatrix, verlinde_tensor)
 
 from conftest import ring_from_smatrix
-from cyc_oracle import equal, key, mat_inverse, zeta
+from cyc_oracle import equal, exact_int, key, mat_inverse, zeta
 
 MONOID = np.array([[1, 1, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0], [1, 0, 0, 0]],
                   dtype=float)

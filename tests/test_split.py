@@ -235,6 +235,27 @@ def test_corrupted_tensor_verdicts(name, seed, flips):
         assert (k * character_signs(ring)[1]).tolist() == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["p12", "s8", "s16", "k8"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+def test_split_pm_matches_gf_oracle(name, seed, flips):
+    # the same rows or the same message as the list splitter over GF(p),
+    # at the first prime and, when k = 1 (mod 3), at 3: the invariance
+    # check, the rank check and the read-off at the pivots
+    N = corrupted(name, seed, flips).N
+    n, k = len(N), int(N[0, 0, 0])
+    for p in [next(primes(1, n))] + [3] * (k % 3 == 1):
+        try:
+            want = list_split(N, k, p,
+                              lambda i: "non-+-k eigenvalue at basis %d" % i)
+        except HadamardError as exc:
+            with pytest.raises(HadamardError) as got:
+                split_pm(N, k, p)
+            assert str(got.value) == str(exc)
+        else:
+            assert (k * split_pm(N, k, p)).tolist() == want
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
 def test_mod3_corrupted_verdicts(seed, flips):

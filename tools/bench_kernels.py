@@ -25,6 +25,11 @@ the mean time per call.  The rows:
                                   order 128 (not commutative: every k)
     smatrix sylvester128          character_signs of the Sylvester 128 ring
                                   (the +-k splitting and its certificate)
+    split_pm sylvester256         split_pm of the Sylvester 256 ring in
+                                  natural order at the first primes(1, 256)
+    reconstruct_mod3 sylvester64  reconstruct_mod3 of a seeded scrambled
+                                  Sylvester 64 ring (negative constants), as
+                                  `had reconstruct3` runs it
     verify_axioms sylvester128    verify_axioms on a fresh FusionRing over
                                   the Sylvester 128 tensor: the scan, the
                                   identity solve and the duality product
@@ -165,6 +170,24 @@ ROWS = {
         "from zbrng.hadamard import character_signs, ring_from_hadamard\n"
         "ring = ring_from_hadamard(gen_sylvester(7))",
         "character_signs(ring)", 1, 5),
+    "split_pm sylvester256": (
+        "from zbrng.exact import primes\n"
+        "from zbrng.generators import gen_sylvester\n"
+        "from zbrng.hadamard import ring_from_hadamard, split_pm\n"
+        "N = ring_from_hadamard(gen_sylvester(8)).N\n"
+        "p = next(primes(1, 256))",
+        "split_pm(N, 64, p)", 1, 3),
+    "reconstruct_mod3 sylvester64": (
+        "import numpy as np\n"
+        "from zbrng.generators import gen_sylvester\n"
+        "from zbrng.hadamard import (normalize_hadamard, reconstruct_mod3,\n"
+        "                            ring_from_hadamard)\n"
+        "rng = np.random.default_rng(6)\n"
+        "a = gen_sylvester(6).array\n"
+        "a = a[rng.permutation(64)][:, rng.permutation(64)]\n"
+        "a = a * rng.choice([-1, 1], 64)[:, None] * rng.choice([-1, 1], 64)\n"
+        "N3 = ring_from_hadamard(normalize_hadamard(a)).N % 3",
+        "reconstruct_mod3(N3, 16)", 5, 9),
     "verify_axioms sylvester128": (
         "from zbrng.generators import gen_sylvester\n"
         "from zbrng.hadamard import ring_from_hadamard\n"
