@@ -6,6 +6,7 @@
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
@@ -14,7 +15,7 @@ import numpy as np
 from .exact import ExactError, format_cyc
 from .rng_core import (FormatError, FusionRing, RingError, assoc_witness,
                        identity_coefficients, ring_blocks, ring_from_text,
-                       ring_to_text, verify_axioms)
+                       ring_lines, verify_axioms)
 from .spectra import (SMatrix, SpectraError, closed_subset_heuristic,
                       involution_from_smatrix, smatrix_from_tensor,
                       smatrix_from_text, smatrix_to_text, subring_smatrix,
@@ -25,7 +26,7 @@ from .hadamard import (HadamardError, HadamardMatrix, PreconditionError,
                        hadamard_to_text, hadamard_type, multiset_census,
                        normalize_hadamard, profile, reconstruct_exact,
                        reconstruct_mod3, ring_from_hadamard, ring_from_tensor,
-                       triangular_bound, triple_product, v_rank, wmatrix)
+                       triangular_bound, triple_slabs, v_rank, wmatrix)
 from .quotients import (QuotientError, fannsc_lift, lift_lines,
                         order2_quotient)
 from .generators import (exterior_square, fixture_ds3, gen_kronecker,
@@ -154,7 +155,7 @@ def cmd_verlinde(args):
         print("\n".join(ring_blocks(res.tensor)))
         return 1
     ring = ring_from_tensor(s.n, res.tensor, tilde)
-    return emit(args, ring_to_text(ring))
+    return emit(args, ring_lines(ring.N, ring.tilde))
 
 
 def cmd_closed(args):
@@ -179,10 +180,9 @@ def cmd_quotient2(args):
     ring = as_ring(load_any(args.file))
     in_range([args.d], 0, ring.n, "d")
     alg, classmap = order2_quotient(ring, args.d)
-    lines = ["zbrng 1", "n %d" % alg.m, *ring_blocks(alg.tensor)]
-    for i, (r, sg) in enumerate(classmap):
-        lines.append("class %d %d %d" % (i, r, sg))
-    return emit(args, "\n".join(lines) + "\n")
+    classes = ("class %d %d %d\n" % (i, r, sg)
+               for i, (r, sg) in enumerate(classmap))
+    return emit(args, itertools.chain(ring_lines(alg.tensor), classes))
 
 
 def cmd_lift(args):
@@ -198,14 +198,16 @@ def cmd_had_ring(args):
     if args.check_parity:
         # N_ij^m = k - 2|xi_i . xi_j . xi_m| on pairwise-distinct nonzero
         # triples (inclusion-exclusion from |xi_i| = 2k, |xi_i . xi_j| = k)
-        inter = triple_product(H.array == -1)
-        i, j, m = np.ix_(*[np.arange(H.n)] * 3)
-        mask = ((i != j) & (j != m) & (i != m)
-                & (i != 0) & (j != 0) & (m != 0))
-        ok = np.array_equal(ring.N[mask], (H.k - 2 * inter)[mask])
+        j, m = np.ogrid[:H.n, :H.n]
+        ok = True
+        for lo, inter in triple_slabs(H.array == -1):
+            i = np.arange(lo, lo + len(inter))[:, None, None]
+            bad = ring.N[lo:lo + len(inter)] != H.k - 2 * inter
+            ok &= not np.any(bad & (i != j) & (j != m) & (i != m)
+                             & (i != 0) & (j != 0) & (m != 0))
         print("parity %s" % ("ok" if ok else "FAIL"))
         return 0 if ok else 1
-    return emit(args, ring_to_text(ring))
+    return emit(args, ring_lines(ring.N, ring.tilde))
 
 
 def cmd_had_profile(args):

@@ -33,9 +33,6 @@ class HadamardMatrix:
         self.n = array.shape[0]
         self.k = self.n // 4
 
-    def __repr__(self):
-        return "HadamardMatrix(n=%d)" % self.n
-
 
 def normalize_hadamard(M):
     """Negate rows whose first entry is -1; column order preserved."""
@@ -60,29 +57,38 @@ def xi_sets(H):
             for i in range(H.n)]
 
 
-def triple_product(a):
+def triple_slabs(a):
     """T[i, j, m] = sum_l a_li a_lj a_lm for an integer matrix with entries
-    in {-1, 0, 1}, as int64: one float64 BLAS product of the pair columns
-    a_i a_j with a, exact because every sum has at most len(a) unit terms.
-    Not int_matmul: the pair columns are built in float64 and freed before
-    the int64 copy of T, so the peak holds one n^2-column matrix."""
-    f = np.asarray(a, dtype=np.float64)
+    in {-1, 0, 1}, as (lo, T[lo:hi]) for slabs of 2^18 // n^2 (at least
+    one) values of i: each one float32 BLAS product of the pair columns
+    a_i a_j, i in the slab, with a.  float32 is exact, as every sum has at
+    most len(a) < 2^24 unit terms, and takes half the memory of float64.
+    Orders up to 64 take one product; up to 512 the pair matrix and
+    T[lo:hi] of a square a hold at most 2^18 entries (1 MB) each."""
+    f = np.asarray(a, dtype=np.float32)
     rows, n = f.shape
-    pairs = (f[:, :, None] * f[:, None, :]).reshape(rows, n * n)
-    T = pairs.T @ f
-    del pairs                           # before the int64 copy of T
-    return T.astype(np.int64).reshape(n, n, n)
+    step = max(1, 2 ** 18 // n ** 2)
+    for lo in range(0, n, step):
+        pairs = (f[:, lo:lo + step, None] * f[:, None, :]).reshape(rows, -1)
+        T = pairs.T @ f
+        del pairs                       # before the caller holds T
+        yield lo, T.reshape(-1, n, n)
 
 
 def ring_from_hadamard(H):
     """Tensor N_ij^m = (1/4) sum_l s_li s_lj s_lm; tilde = identity.
-    PreconditionError above order MAX_RING, before the n^3 tensor exists."""
+    PreconditionError above order MAX_RING, before the n^3 tensor exists;
+    the tensor is filled and checked a slab of triple_slabs at a time."""
     if H.n > MAX_RING:
         raise PreconditionError("ring order %d above %d" % (H.n, MAX_RING))
-    raw = triple_product(H.array)
-    if np.any(raw % 4):
-        raise HadamardError("non-integral structure constants (corrupt input)")
-    N = raw // 4
+    N = np.empty((H.n,) * 3, dtype=np.int64)
+    for lo, T in triple_slabs(H.array):
+        slab = N[lo:lo + len(T)]
+        slab[...] = T
+        if np.any(slab & 3):        # mod 4 in int64: float32 % is 10x slower
+            raise HadamardError("non-integral structure constants "
+                                "(corrupt input)")
+        slab //= 4
     return ring_from_tensor(H.n, N, tuple(range(H.n)))
 
 
@@ -334,6 +340,9 @@ def character_signs(ring):
 def reconstruct_exact(ring):
     """Recover the Hadamard matrix from its ring tensor, up to row
     permutation, by certified +-k eigenspace splitting."""
+    hadamard_type(ring)             # its refusals come before the order's
+    if ring.n % 4:
+        raise PreconditionError("order not divisible by 4")
     return normalize_hadamard(character_signs(ring)[1])
 
 
@@ -341,6 +350,8 @@ def reconstruct_mod3(N, k):
     """The splitting over GF(3), eigenvalues +-1 (valid when k = 1 mod 3);
     returns a +-1 sign matrix equal to the source matrix up to row
     permutation."""
+    if len(N) % 4:
+        raise PreconditionError("order not divisible by 4")
     if k % 3 != 1:
         raise PreconditionError("k must be 1 mod 3")
     return split_pm(N, 1, 3)
@@ -396,12 +407,11 @@ def _invariants(H):
 
 
 def equiv_screen(H1, H2):
-    """'inequivalent' when any canonical invariant differs, else
-    'indistinguishable' (no completeness claim)."""
-    if H1.n != H2.n:
-        raise HadamardError("order mismatch")
-    return "inequivalent" if _invariants(H1) != _invariants(H2) \
-        else "indistinguishable"
+    """'inequivalent' when any canonical invariant, the order first, differs,
+    else 'indistinguishable' (no completeness claim)."""
+    if H1.n != H2.n or _invariants(H1) != _invariants(H2):
+        return "inequivalent"
+    return "indistinguishable"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 
 from .exact import (CycArray, _maxabs, int_dtype, int_matmul, lookup,
                     row_keys)
-from .rng_core import ring_blocks
+from .rng_core import ring_lines
 from .spectra import SpectraError, root_columns, unit_roots
 
 
@@ -60,10 +60,6 @@ class PointedAlgebra:
         i, j = np.indices((self.m, self.m))
         N[i, j, self.prod] = self.mu
         return N
-
-    def __repr__(self):
-        kind = "monomial" if self.tensor is None else "dense"
-        return "PointedAlgebra(m=%d, %s)" % (self.m, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +428,7 @@ def lift_lines(L):
     its decomposition over the target basis."""
     alg = L.lifted
     if alg.m <= _DENSE_LIMIT:
-        yield "zbrng 1\nn %d\n" % alg.m
-        yield from (ln + "\n" for ln in ring_blocks(alg.dense_tensor()))
+        yield from ring_lines(alg.dense_tensor())
     else:
         yield "zbrng-monomial 1\nn %d\n" % alg.m
         yield from _monomial_rows(alg.prod, L.scalars)

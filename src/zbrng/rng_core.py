@@ -45,9 +45,6 @@ class FusionRing:
         there is no unique identity."""
         return identity_coefficients(self)
 
-    def __repr__(self):
-        return "FusionRing(n=%d)" % self.n
-
 
 class RingElement:
     """Coefficient vector over the basis of the ambient ring."""
@@ -277,27 +274,19 @@ def verify_axioms(ring):
 
 
 def _involutive_permutations(n):
-    """All permutations p with p(p(i)) = i, as tuples."""
+    """All permutations p with p(p(i)) = i, as tuples: the least index left
+    is fixed first, then paired with each larger one in turn."""
+    p = list(range(n))
+
     def build(rest):
         if not rest:
-            yield {}
+            yield tuple(p)
             return
         i = rest[0]
         for partner in rest:
-            if partner == i:
-                for rec in build(rest[1:]):
-                    rec = dict(rec)
-                    rec[i] = i
-                    yield rec
-            else:
-                tail = [x for x in rest[1:] if x != partner]
-                for rec in build(tail):
-                    rec = dict(rec)
-                    rec[i] = partner
-                    rec[partner] = i
-                    yield rec
-    for mapping in build(list(range(n))):
-        yield tuple(mapping[i] for i in range(n))
+            p[i], p[partner] = partner, i
+            yield from build([x for x in rest[1:] if x != partner])
+    return build(list(range(n)))
 
 
 def search_involution(n, N):
@@ -327,7 +316,7 @@ def is_closed_subset(ring, S):
 # ---------------------------------------------------------------------------
 # text format
 #   zbrng 1 / n <n> / involution p_0 .. p_{n-1} / n blocks "N <i>" each with
-#   n lines of n integers (row j, column m)
+#   n lines of n integers (row j, column m); ring_lines writes it
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -346,11 +335,13 @@ def ring_blocks(N):
         yield from map(" ".join, cells.tolist())
 
 
-def ring_to_text(ring):
-    lines = ["zbrng 1", "n %d" % ring.n,
-             "involution " + " ".join(str(t) for t in ring.tilde)]
-    lines.extend(ring_blocks(ring.N))
-    return "\n".join(lines) + "\n"
+def ring_lines(N, tilde=None):
+    """The text of N, a newline-ended line at a time: the header, the
+    involution line when tilde is given, then the blocks."""
+    yield "zbrng 1\nn %d\n" % len(N)
+    if tilde is not None:
+        yield "involution %s\n" % " ".join(map(str, tilde))
+    yield from (ln + "\n" for ln in ring_blocks(N))
 
 
 def ring_from_text(text):

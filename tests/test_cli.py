@@ -340,6 +340,30 @@ def test_had_equiv(paley12_file, tmp_path, capsys):
     assert code == 0 and out.strip() == "indistinguishable"
 
 
+def test_had_equiv_orders_differ(paley12_file, tmp_path, capsys):
+    # the order is a canonical invariant: no error
+    s16 = tmp_path / "s16.had"
+    assert main(["gen", "sylvester", "4", "-o", str(s16)]) == 0
+    capsys.readouterr()
+    code, out, err = run(capsys, "had", "equiv", str(paley12_file), str(s16))
+    assert (code, out, err) == (0, "inequivalent\n", "")
+    code, out, err = run(capsys, "had", "equiv", str(s16), str(paley12_file),
+                         "--machine")
+    assert (code, json.loads(out), err) == (0, {"verdict": "inequivalent"},
+                                            "")
+
+
+@pytest.mark.parametrize("cmd", ["reconstruct", "reconstruct3"])
+def test_had_reconstruct_order_not_4k_exit2(cmd, tmp_path, capsys):
+    # the Z/2 group ring is of Hadamard type (k = 1) but of order 2
+    ring = tmp_path / "z2.zbrng"
+    ring.write_text("zbrng 1\nn 2\ninvolution 0 1\n"
+                    "N 0\n1 0\n0 1\nN 1\n0 1\n1 0\n")
+    code, out, err = run(capsys, "had", cmd, str(ring))
+    assert (code, out) == (2, "")
+    assert err == "input error: order not divisible by 4\n"
+
+
 def test_had_order_outside_domain_exit2(paley12_file, tmp_path, capsys):
     s16 = tmp_path / "s16.had"
     ring = tmp_path / "p12.zbrng"

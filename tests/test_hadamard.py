@@ -246,8 +246,8 @@ def test_equiv_screen_separates():
 
 
 def test_equiv_screen_order_mismatch(paley12, sylvester16):
-    with pytest.raises(HadamardError, match="order mismatch"):
-        equiv_screen(paley12, sylvester16)
+    # the order is a canonical invariant
+    assert equiv_screen(paley12, sylvester16) == "inequivalent"
 
 
 def test_text_roundtrip(paley12):

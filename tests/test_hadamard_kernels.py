@@ -4,6 +4,7 @@ as oracles."""
 
 import time
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -20,8 +21,9 @@ from zbrng.generators import gen_kronecker, gen_paley, gen_sylvester
 from zbrng.hadamard import (HadamardError, HadamardMatrix, hadamard_to_text,
                             multiset_census, normalize_hadamard, profile,
                             ring_from_hadamard, triangular_bound,
-                            triple_product)
-from zbrng.rng_core import FusionRing, RingError, identity_coefficients
+                            triple_slabs)
+from zbrng.rng_core import (FusionRing, RingError, identity_coefficients,
+                            ring_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +72,15 @@ def oracle_census(ring):
 
 def oracle_triple(a):
     return np.einsum("li,lj,lm->ijm", a, a, a)
+
+
+def slab_triple(a):
+    """np.concatenate of triple_slabs(a), after checking that the slabs
+    follow each other from row 0."""
+    slabs = list(triple_slabs(a))
+    assert [lo for lo, _ in slabs] == np.cumsum(
+        [0] + [len(T) for _, T in slabs[:-1]]).tolist()
+    return np.concatenate([T for _, T in slabs])
 
 
 def oracle_parity(H, N):
@@ -156,15 +167,60 @@ def test_census_matches_loop(H):
 @given(H=scrambled())
 def test_ring_tensor_and_parity_match_einsum(tmp_path_factory, H):
     raw = oracle_triple(H.array)
-    assert np.array_equal(triple_product(H.array), raw)
+    assert np.array_equal(slab_triple(H.array), raw)
     assert np.array_equal(ring_from_hadamard(H).N, raw // 4)
     minus = (H.array == -1).astype(np.int64)
-    assert np.array_equal(triple_product(minus), oracle_triple(minus))
+    assert np.array_equal(slab_triple(minus), oracle_triple(minus))
     path = tmp_path_factory.mktemp("parity") / "h.had"
     path.write_text(hadamard_to_text(H))
     want = oracle_parity(H, raw // 4)
     assert main(["had", "ring", str(path), "--check-parity"]) == (0 if want
                                                                  else 1)
+
+
+@pytest.mark.parametrize("zero_one", [False, True])
+def test_triple_slabs_sylvester128(zero_one):
+    # 2^18 // 128^2 = 16 rows a slab: eight products
+    a = gen_sylvester(7).array
+    if zero_one:
+        a = (a == -1).astype(np.int64)
+    assert len(list(triple_slabs(a))) == 8
+    assert np.array_equal(slab_triple(a), oracle_triple(a))
+
+
+NON_INTEGRAL = "non-integral structure constants (corrupt input)"
+
+
+def test_non_integral_in_a_later_slab():
+    # columns 0..15 zeroed leave the first slab of order 128 all zero; a
+    # flipped entry in column 100 leaves T[i, 100, m] = 2 mod 4 for i >= 16
+    a = gen_sylvester(7).array.copy()
+    a[5, 100] *= -1
+    with pytest.raises(HadamardError) as first:
+        ring_from_hadamard(HadamardMatrix(a))
+    a[:, :16] = 0
+    lo, T = next(triple_slabs(a))
+    assert lo == 0 and not np.any(T)
+    with pytest.raises(HadamardError) as later:
+        ring_from_hadamard(HadamardMatrix(a))
+    assert str(first.value) == str(later.value) == NON_INTEGRAL
+
+
+def test_ring_build_and_write_memory_sylvester128():
+    H = gen_sylvester(7)
+    tracemalloc.start()
+    try:
+        ring = ring_from_hadamard(H)
+        held, build = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        deque(ring_lines(ring.N, ring.tilde), 0)
+        write = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # N is n^3 int64 (16 MiB); the slabs add at most a quarter of that, the
+    # writer one block at a time
+    assert build <= 1.25 * ring.N.nbytes
+    assert write <= 2 ** 20
 
 
 @settings(max_examples=12, deadline=None)

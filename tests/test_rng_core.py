@@ -12,7 +12,7 @@ from zbrng.hadamard import f2_tensor, ring_from_hadamard
 from zbrng.rng_core import (MAX_RING, FormatError, FusionRing, RingElement,
                             RingError, assoc_witness, identity_coefficients,
                             is_closed_subset, multiply,
-                            ring_from_tensor, ring_from_text, ring_to_text,
+                            ring_from_tensor, ring_from_text, ring_lines,
                             search_involution, trace_eval, verify_axioms)
 from zbrng.spectra import verlinde_tensor
 
@@ -514,8 +514,12 @@ def test_search_involution_monoid_rejects():
     assert search_involution(4, N) is None
 
 
+def ring_text(ring):
+    return "".join(ring_lines(ring.N, ring.tilde))
+
+
 def test_text_roundtrip(z6_ring):
-    text = ring_to_text(z6_ring)
+    text = ring_text(z6_ring)
     back = ring_from_text(text)
     assert back.n == z6_ring.n
     assert np.array_equal(back.N, z6_ring.N)
@@ -535,9 +539,11 @@ def test_text_errors(text, msg):
 
 
 def oracle_ring_text(N, tilde):
-    """The ring text as the row-by-row writer made it."""
-    lines = ["zbrng 1", "n %d" % len(N),
-             "involution " + " ".join(str(t) for t in tilde)]
+    """The ring text as the row-by-row writer made it; no involution line
+    when tilde is None."""
+    lines = ["zbrng 1", "n %d" % len(N)]
+    if tilde is not None:
+        lines.append("involution " + " ".join(str(t) for t in tilde))
     for i, block in enumerate(N.tolist()):
         lines.append("N %d" % i)
         lines.extend(" ".join(map(str, row)) for row in block)
@@ -559,8 +565,11 @@ def test_text_roundtrip_property(data):
     for a, b in zip(order[0::2], order[1::2]):
         tilde[a], tilde[b] = b, a
     ring = ring_from_tensor(n, N, tilde)
-    text = ring_to_text(ring)
+    text = ring_text(ring)
     assert text == oracle_ring_text(N, tilde)
+    # the header of a quotient or a lift, which carry no involution
+    assert "".join(ring_lines(N)) == oracle_ring_text(N, None)
+    assert all(ln.endswith("\n") for ln in ring_lines(N, tilde))
     # the reader also takes runs of blanks in rows and empty lines
     spaced = "\n\n".join(ln if ln[0].isalpha() else ln.replace(" ", " \t ")
                          for ln in text.splitlines())
@@ -656,7 +665,7 @@ def test_text_stray_signs(row, token):
                               "int() with base 10: '%s'" % token)
 
 
-Z3_TEXT = ring_to_text(cyclic_ring(3)).splitlines()
+Z3_TEXT = ring_text(cyclic_ring(3)).splitlines()
 
 
 @pytest.mark.parametrize("edits,line", [

@@ -11,7 +11,9 @@ lands on both sides alike.  A row's value is the median over its repeats of
 the mean time per call.  The rows:
 
     f2_algebra_check k=16, k=24   associativity over GF(2) (`had f2`)
-    ring_from_text, ring_to_text  the Sylvester 64 ring (n = 64)
+    ring_from_text, ring_lines    the Sylvester 64 ring (n = 64); ring_lines
+                                  consumed piece by piece, as `had ring`
+                                  writes it
     parser first call             build_parser + parse_args, as paid once
                                   by each `zbrng` process
     parser repeat call            build_parser + parse_args again in the
@@ -64,8 +66,21 @@ the mean time per call.  The rows:
                                   fannsc_lift and the lift text consumed
                                   line by line (m = 1024, 2048)
 
-A peak row's value is the median over its repeats of that peak.  The JSON
-written holds the machine description, both checkouts (commit, and
+A peak row's value is the median over its repeats of that peak.
+
+The one-shot rows run a fresh `python -m zbrng.cli` per repeat, with one
+BLAS thread, the two checkouts alternating which goes first from one repeat
+to the next, on inputs that the "after" checkout generates first: the
+Sylvester 64 and 256 matrices and the Z/6 ring (`gen group 2 3`, then
+`verlinde`).  Each gives two rows: the median wall time of the process and
+the median of its peak RSS (`ru_maxrss` from `os.wait4`), in MB:
+
+    had ring -o sylvester64, sylvester256
+    had ring --check-parity sylvester64, sylvester256
+    quotient2 z6                  quotient2 of the Z/6 ring by its element
+                                  of order 2
+
+The JSON written holds the machine description, both checkouts (commit, and
 whether `src/` has uncommitted changes) and one record per row with both
 values.  This is the first part of the ladder; it is not the benchmark under
 perfbench/, and no test runs it.
@@ -75,9 +90,12 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 import timeit
 import tracemalloc
 
@@ -86,11 +104,19 @@ ROOT = os.path.dirname(HERE)
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
            MKL_NUM_THREADS="1")
 
-SYLVESTER64 = ("from zbrng.generators import gen_sylvester\n"
+# pieces() is the text as a command writes it: ring_lines, or the one
+# string of ring_to_text in a checkout older than ring_lines
+SYLVESTER64 = ("from collections import deque\n"
+               "from zbrng import rng_core\n"
+               "from zbrng.generators import gen_sylvester\n"
                "from zbrng.hadamard import ring_from_hadamard\n"
-               "from zbrng.rng_core import ring_from_text, ring_to_text\n"
+               "from zbrng.rng_core import ring_from_text\n"
                "ring = ring_from_hadamard(gen_sylvester(6))\n"
-               "text = ring_to_text(ring)")
+               "def pieces():\n"
+               "    if hasattr(rng_core, 'ring_lines'):\n"
+               "        return rng_core.ring_lines(ring.N, ring.tilde)\n"
+               "    return [rng_core.ring_to_text(ring)]\n"
+               "text = ''.join(pieces())")
 
 Z64 = ("import numpy as np\n"
        "from zbrng.rng_core import assoc_witness\n"
@@ -149,7 +175,7 @@ ROWS = {
         "from zbrng.hadamard import f2_algebra_check as f",
         "assert f(24)", 1, 3),
     "ring_from_text sylvester64": (SYLVESTER64, "ring_from_text(text)", 1, 15),
-    "ring_to_text sylvester64": (SYLVESTER64, "ring_to_text(ring)", 1, 15),
+    "ring_lines sylvester64": (SYLVESTER64, "deque(pieces(), 0)", 1, 15),
     # __wrapped__ is the uncached builder where build_parser is cached
     "parser first call": (
         "from zbrng.cli import build_parser\n"
@@ -257,6 +283,22 @@ ROWS = {
 # rows measured in MB of tracemalloc peak rather than in seconds
 PEAKS = {"peak lift paley12", "peak lift paley24"}
 
+# one-shot rows, run in a directory holding what INPUTS writes:
+# row name: (argv, repeats)
+INPUTS = (["gen", "sylvester", "6", "-o", "s64.had"],
+          ["gen", "sylvester", "8", "-o", "s256.had"],
+          ["gen", "group", "2", "3", "-o", "g6.smat"],
+          ["verlinde", "g6.smat", "-o", "z6.zbrng"])
+ONESHOT = {
+    "had ring -o sylvester64": (["had", "ring", "s64.had", "-o", "r"], 15),
+    "had ring --check-parity sylvester64": (
+        ["had", "ring", "s64.had", "--check-parity"], 15),
+    "had ring -o sylvester256": (["had", "ring", "s256.had", "-o", "r"], 5),
+    "had ring --check-parity sylvester256": (
+        ["had", "ring", "s256.had", "--check-parity"], 5),
+    "quotient2 z6": (["quotient2", "z6.zbrng", "3"], 15),
+}
+
 
 class Peak:
     """timeit.Timer's interface, measuring memory: timeit(number) is the
@@ -332,6 +374,42 @@ def measure(sides):
     return out
 
 
+def run_cli(checkout, argv, cwd):
+    """(wall time in s, peak RSS in MB) of one `python -m zbrng.cli argv`
+    process in cwd, importing zbrng from checkout; it must exit 0."""
+    env = dict(ENV, PYTHONPATH=os.path.join(checkout, "src"))
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, "-m", "zbrng.cli"] + argv,
+                            cwd=cwd, env=env, stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode:
+        raise RuntimeError("%s exited %d in %s" % (" ".join(argv),
+                                                   proc.returncode, checkout))
+    return wall, usage.ru_maxrss / 1024     # ru_maxrss is in KB on Linux
+
+
+def measure_oneshot(checkouts):
+    """{row: ([before, after] wall s, [before, after] MB)} for the one-shot
+    rows, the two checkouts alternating in running first."""
+    cwd = tempfile.mkdtemp()
+    try:
+        for argv in INPUTS:
+            run_cli(checkouts[1], argv, cwd)
+        out = {}
+        for name, (argv, repeats) in ONESHOT.items():
+            runs = ([], [])
+            for r in range(repeats):
+                for k in (0, 1) if r % 2 == 0 else (1, 0):
+                    runs[k].append(run_cli(checkouts[k], argv, cwd))
+            out[name] = tuple([statistics.median(run[v] for run in runs[k])
+                               for k in (0, 1)] for v in (0, 1))
+        return out
+    finally:
+        shutil.rmtree(cwd)
+
+
 def describe(checkout):
     """The checkout's commit, and whether its working tree differs."""
     def git(*args):
@@ -378,6 +456,13 @@ def main(argv=None):
              "before": values[name][0],
              "after": values[name][1], "repeats": ROWS[name][3],
              "calls_per_repeat": ROWS[name][2]} for name in ROWS]
+    for name, (wall, rss) in measure_oneshot((args.before, ROOT)).items():
+        for row, unit, pair in ((name, "s", wall),
+                                ("peak rss " + name, "MB", rss)):
+            rows.append({"row": "one-shot " + row, "unit": unit,
+                         "before": pair[0], "after": pair[1],
+                         "repeats": ONESHOT[name][1],
+                         "calls_per_repeat": 1})
     record = {"machine": machine(),
               "before": describe(args.before),
               "after": describe(ROOT),
@@ -386,7 +471,7 @@ def main(argv=None):
         json.dump(record, fh, indent=1)
         fh.write("\n")
     for r in rows:
-        print("%-28s %10.6f -> %10.6f %s" % (r["row"], r["before"],
+        print("%-52s %10.6f -> %10.6f %s" % (r["row"], r["before"],
                                                r["after"], r["unit"]))
     return 0
 
