@@ -75,13 +75,13 @@ def as_ring(obj):
 
 
 def as_smatrix(obj, tol):
+    """The s-matrix of what load_any returns: an s-matrix, a ring or a
+    Hadamard matrix."""
     if isinstance(obj, SMatrix):
         return obj
     if isinstance(obj, FusionRing):
         return smatrix_from_tensor(obj, tol=tol)
-    if isinstance(obj, HadamardMatrix):
-        return smatrix_from_tensor(ring_from_hadamard(obj), tol=tol)
-    raise InputError("expected an s-matrix, ring, or Hadamard file")
+    return smatrix_from_tensor(ring_from_hadamard(obj), tol=tol)
 
 
 def as_hadamard(obj):
@@ -256,7 +256,7 @@ def cmd_had_reconstruct(args):
 def cmd_had_reconstruct3(args):
     ring = as_ring(load_any(args.file))
     k = hadamard_type(ring)
-    return emit(args, hadamard_to_text(reconstruct_mod3(ring.N % 3, k)))
+    return emit(args, hadamard_to_text(reconstruct_mod3(ring.N, k)))
 
 
 def cmd_had_f2(args):

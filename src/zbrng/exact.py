@@ -295,7 +295,7 @@ def rref_mod(A, p):
     only from that column on (the pivot row is zero before it).  Entries
     stay residues below p and each update subtracts one product below p^2,
     so int64 is exact for every p that primes() yields."""
-    R = np.array(A, dtype=np.int64) % p
+    R = np.asarray(A, dtype=np.int64) % p
     pivots = []
     for c in range(R.shape[1]):
         r = len(pivots)

@@ -103,10 +103,6 @@ class Profile:
     def total(self):
         return sum(self.counts.values())
 
-    def __repr__(self):
-        body = ", ".join("%d: %d" % kv for kv in sorted(self.counts.items()))
-        return "Profile({%s})" % body
-
 
 def profile(H):
     """Counts of |sum_q s_qi s_qj s_ql s_qm| over the column quadruples

@@ -52,8 +52,6 @@ class PointedAlgebra:
         return self._mu
 
     def dense_tensor(self):
-        if self.tensor is not None:
-            return self.tensor
         if self.m > _DENSE_LIMIT:
             raise QuotientError("dense tensor too large (m=%d)" % self.m)
         N = np.zeros((self.m, self.m, self.m), dtype=np.int64)

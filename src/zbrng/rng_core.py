@@ -14,8 +14,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .exact import (CycArray, CycNum, _maxabs, floor_mod, format_cyc,
-                    int_matmul, primes, rref_mod)
+from .exact import (CycArray, CycNum, _maxabs, floor_mod, int_matmul,
+                    primes, rref_mod)
 
 
 class RingError(ValueError):
@@ -57,9 +57,6 @@ class RingElement:
     def from_ints(cls, vec):
         return cls([CycNum.from_rat(int(v)) for v in vec])
 
-    def __repr__(self):
-        return "RingElement([%s])" % ", ".join(format_cyc(c) for c in self.coeffs)
-
 
 class VerifyReport:
     """Ordered axiom results; witness = indices of the first failure."""
@@ -99,45 +96,51 @@ def ring_from_tensor(n, N, tilde):
 
 def identity_coefficients(ring):
     """Solve (sum_i e_i b_i) b_j = b_j for all j: the n^2 linear conditions
-    A e = b with A[(j, m), i] = N_ijm and b = vec(I).
+    A e = b with A[(j, m), i] = N_ijm and b = vec(I).  A^T = N.reshape(n,
+    n^2) is a view of N, and each kernel reads it where it lies.
 
-    The rows of [A|b] independent mod a prime p (the pivots of rref_mod on
-    [A|b]^T) are independent over Q.  When A has full rank mod p, so has A
-    over Q: with n + 1 such rows [A|b] has rank n + 1 and there is no
-    identity; with n, the certified inverse (CycArray.inverse) of those rows
-    gives the only candidate, which is certified against all n^2 equations
-    over Z.  Otherwise more primes are tried.  A prime fails only by
-    dividing a nonzero minor of [A|b], below 2^bits by Hadamard's
-    inequality (column norms at most n max|N_i| and n); once the failed
-    primes multiply past 2^bits, the largest pivot set spans the row space
-    of [A|b] over Q and the largest rank mod p is the rank of A over Q, so
-    the system is inconsistent exactly when the first exceeds the second."""
+    The rows of A independent mod a prime p (the pivots of rref_mod on A^T,
+    at most n) are independent over Q.  With n of them A has rank n over Q,
+    and the certified inverse (CycArray.inverse) of those rows gives the
+    only candidate, certified against all n^2 equations over Z: A num =
+    den b, so den at the n diagonal positions (j, j) and 0 elsewhere; when
+    it fails, b is outside the column space of A and there is no identity.
+    Otherwise more primes are tried, and at each b is reduced against the
+    echelon form of A^T, which continues the elimination to [A|b]^T.  A
+    prime fails only by dividing a nonzero minor of [A|b], below 2^bits by
+    Hadamard's inequality (column norms at most n max|N_i| and n); once the
+    failed primes multiply past 2^bits, the largest ranks of [A|b] and A
+    mod the failed primes are their ranks over Q, so the system is
+    inconsistent exactly when the first exceeds the second."""
     n, N = ring.n, ring.N
-    A = N.reshape(n, n * n).T                       # row (j, m), column i
+    At = N.reshape(n, n * n)                        # row i, column (j, m)
     b = np.eye(n, dtype=np.int64).reshape(n * n)
-    Ab = np.column_stack([A, b])
     big = [_maxabs(Ni) for Ni in N]
     bits = sum((n * x).bit_length() for x in big) + n.bit_length()
     span, rank, failed = 0, 0, 1
     for p in primes(1, 1):
-        piv = rref_mod(Ab.T, p)[1]
-        r = len(rref_mod(A[piv], p)[1])
+        R, piv = rref_mod(At, p)
+        r = len(piv)
         if r == n:
             break
-        span, rank = max(span, len(piv)), max(rank, r)
+        # b reduced against the rows of R: [A|b] has rank r + 1 mod p
+        # exactly when something is left
+        rest = (b - b[piv] @ R[:r]) % p
+        span, rank = max(span, r + bool(rest.any())), max(rank, r)
         failed *= p
         if failed > 2 ** bits:
             raise RingError("no identity in R(x)C" if span > rank
                             else "identity not unique")
-    if len(piv) > n:
-        raise RingError("no identity in R(x)C")
-    e = (CycArray(1, A[piv][..., None], 1).inverse()
+    del R                   # the reduced copy of N goes before the product
+    e = (CycArray(1, At.T[piv][..., None], 1).inverse()
          @ CycArray(1, b[piv].reshape(n, 1, 1), 1))
     num = [int(x) for x in e.num.ravel()]
     g = gcd(e.den, *num)
     den, num = e.den // g, [x // g for x in num]
-    # A num = den b over Z: [A|b] (num, -den) = 0
-    if np.any(int_matmul(Ab, np.array(num + [-den], dtype=object))):
+    # num A^T = den vec(I) over Z: den (>= 1, compared as a Python int) at
+    # the n positions j (n + 1), 0 elsewhere
+    t = int_matmul(np.array(num, dtype=object), At)
+    if t[::n + 1].tolist() != [den] * n or np.count_nonzero(t) != n:
         raise RingError("no identity in R(x)C")
     return [CycNum.from_rat(Fraction(x, den)) for x in num]
 
@@ -246,7 +249,7 @@ def verify_axioms(ring):
     w = assoc_witness(N, None)
     rep.add("associativity", w is None, w)
 
-    w = _first_mismatch(N[np.ix_(tl, tl)][:, :, tl], N)
+    w = _first_mismatch(N[np.ix_(tl, tl, tl)], N)
     rep.add("involution compatibility", w is None, w)
 
     try:
@@ -267,7 +270,7 @@ def verify_axioms(ring):
     # tau(b~_i b_j) = sum_m conj(e_m) N[~i, j, m] = delta_ij; den = sum_i
     # N_i00 num_i (e's certificate) is within the product's bound, so
     # t.dtype holds it
-    t = int_matmul(N[tl], num)
+    t = int_matmul(N, num)[tl]
     w = _first_mismatch(t, den * np.eye(n, dtype=t.dtype))
     rep.add("duality", w is None, w)
     return rep

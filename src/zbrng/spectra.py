@@ -122,9 +122,6 @@ class SMatrix:
             return self.array
         return self.array.embed()
 
-    def __repr__(self):
-        return "SMatrix(%s, n=%d)" % (self.mode, self.n)
-
 
 def _orthogonal_inverse(a):
     """conj(a)^T diag(1/c_k) over its smallest common denominator when the

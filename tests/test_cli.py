@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import zbrng
+from zbrng import cli
 from zbrng.cli import main
 from zbrng.hadamard import hadamard_from_text
 from zbrng.rng_core import MAX_RING, ring_from_text
@@ -73,6 +74,17 @@ def test_identity(z3_file, capsys):
     assert code == 0 and out.strip() == "identity 1 0 0"
 
 
+def test_identity_machine(z3_file, capsys):
+    code, out, _ = run(capsys, "identity", str(z3_file[1]), "--machine")
+    assert code == 0 and json.loads(out) == ["1", "0", "0"]
+
+
+def test_verify_hadamard_file(paley12_file, capsys):
+    code, out, _ = run(capsys, "verify", str(paley12_file), "--machine")
+    assert code == 0
+    assert all(v["pass"] for v in json.loads(out).values())
+
+
 def test_smatrix_roundtrip(z3_file, capsys):
     code, out, _ = run(capsys, "smatrix", str(z3_file[1]))
     assert code == 0
@@ -110,6 +122,22 @@ def test_verlinde_emits_ring(z3_file, capsys):
     assert code == 0
     ring = ring_from_text(out)
     assert ring.n == 3
+
+
+def test_verlinde_monoid_no_involution(tmp_path, capsys):
+    # the acceptance gate's 4 x 4 monoid table: its Verlinde tensor has no
+    # conjugation permutation, so the blocks are printed without a header
+    f = tmp_path / "mono.smat"
+    f.write_text("smatrix-numeric 1\nn 4 4\n"
+                 "1 1 1 1\n1 0 1 0\n1 1 0 0\n1 0 0 0\n")
+    code, out, err = run(capsys, "verlinde", str(f))
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[0] == "no involution: no conjugation permutation exists"
+    assert lines[1:] == ["N 0", "1 0 0 0", "0 1 0 0", "0 0 1 0", "0 0 0 1",
+                         "N 1", "0 1 0 0", "0 1 0 0", "0 0 0 1", "0 0 0 1",
+                         "N 2", "0 0 1 0", "0 0 0 1", "0 0 1 0", "0 0 0 1",
+                         "N 3", "0 0 0 1", "0 0 0 1", "0 0 0 1", "0 0 0 1"]
 
 
 def test_closed(z3_file, capsys):
@@ -181,6 +209,28 @@ def test_quotient2_fold_past_int64(tmp_path, capsys, c):
         assert err == "input error: quotient constants exceed int64\n"
 
 
+def test_verify_quotient2_output_exit2(tmp_path, capsys):
+    # a quotient has no involution line: verify refuses it
+    smat = tmp_path / "g6.smat"
+    ring = tmp_path / "z6.zbrng"
+    quot = tmp_path / "q.zbrng"
+    assert main(["gen", "group", "2", "3", "-o", str(smat)]) == 0
+    assert main(["verlinde", str(smat), "-o", str(ring)]) == 0
+    assert main(["quotient2", str(ring), "3", "-o", str(quot)]) == 0
+    capsys.readouterr()
+    assert run(capsys, "verify", str(quot)) == (
+        2, "", "input error: %s: missing involution line\n" % quot)
+
+
+def test_wrong_file_type_exit2(z3_file, capsys):
+    smat, ring = map(str, z3_file)
+    for argv, want in (
+            (["verify", smat], "expected a ring or Hadamard file"),
+            (["had", "ring", ring], "expected a Hadamard matrix file"),
+            (["gen", "ext2", ring], "expected an s-matrix or Hadamard file")):
+        assert run(capsys, *argv) == (2, "", "input error: %s\n" % want)
+
+
 def test_lift(z3_file, capsys):
     code, out, _ = run(capsys, "lift", str(z3_file[0]))
     assert code == 0
@@ -236,6 +286,25 @@ def test_had_ring_parity(paley12_file, capsys):
     assert code == 0 and out.strip() == "parity ok"
 
 
+@pytest.mark.parametrize("ijm", [(40, 50, 60), (3, 5, 7)])
+def test_had_ring_parity_fail(ijm, tmp_path, monkeypatch, capsys):
+    # the Sylvester 128 ring with N_ijm off by 2 at one pairwise-distinct
+    # nonzero triple, in a later slab of 16 rows or in slab 0: every slab
+    # is compared
+    f = tmp_path / "s128.had"
+    assert main(["gen", "sylvester", "7", "-o", str(f)]) == 0
+    capsys.readouterr()
+    real = cli.ring_from_hadamard
+
+    def altered(H):
+        ring = real(H)
+        ring.N[ijm] += 2
+        return ring
+    monkeypatch.setattr(cli, "ring_from_hadamard", altered)
+    assert run(capsys, "had", "ring", str(f), "--check-parity") == (
+        1, "parity FAIL\n", "")
+
+
 def test_had_ring_roundtrip(paley12_file, capsys):
     code, out, _ = run(capsys, "had", "ring", str(paley12_file))
     assert code == 0
@@ -247,6 +316,12 @@ def test_had_profile(paley12_file, capsys):
     code, out, _ = run(capsys, "had", "profile", str(paley12_file))
     assert code == 0
     assert out.splitlines() == ["4 495", "total 495"]
+
+
+def test_had_profile_machine(paley12_file, capsys):
+    code, out, _ = run(capsys, "had", "profile", str(paley12_file),
+                       "--machine")
+    assert code == 0 and json.loads(out) == [[4, 495]]
 
 
 def test_had_census(paley12_file, capsys):

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
 
+from zbrng import cli
 from zbrng.cli import main
 from zbrng.exact import primes
 from zbrng.generators import gen_kronecker, gen_paley, gen_sylvester
@@ -23,7 +24,7 @@ from zbrng.hadamard import (HadamardError, HadamardMatrix, hadamard_to_text,
                             ring_from_hadamard, triangular_bound,
                             triple_slabs)
 from zbrng.rng_core import (FusionRing, RingError, identity_coefficients,
-                            ring_lines)
+                            ring_lines, verify_axioms)
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +377,21 @@ def test_identity_rank_deficient_consistent():
         "identity not unique"
 
 
+def test_identity_den_past_int64():
+    # two diagonal blocks: e solves a 2 x 2 system with entries near 2^40,
+    # so den is near 2^77 and den b does not fit in int64
+    N = np.zeros((2, 2, 2), dtype=np.int64)
+    N[0] = np.diag([2 ** 40 + 3, 2 ** 40 - 5])
+    N[1] = np.diag([2 ** 39 + 1, 2 ** 41 + 9])
+    got = identity_or_message(N)
+    assert got == oracle_identity(N)
+    assert max(x.denominator for x in got) > 2 ** 63
+    # N_101 = 1 forces e_1 = 0, and then e_0 N_000 = e_0 N_011 = 1 fails
+    N[1, 0, 1] = 1
+    assert identity_or_message(N) == oracle_identity(N) == \
+        "no identity in R(x)C"
+
+
 # ---------------------------------------------------------------------------
 # runtime and memory bounds
 
@@ -413,6 +429,48 @@ def test_census_sylvester128_memory():
     assert len(cens) == 1
     # a (pairs x n x (k + 1)) one-hot array is 34 MB even as booleans
     assert peak < 24 * 2 ** 20
+
+
+def peak_beyond(fn):
+    """The tracemalloc peak of fn(), less what was held when it began."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+def test_identity_memory_sylvester128():
+    # A^T = N.reshape(n, n^2) is eliminated as one reduced copy of N and
+    # certified with one float64 copy, one after the other: a second copy,
+    # such as [A|b], breaks the bound
+    ring = ring_from_hadamard(gen_sylvester(7))
+    peak = peak_beyond(lambda: identity_coefficients(
+        FusionRing(ring.n, ring.N, ring.tilde)))
+    assert peak <= 1.25 * ring.N.nbytes
+
+
+def test_verify_memory_sylvester128():
+    # the float32 scan holds half of N's bytes and its first slab pair as
+    # much again; the involution gather and the duality product each take
+    # one copy of N, which a second copy (N[tl] first) would exceed
+    ring = ring_from_hadamard(gen_sylvester(7))
+    peak = peak_beyond(lambda: verify_axioms(
+        FusionRing(ring.n, ring.N, ring.tilde)))
+    assert peak <= 1.75 * ring.N.nbytes
+
+
+def test_had_reconstruct3_memory_sylvester64(monkeypatch, capsys):
+    # split_pm reduces each slab mod 3 as it reads it: no reduced copy of N
+    ring = ring_from_hadamard(gen_sylvester(6))
+    monkeypatch.setattr(cli, "load_any", lambda path: ring)
+    assert main(["had", "reconstruct3", "s64.zbrng"]) == 0
+    want = capsys.readouterr().out
+    assert peak_beyond(lambda: main(["had", "reconstruct3", "s64.zbrng"])) \
+        <= 0.5 * ring.N.nbytes
+    assert capsys.readouterr().out == want
 
 
 def test_identity_paley44_time():

@@ -32,6 +32,8 @@ the mean time per call.  The rows:
     reconstruct_mod3 sylvester64  reconstruct_mod3 of a seeded scrambled
                                   Sylvester 64 ring (negative constants), as
                                   `had reconstruct3` runs it
+    identity sylvester128         identity_coefficients on a fresh
+                                  FusionRing over the Sylvester 128 tensor
     verify_axioms sylvester128    verify_axioms on a fresh FusionRing over
                                   the Sylvester 128 tensor: the scan, the
                                   identity solve and the duality product
@@ -71,14 +73,18 @@ A peak row's value is the median over its repeats of that peak.
 The one-shot rows run a fresh `python -m zbrng.cli` per repeat, with one
 BLAS thread, the two checkouts alternating which goes first from one repeat
 to the next, on inputs that the "after" checkout generates first: the
-Sylvester 64 and 256 matrices and the Z/6 ring (`gen group 2 3`, then
-`verlinde`).  Each gives two rows: the median wall time of the process and
-the median of its peak RSS (`ru_maxrss` from `os.wait4`), in MB:
+Sylvester 64, 128 and 256 matrices, the rings of the last two (`had ring
+-o`) and the Z/6 ring (`gen group 2 3`, then `verlinde`).  Each gives two
+rows: the median wall time of the process and the median of its peak RSS
+(`ru_maxrss` from `os.wait4`), in MB:
 
     had ring -o sylvester64, sylvester256
     had ring --check-parity sylvester64, sylvester256
     quotient2 z6                  quotient2 of the Z/6 ring by its element
                                   of order 2
+    identity sylvester256         identity of the Sylvester 256 ring file
+    had reconstruct3 sylvester256 had reconstruct3 of the same file
+    verify sylvester128           verify of the Sylvester 128 ring file
 
 The JSON written holds the machine description, both checkouts (commit, and
 whether `src/` has uncommitted changes) and one record per row with both
@@ -104,19 +110,12 @@ ROOT = os.path.dirname(HERE)
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
            MKL_NUM_THREADS="1")
 
-# pieces() is the text as a command writes it: ring_lines, or the one
-# string of ring_to_text in a checkout older than ring_lines
 SYLVESTER64 = ("from collections import deque\n"
-               "from zbrng import rng_core\n"
                "from zbrng.generators import gen_sylvester\n"
                "from zbrng.hadamard import ring_from_hadamard\n"
-               "from zbrng.rng_core import ring_from_text\n"
+               "from zbrng.rng_core import ring_from_text, ring_lines\n"
                "ring = ring_from_hadamard(gen_sylvester(6))\n"
-               "def pieces():\n"
-               "    if hasattr(rng_core, 'ring_lines'):\n"
-               "        return rng_core.ring_lines(ring.N, ring.tilde)\n"
-               "    return [rng_core.ring_to_text(ring)]\n"
-               "text = ''.join(pieces())")
+               "text = ''.join(ring_lines(ring.N, ring.tilde))")
 
 Z64 = ("import numpy as np\n"
        "from zbrng.rng_core import assoc_witness\n"
@@ -175,7 +174,8 @@ ROWS = {
         "from zbrng.hadamard import f2_algebra_check as f",
         "assert f(24)", 1, 3),
     "ring_from_text sylvester64": (SYLVESTER64, "ring_from_text(text)", 1, 15),
-    "ring_lines sylvester64": (SYLVESTER64, "deque(pieces(), 0)", 1, 15),
+    "ring_lines sylvester64": (
+        SYLVESTER64, "deque(ring_lines(ring.N, ring.tilde), 0)", 1, 15),
     # __wrapped__ is the uncached builder where build_parser is cached
     "parser first call": (
         "from zbrng.cli import build_parser\n"
@@ -212,8 +212,14 @@ ROWS = {
         "a = gen_sylvester(6).array\n"
         "a = a[rng.permutation(64)][:, rng.permutation(64)]\n"
         "a = a * rng.choice([-1, 1], 64)[:, None] * rng.choice([-1, 1], 64)\n"
-        "N3 = ring_from_hadamard(normalize_hadamard(a)).N % 3",
-        "reconstruct_mod3(N3, 16)", 5, 9),
+        "N = ring_from_hadamard(normalize_hadamard(a)).N",
+        "reconstruct_mod3(N, 16)", 5, 9),
+    "identity sylvester128": (
+        "from zbrng.generators import gen_sylvester\n"
+        "from zbrng.hadamard import ring_from_hadamard\n"
+        "from zbrng.rng_core import FusionRing, identity_coefficients\n"
+        "ring = ring_from_hadamard(gen_sylvester(7))",
+        "identity_coefficients(FusionRing(ring.n, ring.N, ring.tilde))", 1, 5),
     "verify_axioms sylvester128": (
         "from zbrng.generators import gen_sylvester\n"
         "from zbrng.hadamard import ring_from_hadamard\n"
@@ -286,7 +292,10 @@ PEAKS = {"peak lift paley12", "peak lift paley24"}
 # one-shot rows, run in a directory holding what INPUTS writes:
 # row name: (argv, repeats)
 INPUTS = (["gen", "sylvester", "6", "-o", "s64.had"],
+          ["gen", "sylvester", "7", "-o", "s128.had"],
           ["gen", "sylvester", "8", "-o", "s256.had"],
+          ["had", "ring", "s128.had", "-o", "s128.zbrng"],
+          ["had", "ring", "s256.had", "-o", "s256.zbrng"],
           ["gen", "group", "2", "3", "-o", "g6.smat"],
           ["verlinde", "g6.smat", "-o", "z6.zbrng"])
 ONESHOT = {
@@ -297,6 +306,10 @@ ONESHOT = {
     "had ring --check-parity sylvester256": (
         ["had", "ring", "s256.had", "--check-parity"], 5),
     "quotient2 z6": (["quotient2", "z6.zbrng", "3"], 15),
+    "identity sylvester256": (["identity", "s256.zbrng"], 5),
+    "had reconstruct3 sylvester256": (
+        ["had", "reconstruct3", "s256.zbrng"], 5),
+    "verify sylvester128": (["verify", "s128.zbrng"], 5),
 }
 
 
