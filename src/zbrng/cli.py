@@ -51,8 +51,8 @@ def _read(path):
 
 def load_any(path):
     text = _read(path)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].strip() if lines else ""
+    # the lines go before the text is parsed: only the first is kept
+    head = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
     if head == "zbrng-monomial 1":
         raise InputError("%s: lift (pointed algebra) file; expected a ring, "
                          "s-matrix or Hadamard file" % path)

@@ -294,8 +294,10 @@ def rref_mod(A, p):
     pivot only the rows with a nonzero entry in its column are updated, and
     only from that column on (the pivot row is zero before it).  Entries
     stay residues below p and each update subtracts one product below p^2,
-    so int64 is exact for every p that primes() yields."""
-    R = np.asarray(A, dtype=np.int64) % p
+    so int64 is exact for every p that primes() yields.  R is the one int64
+    copy of A, reduced in place."""
+    R = np.array(A, dtype=np.int64)
+    R %= p
     pivots = []
     for c in range(R.shape[1]):
         r = len(pivots)
@@ -325,6 +327,23 @@ def int_dtype(bound):
     """int64 when every value is provably below bound, Python ints (object
     dtype) otherwise."""
     return np.int64 if bound < 2 ** 63 else object
+
+
+def narrow_dtype(big):
+    """The smallest signed integer dtype holding -big .. big: the storage
+    of a ring tensor with max|N| = big (int64 from 2^31 on)."""
+    return next((d for d in (np.int8, np.int16, np.int32)
+                 if big <= np.iinfo(d).max), np.int64)
+
+
+def int_mod(a, p):
+    """a mod p for an integer array and a positive modulus, in a's dtype
+    when it holds p, else in the narrowest signed dtype holding both: a
+    narrow array takes no Python int past its range (NEP 50 raises
+    OverflowError on int8 % 94906249)."""
+    dtype = (a.dtype if p <= np.iinfo(a.dtype).max
+             else np.promote_types(a.dtype, narrow_dtype(p)))
+    return np.remainder(a, p, dtype=dtype)
 
 
 def _fit(a):
@@ -599,19 +618,42 @@ def matmul_mod(A, B, p):
 
 
 def int_matmul(A, B):
-    """A @ B exactly, for integer arrays in int64 or Python ints (object
-    dtype), shaped as np.matmul takes them.  Every partial sum is at most
-    A.shape[-1] max|A| max|B|: below 2^53 one float64 BLAS product holds
-    each exactly and the result is int64, below 2^63 the product runs in
-    int64, and above that in Python ints.  The one rule for the integer
-    matrix products of zbrng; the kernels with rules of their own say so
-    in their docstrings (the modular products, the associativity scan's
-    tiers, the +-1 triple product and profile)."""
+    """A @ B exactly, for integer arrays of any signed dtype or Python ints
+    (object dtype), shaped as np.matmul takes them.  Every partial sum is
+    at most A.shape[-1] max|A| max|B|: below 2^53 float64 BLAS products
+    hold each exactly and the result is int64, below 2^63 the products run
+    in int64, and above that in Python ints.  The larger operand is
+    promoted a slab of 2^18 entries at a time (B's columns when B is a
+    matrix, else A's leading axis when B has at most two), so a product
+    with a ring tensor copies no more of it than a slab.  The one rule for
+    the integer matrix products of zbrng; the kernels with rules of their
+    own say so in their docstrings (the modular products, the
+    associativity scan's tiers, the +-1 triple product and profile)."""
     bound = A.shape[-1] * _maxabs(A) * _maxabs(B)
-    if bound < 2 ** 53:
-        return (A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64)
     dtype = int_dtype(bound)
-    return A.astype(dtype, copy=False) @ B.astype(dtype, copy=False)
+    work = np.float64 if bound < 2 ** 53 else dtype
+    if B.ndim == 2 and B.size > A.size:
+        step = _slab(B.shape[0])
+        out = np.empty(A.shape[:-1] + B.shape[1:], dtype=dtype)
+        a = A.astype(work, copy=False)
+        for lo in range(0, B.shape[1], step):
+            out[..., lo:lo + step] = a @ B[:, lo:lo + step].astype(work)
+        return out
+    if A.ndim >= 2 and B.ndim <= 2 and A.size > B.size:
+        step = _slab(A[0].size)
+        out = np.empty(A.shape[:-1] + B.shape[1:], dtype=dtype)
+        b = B.astype(work, copy=False)
+        for lo in range(0, len(A), step):
+            out[lo:lo + step] = A[lo:lo + step].astype(work) @ b
+        return out
+    return (A.astype(work, copy=False) @ B.astype(work, copy=False)).astype(
+        dtype, copy=False)
+
+
+def _slab(width):
+    """How many rows of width entries make a slab of 2^18 entries (at
+    least one)."""
+    return max(1, 2 ** 18 // max(1, width))
 
 
 @lru_cache(maxsize=16)

@@ -10,7 +10,8 @@ from math import comb
 
 import numpy as np
 
-from .exact import int_matmul, matmul_mod, primes, row_keys, rref_mod
+from .exact import (_slab, int_matmul, int_mod, matmul_mod, narrow_dtype,
+                    primes, row_keys, rref_mod)
 from .rng_core import (MAX_RING, FormatError, assoc_witness,
                        is_closed_subset, ring_from_tensor)
 
@@ -77,18 +78,21 @@ def triple_slabs(a):
 
 def ring_from_hadamard(H):
     """Tensor N_ij^m = (1/4) sum_l s_li s_lj s_lm; tilde = identity.
-    PreconditionError above order MAX_RING, before the n^3 tensor exists;
-    the tensor is filled and checked a slab of triple_slabs at a time."""
+    PreconditionError above order MAX_RING, before the n^3 tensor exists.
+    |N| <= n // 4 (a sum of n unit terms, divisible by 4), so N is stored
+    in narrow_dtype(n // 4): int8 up to order 508.  It is filled a slab of
+    triple_slabs at a time, each slab cast to int16 (|T| <= n <= 512),
+    checked mod 4 and shifted."""
     if H.n > MAX_RING:
         raise PreconditionError("ring order %d above %d" % (H.n, MAX_RING))
-    N = np.empty((H.n,) * 3, dtype=np.int64)
+    N = np.empty((H.n,) * 3, dtype=narrow_dtype(H.n // 4))
     for lo, T in triple_slabs(H.array):
-        slab = N[lo:lo + len(T)]
-        slab[...] = T
-        if np.any(slab & 3):        # mod 4 in int64: float32 % is 10x slower
+        slab = T.astype(np.int16)
+        if np.any(slab & 3):        # mod 4 in int16: float32 % is 10x slower
             raise HadamardError("non-integral structure constants "
                                 "(corrupt input)")
-        slab //= 4
+        slab >>= 2
+        N[lo:lo + len(slab)] = slab
     return ring_from_tensor(H.n, N, tuple(range(H.n)))
 
 
@@ -167,7 +171,7 @@ def multiset_census(ring):
     I, J = np.triu_indices(n - 1, 1)
     I, J = I + 1, J + 1
     rows = np.arange(len(I))
-    V = N[I, J]
+    V = N[I, J].astype(np.int64)        # k + 1 and the offsets need room
     np.abs(V, out=V)
     V[:, 0] = V[rows, I] = V[rows, J] = k       # m in {0, i, j}: never > k
     if np.any(V > k):
@@ -265,7 +269,7 @@ def split_pm(N, k, p):
     for i in range(n):
         if all(len(B) == 1 for B in spaces):
             break
-        Ni = N[i] % p
+        Ni = int_mod(N[i], p).astype(np.float64)
         nxt = []
         for B in spaces:
             if len(B) == 1:
@@ -290,7 +294,7 @@ def split_pm(N, k, p):
     # character i of eigenvector v, read at its pivot c, where v_c = 1:
     # (M_i v)_c = sum_j N_ijc v_j
     V = np.concatenate(spaces)
-    chi = np.array([matmul_mod(N[:, :, c] % p, v, p)
+    chi = np.array([matmul_mod(int_mod(N[:, :, c], p), v, p)
                     for v, c in zip(V, (V != 0).argmax(axis=1))],
                    dtype=np.int64)
     signs = (chi == kp).astype(np.int64) - (chi == p - kp)
@@ -302,13 +306,20 @@ def split_pm(N, k, p):
 
 def _is_character_table(N, k, signs):
     """True iff the rows s = k * signs are n distinct characters over Z:
-    s_ki s_kj = sum_m N_ijm s_km for all k, i, j."""
+    s_ri s_rj = sum_m N_ijm s_rm for all r, i, j, or divided by k >= 1,
+    k signs_ri signs_rj = sum_m N_ijm signs_rm.  Checked a slab of i at a
+    time (2^18 // n^2 values, at least one), the right side one int_matmul
+    with the slab of N."""
     n = len(signs)
     if len(np.unique(row_keys(signs, np.int64), return_index=True)[0]) != n:
         return False
-    s = signs * k
-    lhs = int_matmul(s[:, :, None], s[:, None, :]).reshape(n, n * n)
-    return np.array_equal(lhs, int_matmul(s, N.reshape(n * n, n).T))
+    step = _slab(n * n)
+    for lo in range(0, n, step):
+        lhs = k * (signs[:, lo:lo + step, None] * signs[:, None, :])
+        rhs = int_matmul(signs, N[lo:lo + step].reshape(-1, n).T)
+        if not np.array_equal(lhs.reshape(n, -1), rhs):
+            return False
+    return True
 
 
 def character_signs(ring):

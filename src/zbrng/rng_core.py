@@ -14,8 +14,8 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .exact import (CycArray, CycNum, _maxabs, floor_mod, int_matmul,
-                    primes, rref_mod)
+from .exact import (CycArray, CycNum, _maxabs, _slab, floor_mod,
+                    int_matmul, int_mod, narrow_dtype, primes, rref_mod)
 
 
 class RingError(ValueError):
@@ -26,13 +26,16 @@ class FormatError(ValueError):
     pass
 
 
-# A ring of order n holds n^3 int64 structure constants: at most 2^27 of
-# them (1 GiB) for n <= MAX_RING.
+# A ring of order n holds n^3 structure constants: at most 2^27 of them
+# (1 GiB in int64, 128 MiB in int8) for n <= MAX_RING.
 MAX_RING = 512
 
 
 class FusionRing:
-    """Free Z-module with basis 0..n-1 and distinguished multiplication."""
+    """Free Z-module with basis 0..n-1 and distinguished multiplication.
+    N is an integer array of any signed dtype; the reader and the Hadamard
+    ring store it in the smallest one holding max|N| (narrow_dtype), so
+    every consumer promotes the slab it computes on, never N whole."""
 
     def __init__(self, n, N, tilde):
         self.n = n
@@ -80,7 +83,11 @@ class VerifyReport:
 
 
 def ring_from_tensor(n, N, tilde):
-    N = np.asarray(N, dtype=np.int64)
+    """The ring of N, kept in the signed integer dtype it is given (any
+    other input is read as int64)."""
+    N = np.asarray(N)
+    if N.dtype.kind != "i":
+        N = N.astype(np.int64)
     if N.shape != (n, n, n):
         raise RingError("shape mismatch")
     tilde = tuple(int(t) for t in tilde)
@@ -88,9 +95,9 @@ def ring_from_tensor(n, N, tilde):
         raise RingError("tilde not a permutation")
     if any(tilde[tilde[i]] != i for i in range(n)):
         raise RingError("tilde not an involution")
-    if not np.array_equal(N, N.transpose(1, 0, 2)):
-        i, j, m = map(int, np.argwhere(N != N.transpose(1, 0, 2))[0])
-        raise RingError("not commutative at (%d,%d,%d)" % (i, j, m))
+    w = _noncommuting(N)
+    if w is not None:
+        raise RingError("not commutative at (%d,%d,%d)" % w)
     return FusionRing(n, N, tilde)
 
 
@@ -132,7 +139,7 @@ def identity_coefficients(ring):
             raise RingError("no identity in R(x)C" if span > rank
                             else "identity not unique")
     del R                   # the reduced copy of N goes before the product
-    e = (CycArray(1, At.T[piv][..., None], 1).inverse()
+    e = (CycArray(1, At.T[piv].astype(np.int64)[..., None], 1).inverse()
          @ CycArray(1, b[piv].reshape(n, 1, 1), 1))
     num = [int(x) for x in e.num.ravel()]
     g = gcd(e.den, *num)
@@ -171,8 +178,24 @@ def multiply(ring, r1, r2):
 
 
 def _first_mismatch(a, b):
-    idx = np.argwhere(a != b)
-    return tuple(int(x) for x in idx[0]) if len(idx) else None
+    """The first index in C order at which a and b differ, or None."""
+    ne = a != b
+    if not ne.any():
+        return None
+    return tuple(int(x) for x in np.unravel_index(ne.argmax(), ne.shape))
+
+
+def _noncommuting(N):
+    """The first (i, j, m) in C order with N[i, j, m] != N[j, i, m], or
+    None; compared a slab of 2^18 entries at a time, so no n^3 mask is
+    formed."""
+    step = _slab(N[0].size)
+    for lo in range(0, len(N), step):
+        w = _first_mismatch(N[lo:lo + step],
+                            N[:, lo:lo + step].transpose(1, 0, 2))
+        if w is not None:
+            return (w[0] + lo,) + w[1:]
+    return None
 
 
 def assoc_witness(N, modulus):
@@ -185,10 +208,12 @@ def assoc_witness(N, modulus):
     (no modulus) the difference, at most 2 max|N|^2 n in size, is zero
     exactly when it is zero modulo the first primes(1, n), whose product
     exceeds it: one float64 pass each, the witness the first index nonzero
-    modulo any of them."""
-    N = np.asarray(N, dtype=np.int64)
+    modulo any of them.  N keeps its dtype: a modulus reduces it in the
+    narrowest dtype holding both (int_mod), and each pass converts it to
+    its float dtype once."""
+    N = np.asarray(N)
     if modulus is not None:
-        N = N % modulus
+        N = int_mod(N, modulus)
     n = N.shape[0]
     big = _maxabs(N)
     bound = big * big * n
@@ -200,7 +225,7 @@ def assoc_witness(N, modulus):
     best, product = None, 1
     for p in primes(1, n):
         stop = n if best is None else best[0] + 1
-        w = _assoc_scan((N % p).astype(np.float64), p, stop)
+        w = _assoc_scan(int_mod(N, p).astype(np.float64), p, stop)
         best = min((x for x in (best, w) if x is not None), default=None)
         product *= p
         if product > 2 * bound:
@@ -213,24 +238,46 @@ def _assoc_scan(A, modulus, stop):
     2^24 runs in float32 and residues mod p are reduced in place.
 
     With T[k] the matrix T[k, j, m] = N[j, k, m], the differences of slab i
-    are d(i, j, k, l) = (N[i] T[k] - T[k] N[i])[j, l].  When N is
-    commutative, T = N, d(i, j, k, l) = -d(k, j, i, l) and d(i, j, i, l) = 0,
-    so the first witness in C order has k > i and slab i takes only k > i;
-    otherwise it takes every k."""
+    are d(i, j, k, l) = (N[i] T[k] - T[k] N[i])[j, l], taken for a chunk of
+    about 2^20 / n^2 values of k at a time, whose arrays go before the next
+    chunk's are made.  When N is commutative, T = N, d(i, j, k, l) =
+    -d(k, j, i, l) and d(i, j, i, l) = 0, so the first witness in C order
+    has k > i and slab i takes only k > i; otherwise it takes every k.
+    When N is moreover symmetric in all three indices (every N[i] a
+    symmetric matrix, as in Hadamard rings and f2_tensor), N[i] N[k] =
+    (N[k] N[i])^T, so one product Q[k] = N[k] N[i] per chunk gives
+    d(i, j, k, l) = Q[k, l, j] - Q[k, j, l]: nonzero where Q[k] is not
+    symmetric (mod modulus)."""
     n = A.shape[0]
     commutative = np.array_equal(A, A.transpose(1, 0, 2))
+    symmetric = commutative and np.array_equal(A, A.transpose(0, 2, 1))
     T = A if commutative else np.ascontiguousarray(A.transpose(1, 0, 2))
+    step = max(1, 2 ** 20 // (n * n))
     for i in range(stop):
         lo = i + 1 if commutative else 0
-        Tk = T[lo:]
-        diff = np.matmul(A[i], Tk)                      # diff[k - lo, j, l]
-        diff -= (Tk.reshape(-1, n) @ A[i]).reshape(Tk.shape)
-        if modulus is not None:     # sums in [0, 2^mantissa): exact
-            floor_mod(diff, modulus)
-        if diff.any():
-            bad = np.flatnonzero(diff.transpose(1, 0, 2))[0]
-            j, k, l = np.unravel_index(bad, (n, n - lo, n))
-            return (i, int(j), int(k) + lo, int(l))
+        best = None
+        for k0 in range(lo, n, step):
+            Tk = T[k0:k0 + step]
+            # Q[k] = T[k] N[i], one BLAS product over the rows (k, j)
+            Q = (Tk.reshape(-1, n) @ A[i]).reshape(Tk.shape)
+            if symmetric:
+                if modulus is not None:     # sums in [0, 2^mantissa): exact
+                    floor_mod(Q, modulus)
+                bad = Q != Q.transpose(0, 2, 1)
+            else:
+                bad = np.matmul(A[i], Tk)               # bad[k - k0, j, l]
+                bad -= Q
+                if modulus is not None:
+                    floor_mod(bad, modulus)
+            del Q
+            if bad.any():
+                at = np.flatnonzero(bad.transpose(1, 0, 2))[0]
+                j, k, l = np.unravel_index(at, (n, len(Tk), n))
+                w = (int(j), int(k) + k0, int(l))
+                best = w if best is None else min(best, w)
+            del bad
+        if best is not None:
+            return (i,) + best
     return None
 
 
@@ -242,7 +289,7 @@ def verify_axioms(ring):
     n = ring.n
     tl = list(ring.tilde)
 
-    w = _first_mismatch(N, N.transpose(1, 0, 2))
+    w = _noncommuting(N)
     rep.add("commutativity", w is None, w)
 
     # regular-representation identity: (b_i b_j) b_k = b_i (b_j b_k)
@@ -331,8 +378,10 @@ def ring_blocks(N):
     for i, block in enumerate(N):
         yield "N %d" % i
         # return_counts keeps np.unique on its sort path (one plain sort),
-        # which does not import numpy.ma and beats return_inverse here
-        values = np.unique(block, return_counts=True)[0]
+        # which does not import numpy.ma and beats return_inverse here; the
+        # sort runs on an int64 copy, which numpy sorts faster than int8
+        values = np.unique(block.astype(np.int64, copy=False),
+                           return_counts=True)[0]
         table = np.array([str(v) for v in values.tolist()], dtype=object)
         cells = table[np.searchsorted(values, block)]
         yield from map(" ".join, cells.tolist())
@@ -349,7 +398,9 @@ def ring_lines(N, tilde=None):
 
 def ring_from_text(text):
     """The ring of a text; error messages give physical line numbers,
-    blank lines included."""
+    blank lines included.  Each block is parsed in int64 and stored in N,
+    which starts in int8 and is widened to the narrow_dtype of the first
+    block that needs it."""
     stripped = [ln.strip() for ln in text.splitlines()]
     numbers = [no for no, ln in enumerate(stripped, 1) if ln]
     lines = [ln for ln in stripped if ln]
@@ -368,13 +419,18 @@ def ring_from_text(text):
         tilde = [int(t) for t in lines[2].split()[1:]]
         if len(tilde) != n:
             raise FormatError("involution length != n")
-        N = np.zeros((n, n, n), dtype=np.int64)
+        N, top = np.zeros((n, n, n), dtype=np.int8), 127
         for i in range(n):
             at = 3 + i * (n + 1)
             if lines[at] != "N %d" % i:
                 raise FormatError("expected 'N %d' at line %d"
                                   % (i, numbers[at]))
-            N[i] = _block(lines, numbers, at + 1, n)
+            block = _block(lines, numbers, at + 1, n)
+            big = _maxabs(block)
+            if big > top:
+                N = N.astype(narrow_dtype(big))
+                top = np.iinfo(N.dtype).max
+            N[i] = block
         if 3 + n * (n + 1) != len(lines):
             raise FormatError("trailing content")
     except (IndexError, ValueError, OverflowError) as exc:

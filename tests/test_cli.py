@@ -12,7 +12,7 @@ import zbrng
 from zbrng import cli
 from zbrng.cli import main
 from zbrng.hadamard import hadamard_from_text
-from zbrng.rng_core import MAX_RING, ring_from_text
+from zbrng.rng_core import MAX_RING, FusionRing, ring_from_text
 from zbrng.spectra import smatrix_from_text
 
 NONASSOC = ("zbrng 1\nn 3\ninvolution 0 1 2\n"
@@ -622,6 +622,41 @@ def test_malformed_ring_file_exit2(argv, tmp_path, capsys):
         assert "Traceback" not in err, name
         if name in ("order 0", "order -1"):
             assert err.endswith("ring order %s below 1\n" % name[6:]), err
+
+
+def test_narrow_ring_file_exit0(paley12_file, tmp_path, monkeypatch,
+                                capsys):
+    # the Paley 12 ring file is read into int8; the commands that reduce N
+    # modulo primes past int8 exit 0 and print what they print on an int64
+    # copy of the same ring
+    f = tmp_path / "p12.zbrng"
+    assert main(["had", "ring", str(paley12_file), "-o", str(f)]) == 0
+    ring = ring_from_text(f.read_text())
+    assert ring.N.dtype == np.int8
+    wide = FusionRing(ring.n, ring.N.astype(np.int64), ring.tilde)
+    for argv in ("verify", "identity", "smatrix", "had reconstruct"):
+        argv = argv.split() + [str(f)]
+        capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", (argv, err)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "load_any", lambda path: wide)
+            assert run(capsys, *argv) == (0, out, "")
+
+
+def test_file_kind_from_first_nonblank_line(z3_file, tmp_path, capsys):
+    # blank lines, blanks and CRLF line ends before the header: the kind is
+    # read from the first line that is not blank, as str.splitlines splits
+    f = tmp_path / "z3.zbrng"
+    text = z3_file[1].read_text()
+    f.write_bytes(("\n \t\r\n\x0c" + text.replace("\n", "\r\n")).encode())
+    assert run(capsys, "identity", str(f)) == (0, "identity 1 0 0\n", "")
+    f.write_text("\n\n  zbrng-monomial 1  \nn 1\n")
+    code, out, err = run(capsys, "identity", str(f))
+    assert code == 2 and "lift (pointed algebra) file" in err
+    f.write_text(" \n\t\n")
+    code, out, err = run(capsys, "identity", str(f))
+    assert code == 2 and err.endswith(": empty matrix\n"), err
 
 
 def test_deterministic_output(paley12_file, capsys):

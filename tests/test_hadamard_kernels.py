@@ -17,13 +17,14 @@ from sympy import Matrix
 
 from zbrng import cli
 from zbrng.cli import main
-from zbrng.exact import primes
+from zbrng.exact import int_matmul, primes
 from zbrng.generators import gen_kronecker, gen_paley, gen_sylvester
 from zbrng.hadamard import (HadamardError, HadamardMatrix, hadamard_to_text,
                             multiset_census, normalize_hadamard, profile,
                             ring_from_hadamard, triangular_bound,
                             triple_slabs)
-from zbrng.rng_core import (FusionRing, RingError, identity_coefficients,
+from zbrng.rng_core import (FusionRing, RingError, assoc_witness,
+                            identity_coefficients, ring_from_text,
                             ring_lines, verify_axioms)
 
 
@@ -190,6 +191,9 @@ def test_triple_slabs_sylvester128(zero_one):
 
 
 NON_INTEGRAL = "non-integral structure constants (corrupt input)"
+# the bytes of an int64 tensor of order 128, the unit of the memory bounds
+# (N itself is stored narrower)
+INT64_N128 = 128 ** 3 * 8
 
 
 def test_non_integral_in_a_later_slab():
@@ -218,9 +222,10 @@ def test_ring_build_and_write_memory_sylvester128():
         write = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    # N is n^3 int64 (16 MiB); the slabs add at most a quarter of that, the
-    # writer one block at a time
-    assert build <= 1.25 * ring.N.nbytes
+    # bounds in units of an int64 N, n^3 * 8 bytes (16 MiB), the size they
+    # were written for: the slabs add at most a quarter of that, the writer
+    # one block at a time
+    assert build <= 1.25 * INT64_N128
     assert write <= 2 ** 20
 
 
@@ -449,7 +454,7 @@ def test_identity_memory_sylvester128():
     ring = ring_from_hadamard(gen_sylvester(7))
     peak = peak_beyond(lambda: identity_coefficients(
         FusionRing(ring.n, ring.N, ring.tilde)))
-    assert peak <= 1.25 * ring.N.nbytes
+    assert peak <= 1.25 * INT64_N128
 
 
 def test_verify_memory_sylvester128():
@@ -459,7 +464,41 @@ def test_verify_memory_sylvester128():
     ring = ring_from_hadamard(gen_sylvester(7))
     peak = peak_beyond(lambda: verify_axioms(
         FusionRing(ring.n, ring.N, ring.tilde)))
-    assert peak <= 1.75 * ring.N.nbytes
+    assert peak <= 1.75 * INT64_N128
+
+
+def test_ring_from_text_memory_sylvester128():
+    # the reader holds the text's lines, one int64 block and N, here in
+    # int8 (2 MiB, 0.125 of the unit): an int16 N or an n^3 mask beside N
+    # breaks the bound, an int64 N by far
+    ring = ring_from_hadamard(gen_sylvester(7))
+    text = "".join(ring_lines(ring.N, ring.tilde))
+    assert peak_beyond(lambda: ring_from_text(text)) <= 0.6 * INT64_N128
+
+
+def test_assoc_witness_memory_sylvester128():
+    # a float32 copy of N (half an int64 N) and one chunk of k, whose arrays
+    # go before the next chunk's; a whole slab 0 at once (1.12 with one
+    # product, 1.49 with two) breaks the bound
+    ring = ring_from_hadamard(gen_sylvester(7))
+    assert peak_beyond(lambda: assoc_witness(ring.N, None)) <= INT64_N128
+
+
+def test_int_matmul_memory_sylvester128():
+    # the duality product N @ v and the identity certificate v @ N.reshape(n,
+    # n^2) promote N a slab of 2^18 entries (2 MiB in float64) at a time;
+    # a float64 copy of the whole N is one unit
+    N = ring_from_hadamard(gen_sylvester(7)).N
+    v = np.arange(128, dtype=np.int64) - 64
+    wide = N.astype(np.int64)
+    for product, want in (
+            (lambda: int_matmul(N, v), wide @ v),
+            (lambda: int_matmul(v, N.reshape(128, -1)),
+             v @ wide.reshape(128, -1))):
+        got = []
+        assert peak_beyond(lambda: got.append(product())) \
+            <= 0.25 * INT64_N128
+        assert got[0].dtype == np.int64 and np.array_equal(got[0], want)
 
 
 def test_had_reconstruct3_memory_sylvester64(monkeypatch, capsys):
@@ -469,7 +508,7 @@ def test_had_reconstruct3_memory_sylvester64(monkeypatch, capsys):
     assert main(["had", "reconstruct3", "s64.zbrng"]) == 0
     want = capsys.readouterr().out
     assert peak_beyond(lambda: main(["had", "reconstruct3", "s64.zbrng"])) \
-        <= 0.5 * ring.N.nbytes
+        <= 0.5 * 64 ** 3 * 8
     assert capsys.readouterr().out == want
 
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zbrng.exact import CycNum, ExactError, primes
-from zbrng.generators import gen_paley, group_ring_smatrix
+from zbrng.exact import CycNum, ExactError, _maxabs, narrow_dtype, primes
+from zbrng.generators import gen_paley, gen_sylvester, group_ring_smatrix
 from zbrng.hadamard import f2_tensor, ring_from_hadamard
 from zbrng.rng_core import (MAX_RING, FormatError, FusionRing, RingElement,
                             RingError, assoc_witness, identity_coefficients,
@@ -155,6 +155,51 @@ def test_assoc_witness_matches_full_einsum(paley12_ring):
         assert want is not None
         assert assoc_witness(bad, None) == want
         assert assoc_witness(bad, 2) == full_einsum_witness(bad, 2)
+
+
+@pytest.mark.parametrize("base", ["paley12", "f2"])
+def test_assoc_witness_symmetric_tensors(base, paley12_ring):
+    # one constant moved at every order of its index triple keeps N
+    # symmetric in all three indices: the scan's one-product case
+    N = (paley12_ring.N if base == "paley12" else f2_tensor(3))
+    N = N.astype(np.int64)
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        bad = N.copy()
+        triple = tuple(int(x) for x in rng.integers(0, len(N), size=3))
+        for t in set(itertools.permutations(triple)):
+            bad[t] += 1
+        assert np.array_equal(bad, bad.transpose(0, 2, 1))
+        assert np.array_equal(bad, bad.transpose(1, 0, 2))
+        want = full_einsum_witness(bad)
+        assert want is not None and assoc_witness(bad, None) == want
+        for modulus in (2, 3):
+            assert assoc_witness(bad, modulus) == \
+                full_einsum_witness(bad, modulus)
+
+
+def slab_oracle(N):
+    """The first associativity mismatch, slab i by slab i, each slab's two
+    n^3 products whole in float64 (exact for these small constants)."""
+    n = len(N)
+    A = N.astype(np.float64)
+    for i in range(n):
+        lhs = (A[i] @ A.reshape(n, n * n)).reshape(n, n, n)  # (b_i b_j) b_k
+        rhs = (A.reshape(n * n, n) @ A[i]).reshape(n, n, n)  # b_i (b_j b_k)
+        idx = np.argwhere(lhs != rhs)
+        if len(idx):
+            return (i,) + tuple(int(x) for x in idx[0])
+    return None
+
+
+def test_assoc_witness_first_in_a_later_chunk():
+    # order 128 takes slab i in chunks of 64 values of k; moving the
+    # constants of (5, 98, 93) gives slab 1 its first witness in the second
+    # chunk (j = 4, k = 93) and a later one in the first (j = 92, k = 5)
+    N = ring_from_hadamard(gen_sylvester(7)).N.astype(np.int64)
+    for t in set(itertools.permutations((5, 98, 93))):
+        N[t] += 1
+    assert assoc_witness(N, None) == slab_oracle(N) == (1, 4, 93, 98)
 
 
 def test_assoc_witness_no_int64_wrap():
@@ -576,7 +621,41 @@ def test_text_roundtrip_property(data):
     for form in (text, spaced):
         back = ring_from_text(form)
         assert back.n == n and back.tilde == tuple(tilde)
-        assert back.N.dtype == np.int64 and np.array_equal(back.N, N)
+        assert back.N.dtype == narrow_dtype(_maxabs(N))
+        assert np.array_equal(back.N, N)
+
+
+@pytest.mark.parametrize("value,dtype", [
+    (0, np.int8), (127, np.int8), (-127, np.int8), (-128, np.int16),
+    (128, np.int16), (32767, np.int16), (-32768, np.int32),
+    (2 ** 31 - 1, np.int32), (-2 ** 31, np.int64), (2 ** 40, np.int64)])
+def test_text_reader_smallest_dtype(value, dtype):
+    # N is stored in the smallest signed dtype holding max|N|, both signs
+    N = cyclic_tensor(3)
+    N[1, 2, 0] = N[2, 1, 0] = value
+    ring = ring_from_text(ring_text(ring_from_tensor(3, N, (0, 2, 1))))
+    assert ring.N.dtype == dtype and np.array_equal(ring.N, N)
+
+
+def test_text_reader_widens_for_later_blocks():
+    # blocks 0 and 1 fit int8, block 2 needs int16 and block 3 int64: N is
+    # widened twice, no earlier constant changes, and the text written from
+    # it is the text read, byte for byte
+    N = np.zeros((4, 4, 4), dtype=np.int64)
+    N[0, 1, 2] = N[1, 0, 2] = -127
+    N[0, 0, 0] = 5
+    N[2, 3, 1] = N[3, 2, 1] = 300
+    N[3, 3, 3] = -2 ** 40
+    text = oracle_ring_text(N, range(4))
+    ring = ring_from_text(text)
+    assert ring.N.dtype == np.int64 and np.array_equal(ring.N, N)
+    assert ring_text(ring) == text
+    # without the last block's constant the widening stops at int16
+    N[3, 3, 3] = 7
+    ring = ring_from_text(oracle_ring_text(N, range(4)))
+    assert ring.N.dtype == np.int16 and np.array_equal(ring.N, N)
+    # a value int8 would wrap (300 = 44 mod 256) is never parsed narrow
+    assert ring.N[2, 3, 1] == 300
 
 
 RING2 = ["zbrng 1", "n 2", "involution 0 1",
@@ -635,7 +714,8 @@ OVERFLOW = "malformed ring file: Python int too large to convert to C long"
 def test_text_reads_int64_bounds_exactly(value):
     # np.fromstring saturates at the int64 bounds; they must be read exactly
     one = ring_from_text("zbrng 1\nn 1\ninvolution 0\nN 0\n%d\n" % value)
-    assert one.N.dtype == np.int64 and one.N.tolist() == [[[value]]]
+    assert one.N.dtype == narrow_dtype(abs(value))
+    assert one.N.tolist() == [[[value]]]
     lines = list(RING2)
     lines[4] = "%d 0" % value
     two = ring_from_text("\n".join(lines) + "\n")

@@ -67,6 +67,10 @@ the mean time per call.  The rows:
     peak lift paley12, paley24    the tracemalloc peak, in MB, of
                                   fannsc_lift and the lift text consumed
                                   line by line (m = 1024, 2048)
+    peak ring_from_text sylvester256
+                                  the tracemalloc peak, in MB, of reading
+                                  the Sylvester 256 ring text (32 MB, held
+                                  before the row starts)
 
 A peak row's value is the median over its repeats of that peak.
 
@@ -85,6 +89,10 @@ rows: the median wall time of the process and the median of its peak RSS
     identity sylvester256         identity of the Sylvester 256 ring file
     had reconstruct3 sylvester256 had reconstruct3 of the same file
     verify sylvester128           verify of the Sylvester 128 ring file
+    verify, smatrix, had reconstruct sylvester256
+                                  the same three commands on the Sylvester
+                                  256 ring file (3 repeats: `verify` and
+                                  `smatrix` take 14-28 s each)
 
 The JSON written holds the machine description, both checkouts (commit, and
 whether `src/` has uncommitted changes) and one record per row with both
@@ -285,9 +293,17 @@ ROWS = {
                           "deque(lift_lines(fannsc_lift(s)), 0)", 1, 3),
     "peak lift paley24": (paley_lift(23),
                           "deque(lift_lines(fannsc_lift(s)), 0)", 1, 3),
+    "peak ring_from_text sylvester256": (
+        "from zbrng.generators import gen_sylvester\n"
+        "from zbrng.hadamard import ring_from_hadamard\n"
+        "from zbrng.rng_core import ring_from_text, ring_lines\n"
+        "ring = ring_from_hadamard(gen_sylvester(8))\n"
+        "text = ''.join(ring_lines(ring.N, ring.tilde))\n"
+        "del ring", "ring_from_text(text)", 1, 3),
 }
 # rows measured in MB of tracemalloc peak rather than in seconds
-PEAKS = {"peak lift paley12", "peak lift paley24"}
+PEAKS = {"peak lift paley12", "peak lift paley24",
+         "peak ring_from_text sylvester256"}
 
 # one-shot rows, run in a directory holding what INPUTS writes:
 # row name: (argv, repeats)
@@ -310,6 +326,10 @@ ONESHOT = {
     "had reconstruct3 sylvester256": (
         ["had", "reconstruct3", "s256.zbrng"], 5),
     "verify sylvester128": (["verify", "s128.zbrng"], 5),
+    "verify sylvester256": (["verify", "s256.zbrng"], 3),
+    "smatrix sylvester256": (["smatrix", "s256.zbrng"], 3),
+    "had reconstruct sylvester256": (["had", "reconstruct", "s256.zbrng"],
+                                     5),
 }
 
 
