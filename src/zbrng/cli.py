@@ -14,8 +14,8 @@ import numpy as np
 
 from .exact import ExactError, format_cyc
 from .rng_core import (FormatError, FusionRing, RingError, assoc_witness,
-                       identity_coefficients, ring_blocks, ring_from_text,
-                       ring_lines, verify_axioms)
+                       identity_coefficients, nonblank_lines, ring_blocks,
+                       ring_from_text, ring_lines, verify_axioms)
 from .spectra import (SMatrix, SpectraError, closed_subset_heuristic,
                       involution_from_smatrix, smatrix_from_tensor,
                       smatrix_from_text, smatrix_to_text, subring_smatrix,
@@ -51,8 +51,7 @@ def _read(path):
 
 def load_any(path):
     text = _read(path)
-    # the lines go before the text is parsed: only the first is kept
-    head = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
+    head = next(nonblank_lines(text), (0, "", None))[1]
     if head == "zbrng-monomial 1":
         raise InputError("%s: lift (pointed algebra) file; expected a ring, "
                          "s-matrix or Hadamard file" % path)
@@ -152,7 +151,7 @@ def cmd_verlinde(args):
         tilde = involution_from_smatrix(s, tol=args.tol)
     except SpectraError as exc:
         print("no involution: %s" % exc)
-        print("\n".join(ring_blocks(res.tensor)))
+        sys.stdout.writelines(ring_blocks(res.tensor))
         return 1
     ring = ring_from_tensor(s.n, res.tensor, tilde)
     return emit(args, ring_lines(ring.N, ring.tilde))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .exact import (CycArray, _maxabs, int_dtype, int_matmul, lookup,
                     row_keys)
-from .rng_core import ring_lines
+from .rng_core import _ascii, _slab_text, _terminated, ring_lines
 from .spectra import SpectraError, root_columns, unit_roots
 
 
@@ -137,25 +137,6 @@ def _constant_slabs(prod, g):
     for lo in range(0, len(prod), _SLAB):
         mu = gd[lo:lo + _SLAB, None] * gd[None, :] // gd[prod[lo:lo + _SLAB]]
         yield lo, _held(mu, "lift constants")
-
-
-def _ascii(texts):
-    """The strings texts as one fixed-width bytes array, as wide as the
-    longest."""
-    return np.array(list(texts), dtype="S")
-
-
-def _terminated(cells):
-    """The tokens "cell " then "cell\n" of the cells, in one array as wide
-    as the longest token: a row's last token is read from the second half."""
-    cells = cells.astype("S%d" % np.char.str_len(cells).max())
-    return np.concatenate([np.char.add(cells, b" "),
-                           np.char.add(cells, b"\n")])
-
-
-def _slab_text(tok, idx):
-    """The text of the tokens tok[idx], padding stripped."""
-    return tok.take(idx).tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _class_tokens(g):

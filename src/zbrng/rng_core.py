@@ -370,68 +370,158 @@ def is_closed_subset(ring, S):
 
 _INT64_MAX = np.iinfo(np.int64).max
 
+# The writer formats a slab of about 2^14 constants at a time.
+_TEXT_SLAB = 2 ** 14
+
+
+def _ascii(texts):
+    """The strings texts as one fixed-width bytes array, as wide as the
+    longest."""
+    return np.array(list(texts), dtype="S")
+
+
+def _terminated(cells):
+    """The tokens "cell " then "cell\n" of the bytes array cells, in one
+    array as wide as the longest token: a row's last token is read from the
+    second half.  Built on the bytes (cells are padded with NULs), as
+    importing numpy.char would cost every process that writes a table a
+    quarter of a MB."""
+    raw = np.ascontiguousarray(cells).view(np.uint8).reshape(len(cells), -1)
+    size = np.count_nonzero(raw, axis=1).astype(np.int32)
+    w = int(size.max())
+    tok = np.zeros((2, len(cells), w + 1), dtype=np.uint8)
+    tok[:, :, :w] = raw[:, :w]
+    at = np.arange(len(cells), dtype=np.int32)
+    tok[0, at, size] = ord(" ")
+    tok[1, at, size] = ord("\n")
+    return tok.view("S%d" % (w + 1)).reshape(-1)
+
+
+def _slab_text(tok, idx):
+    """The text of the tokens tok[idx], padding stripped: the one gather
+    behind the ring, s-matrix and lift writers."""
+    return tok.take(idx).tobytes().translate(None, b"\0").decode("ascii")
+
+
+def grid_text(cells, ids):
+    """The rows of the table cells[ids] (an int array of ids into the list
+    of strings cells), each cell followed by a space, the last of a row by
+    a newline; each cell is formatted once however often it occurs."""
+    idx = ids.astype(np.intp)
+    idx[..., -1] += len(cells)
+    return _slab_text(_terminated(_ascii(cells)), idx)
+
 
 def ring_blocks(N):
-    """The n blocks "N i" of the text format, as lines, formatted one n x n
-    block at a time: each distinct value of a block is turned into a string
-    once and the rows are joined from that table."""
-    for i, block in enumerate(N):
-        yield "N %d" % i
+    """The n blocks "N i" of the text format, newline-ended, one str per
+    slab of whole blocks (at least one block, about _TEXT_SLAB constants).
+    Each distinct value of a slab is formatted once, as "v " and "v\n", and
+    the block headers are cut into tokens of the same width, so a slab is
+    one gather of fixed-width tokens."""
+    n = len(N)
+    step = max(1, _TEXT_SLAB // (n * n))
+    for lo in range(0, n, step):
         # return_counts keeps np.unique on its sort path (one plain sort),
-        # which does not import numpy.ma and beats return_inverse here; the
-        # sort runs on an int64 copy, which numpy sorts faster than int8
-        values = np.unique(block.astype(np.int64, copy=False),
-                           return_counts=True)[0]
-        table = np.array([str(v) for v in values.tolist()], dtype=object)
-        cells = table[np.searchsorted(values, block)]
-        yield from map(" ".join, cells.tolist())
+        # which does not import numpy.ma; the sort runs on an int64 copy,
+        # which numpy sorts faster than int8
+        slab = N[lo:lo + step].astype(np.int64, copy=False)
+        values = np.unique(slab, return_counts=True)[0]
+        tok = _terminated(_ascii(map(str, values.tolist())))
+        # each header "N i\n", padded, as k tokens of tok's width
+        heads = _ascii("N %d\n" % i for i in range(lo, lo + len(slab)))
+        k = -(-heads.itemsize // tok.itemsize)
+        heads = np.frombuffer(heads.astype("S%d" % (k * tok.itemsize)),
+                              dtype=tok.dtype)
+        # row b of idx: block lo + b's header, then its n^2 constants
+        idx = np.empty((len(slab), k + n * n), dtype=np.intp)
+        idx[:, :k] = np.arange(len(tok), len(tok) + heads.size).reshape(-1, k)
+        idx[:, k:] = np.searchsorted(values, slab).reshape(len(slab), -1)
+        del slab
+        idx[:, k + n - 1::n] += len(values)
+        yield _slab_text(np.concatenate([tok, heads]), idx)
 
 
 def ring_lines(N, tilde=None):
-    """The text of N, a newline-ended line at a time: the header, the
-    involution line when tilde is given, then the blocks."""
+    """The text of N in newline-ended pieces: the header, the involution
+    line when tilde is given, then the blocks a slab at a time."""
     yield "zbrng 1\nn %d\n" % len(N)
     if tilde is not None:
         yield "involution %s\n" % " ".join(map(str, tilde))
-    yield from (ln + "\n" for ln in ring_blocks(N))
+    yield from ring_blocks(N)
+
+
+def nonblank_lines(text, pos=0, no=1):
+    """(number, stripped line, end) for each nonblank line of text from pos,
+    the start of physical line no: the lines and numbers of
+    text.splitlines(), made a run up to the next "\n" at a time, so that no
+    list of every line is built.  end is the position after the line's
+    "\n" (or the end of the text) when the line is the last of its run, else
+    None."""
+    while pos < len(text):
+        end = text.find("\n", pos) + 1 or len(text)
+        parts = text[pos:end].splitlines()
+        for k, ln in enumerate(parts):
+            ln = ln.strip()
+            if ln:
+                yield no + k, ln, end if k == len(parts) - 1 else None
+        no += len(parts)
+        pos = end
+
+
+def _next_line(lines):
+    """The next nonblank line; at the end of the text the IndexError that
+    indexing a list of lines past its end would raise."""
+    line = next(lines, None)
+    if line is None:
+        raise IndexError("list index out of range")
+    return line
 
 
 def ring_from_text(text):
     """The ring of a text; error messages give physical line numbers,
-    blank lines included.  Each block is parsed in int64 and stored in N,
-    which starts in int8 and is widened to the narrow_dtype of the first
-    block that needs it."""
-    stripped = [ln.strip() for ln in text.splitlines()]
-    numbers = [no for no, ln in enumerate(stripped, 1) if ln]
-    lines = [ln for ln in stripped if ln]
-    if not lines or lines[0] != "zbrng 1":
+    blank lines included.  Each block is parsed from its slice of the text
+    (int_grid) and stored in N, which starts in int8 and is widened to the
+    narrow_dtype of the first block that needs it; a block int_grid does not
+    take, and the header lines, are read line by line (nonblank_lines)."""
+    lines = nonblank_lines(text)
+    first = next(lines, None)
+    if first is None or first[1] != "zbrng 1":
         raise FormatError("missing 'zbrng 1' header")
     try:
-        if not lines[1].startswith("n "):
+        size = _next_line(lines)[1]
+        if not size.startswith("n "):
             raise FormatError("missing size line")
-        n = int(lines[1].split()[1])
+        n = int(size.split()[1])
         if n < 1:
             raise FormatError("ring order %d below 1" % n)
         if n > MAX_RING:
             raise FormatError("ring order %d above %d" % (n, MAX_RING))
-        if not lines[2].startswith("involution"):
+        no, line, pos = _next_line(lines)
+        if not line.startswith("involution"):
             raise FormatError("missing involution line")
-        tilde = [int(t) for t in lines[2].split()[1:]]
+        tilde = [int(t) for t in line.split()[1:]]
         if len(tilde) != n:
             raise FormatError("involution length != n")
         N, top = np.zeros((n, n, n), dtype=np.int8), 127
         for i in range(n):
-            at = 3 + i * (n + 1)
-            if lines[at] != "N %d" % i:
-                raise FormatError("expected 'N %d' at line %d"
-                                  % (i, numbers[at]))
-            block = _block(lines, numbers, at + 1, n)
+            # pos is where the next line starts, or None once a line ended
+            # inside a run, after which every line is read from lines
+            block = None if pos is None else _grid_block(text, pos, i, n)
+            if block is None:
+                if pos is not None:
+                    lines = nonblank_lines(text, pos, no + 1)
+                block, no, pos = _row_block(lines, i, n)
+            else:
+                block, pos = block
+                no += n + 1
             big = _maxabs(block)
             if big > top:
                 N = N.astype(narrow_dtype(big))
                 top = np.iinfo(N.dtype).max
             N[i] = block
-        if 3 + n * (n + 1) != len(lines):
+        if pos is not None:
+            lines = nonblank_lines(text, pos, no + 1)
+        if next(lines, None) is not None:
             raise FormatError("trailing content")
     except (IndexError, ValueError, OverflowError) as exc:
         if isinstance(exc, FormatError):
@@ -440,34 +530,77 @@ def ring_from_text(text):
     return ring_from_tensor(n, N, tilde)
 
 
-def _block(lines, numbers, at, n):
-    """lines[at:at + n] as an n x n int64 array; numbers[k] is the line
-    number of lines[k].
+def _grid_block(text, pos, i, n):
+    """(block i as an n x n int64 array, the position after it) when the
+    text at pos is exactly "N i" and n rows that int_grid takes, each line
+    ended by "\n" (the last by the end of the text too); else None.  The
+    rows end where the next block's header starts, looked for only as far
+    as n^2 tokens of 20 characters and their separators reach (a longer
+    block is read line by line), or at the text's end."""
+    head = "N %d\n" % i
+    if not text.startswith(head, pos):
+        return None
+    start = pos + len(head)
+    if i + 1 < n:
+        after = "\nN %d\n" % (i + 1)
+        stop = text.find(after, start, start + 21 * n * n + len(after))
+        if stop < 0:
+            return None
+    else:
+        stop = len(text) - text.endswith("\n")
+    block = int_grid(text[start:stop], n, n)
+    return None if block is None else (block, stop + 1)
 
-    A block of n lines with n - 1 spaces each, no tab, no "+", and every "-"
-    opening a token longer than the sign, is converted in one np.fromstring
-    call.  No line then has more than n tokens, and each token gives at most
-    one value, after which the call stops or raises unless the token is an
-    integer; so n^2 values are n^2 integers, n to a line.  The call
-    saturates past int64, so a block holding an int64 bound is read again,
-    as is any other block: row by row, which raises at the first row that
-    is missing, not integers or not of length n."""
-    rows = lines[at:at + n]
-    text = " %s " % " ".join(rows)
-    if (len(rows) == n and all(ln.count(" ") == n - 1 for ln in rows)
-            and "\t" not in text and "+" not in text and "- " not in text
-            and text.count("-") == text.count(" -")):
-        try:
-            block = np.fromstring(text, np.int64, sep=" ")
-        except ValueError:
-            block = None
-        if (block is not None and block.size == n * n
-                and -_INT64_MAX < block.min() and block.max() < _INT64_MAX):
-            return block.reshape(n, n)
+
+def _row_block(lines, i, n):
+    """(block i as an n x n int64 array, the number of its last line, the
+    end that nonblank_lines gives that line), read line by line: the
+    header, then one int() per token of each row, raising at the first row
+    that is missing, not integers or not of length n."""
+    no, line, _ = _next_line(lines)
+    if line != "N %d" % i:
+        raise FormatError("expected 'N %d' at line %d" % (i, no))
     block = np.zeros((n, n), dtype=np.int64)
     for j in range(n):
-        row = [int(v) for v in lines[at + j].split()]
+        no, line, end = _next_line(lines)
+        row = [int(v) for v in line.split()]
         if len(row) != n:
-            raise FormatError("row length != n at line %d" % numbers[at + j])
+            raise FormatError("row length != n at line %d" % no)
         block[j] = row
-    return block
+    return block, no, end
+
+
+def int_grid(text, rows, cols):
+    """text as a rows x cols int64 array when it is exactly that: rows
+    lines joined by "\n" (no newline after the last), each of cols tokens
+    -?[0-9]+ joined by single spaces, every value strictly inside the int64
+    bounds; else None, and the caller reads the text line by line.
+
+    The counts decide: the text holds only digits, "-", " " and "\n", and
+    every "-" opens a token (np.fromstring would stop at any other, with a
+    DeprecationWarning), so a token gives one value, or none when it is a
+    lone "-", which np.fromstring joins to the next token.  rows * cols
+    values from rows * cols - 1 separators then leave no sign alone and no
+    separator doubled or at either end, and every cols-th separator, and no
+    other, is a newline.  np.fromstring saturates past int64, so a grid
+    holding an int64 bound is left to the line reader, which reads it
+    exactly or raises."""
+    if not text.isascii():
+        return None
+    b = text.encode("ascii")
+    if (not b or b.translate(None, b"0123456789- \n")
+            or b.count(b"\n") != rows - 1):
+        return None
+    a = np.frombuffer(b, dtype=np.uint8)
+    sep = (a <= 32).nonzero()[0]
+    if (len(sep) != rows * cols - 1 or a[-1] <= 45
+            or (a[sep[cols - 1::cols]] != 10).any()):
+        return None
+    minus = (a == 45).nonzero()[0]
+    if len(minus) and (a[minus[int(minus[0] == 0):] - 1] > 32).any():
+        return None
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    if (values.size != rows * cols or values.min() <= -_INT64_MAX
+            or values.max() >= _INT64_MAX):
+        return None
+    return values.reshape(rows, cols)

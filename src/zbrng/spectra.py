@@ -15,7 +15,7 @@ import numpy as np
 from .exact import (CycArray, ExactError, _fit, _maxabs, format_cyc,
                     int_dtype, lookup, parse_cyc, power_table, row_keys)
 from .hadamard import PreconditionError, character_signs
-from .rng_core import MAX_RING, FormatError
+from .rng_core import MAX_RING, FormatError, grid_text
 
 
 class SpectraError(ValueError):
@@ -345,11 +345,11 @@ def smatrix_from_tensor(ring, tol=1e-8):
 
 def _row_order(rows):
     """Row indices of a complex matrix sorted by the rows' entries rounded
-    to 6 decimals, real part then imaginary part (builtin round on the
-    numpy scalars, which fixes how ties order)."""
-    return sorted(range(rows.shape[0]), key=lambda r: tuple(
-        (round(rows[r, c].real, 6), round(rows[r, c].imag, 6))
-        for c in range(rows.shape[1])))
+    to 6 decimals, real part then imaginary part, column by column; ties
+    keep their order (a stable lexsort, whose last key sorts first)."""
+    r = np.round(rows, 6)
+    keys = np.stack([r.real, r.imag], axis=2).reshape(len(r), -1)
+    return np.lexsort(keys.T[::-1]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +449,19 @@ def subring_smatrix(s, S, tol=1e-8):
 # text format
 
 def smatrix_to_text(s):
+    """The text of s: each distinct entry formatted once (format_cyc, or
+    repr of the complex, keyed on its bytes, so 0.0 and -0.0 stay apart),
+    the rows one gather of those tokens (grid_text)."""
     if s.mode == "exact":
-        lines = ["smatrix 1", "n %d %d" % (s.n, s.n)]
-        text = np.array([format_cyc(e) for e in s.values], dtype=object)
-        lines += [" ".join(row) for row in text[s.ids].tolist()]
+        head, cells, ids = "smatrix 1", map(format_cyc, s.values), s.ids
     else:
-        lines = ["smatrix-numeric 1", "n %d %d" % (s.n, s.n)]
-        for row in s.array:
-            lines.append(" ".join(repr(complex(v)) for v in row))
-    return "\n".join(lines) + "\n"
+        a = np.ascontiguousarray(s.array, dtype=np.complex128)
+        _, first, ids = np.unique(a.reshape(-1).view(np.dtype((np.void, 16))),
+                                  return_index=True, return_inverse=True)
+        head = "smatrix-numeric 1"
+        cells = map(repr, a.reshape(-1)[first].tolist())
+        ids = ids.reshape(a.shape)
+    return "%s\nn %d %d\n%s" % (head, s.n, s.n, grid_text(list(cells), ids))
 
 
 def smatrix_from_text(text):
@@ -478,27 +482,25 @@ def smatrix_from_text(text):
         raise FormatError("expected %d data rows" % rows)
     if rows == 0:
         raise SpectraError("s-matrix must be square")
-    # exact literals: each distinct token is parsed once, at its first
-    # occurrence, so the first error reported is the first in row order
-    index, values, data = {}, [], []
+    # each distinct token is parsed once, in the order of first occurrence;
+    # rows are read up to the first of the wrong length, reported after the
+    # tokens before it are parsed, so the first error is the first in row
+    # order
+    index, ids, bad = {}, [], None
     for ln in lines[2:]:
         toks = ln.split()
         if len(toks) != cols:
-            raise FormatError("row has %d entries, expected %d"
-                              % (len(toks), cols))
-        if numeric:
-            data.append([complex(t) for t in toks])
-            continue
-        for t in toks:
-            if t not in index:
-                try:
-                    values.append(parse_cyc(t))
-                except ExactError as exc:
-                    raise FormatError(str(exc)) from exc
-                index[t] = len(index)
-        data.append([index[t] for t in toks])
+            bad = len(toks)
+            break
+        ids += [index.setdefault(t, len(index)) for t in toks]
+    try:
+        values = list(map(complex if numeric else parse_cyc, index))
+    except ExactError as exc:
+        raise FormatError(str(exc)) from exc
+    if bad is not None:
+        raise FormatError("row has %d entries, expected %d" % (bad, cols))
+    ids = np.array(ids, dtype=np.intp).reshape(cols, cols)
     if numeric:
-        return SMatrix.numeric(np.array(data))
+        return SMatrix.numeric(np.array(values)[ids])
     distinct = CycArray.from_rows([values])
-    return SMatrix(CycArray(distinct.q, distinct.num[0][np.array(data)],
-                            distinct.den))
+    return SMatrix(CycArray(distinct.q, distinct.num[0][ids], distinct.den))

@@ -468,12 +468,13 @@ def test_verify_memory_sylvester128():
 
 
 def test_ring_from_text_memory_sylvester128():
-    # the reader holds the text's lines, one int64 block and N, here in
-    # int8 (2 MiB, 0.125 of the unit): an int16 N or an n^3 mask beside N
-    # breaks the bound, an int64 N by far
+    # the reader holds one block's slice of the text and its int64 values
+    # beside N, here in int8 (2 MiB, 0.125 of the unit): a list of the
+    # text's lines (0.5), an int16 N or an n^3 mask beside N breaks the
+    # bound, an int64 N by far
     ring = ring_from_hadamard(gen_sylvester(7))
     text = "".join(ring_lines(ring.N, ring.tilde))
-    assert peak_beyond(lambda: ring_from_text(text)) <= 0.6 * INT64_N128
+    assert peak_beyond(lambda: ring_from_text(text)) <= 0.25 * INT64_N128
 
 
 def test_assoc_witness_memory_sylvester128():

@@ -21,11 +21,12 @@ from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import (LiftPresentation, PointedAlgebra, QuotientError,
                              _class_tokens, _index_dtype, _semigroup,
                              fannsc_lift, lift_lines, quotient_verify)
-from zbrng.rng_core import ring_blocks, ring_from_tensor
+from zbrng.rng_core import ring_from_tensor
 from zbrng.spectra import (SMatrix, root_columns, smatrix_from_tensor,
                            unit_roots, verlinde_tensor)
 
 from cyc_oracle import equal, root_of_unity_factor, zeta
+from text_oracle import oracle_ring_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +170,7 @@ def oracle_text(L, dense_limit=128):
     alg = L.lifted
     if alg.m <= dense_limit:
         lines = ["zbrng 1", "n %d" % alg.m]
-        lines += ring_blocks(oracle_dense(alg))
+        lines += oracle_ring_blocks(oracle_dense(alg))
     else:
         lines = ["zbrng-monomial 1", "n %d" % alg.m]
         for i in range(alg.m):

@@ -14,6 +14,16 @@ the mean time per call.  The rows:
     ring_from_text, ring_lines    the Sylvester 64 ring (n = 64); ring_lines
                                   consumed piece by piece, as `had ring`
                                   writes it
+    ring_lines kp40               the same for the Verlinde ring of the
+                                  level-40 sl2 table (n = 41), as
+                                  `verlinde` writes it
+    smatrix_from_text kp40,       reading and writing the text of that
+    smatrix_to_text kp40          numeric table
+    hadamard_from_text sylvester64
+                                  reading the +-1 text of the Sylvester 64
+                                  matrix
+    _row_order z15                the row order of the numeric s-matrix of
+                                  the Z/3 x Z/5 ring, as `smatrix` sorts it
     parser first call             build_parser + parse_args, as paid once
                                   by each `zbrng` process
     parser repeat call            build_parser + parse_args again in the
@@ -136,6 +146,17 @@ SYLVESTER128 = ("from zbrng.generators import gen_sylvester\n"
                 "from zbrng.rng_core import assoc_witness\n"
                 "N = ring_from_hadamard(gen_sylvester(7)).N")
 
+KP40 = ("from collections import deque\n"
+        "from zbrng.generators import kac_peterson_a1\n"
+        "from zbrng.rng_core import ring_from_tensor, ring_lines\n"
+        "from zbrng.spectra import (involution_from_smatrix,\n"
+        "                           smatrix_from_text, smatrix_to_text,\n"
+        "                           verlinde_tensor)\n"
+        "s = kac_peterson_a1(40)\n"
+        "ring = ring_from_tensor(s.n, verlinde_tensor(s).tensor,\n"
+        "                        involution_from_smatrix(s))\n"
+        "text = smatrix_to_text(s)")
+
 # x^r y^f with y x = x^-1 y: (r, f)(s, g) = (r + (-1)^f s, f + g)
 DIHEDRAL128 = ("import numpy as np\n"
                "from zbrng.rng_core import assoc_witness\n"
@@ -184,6 +205,25 @@ ROWS = {
     "ring_from_text sylvester64": (SYLVESTER64, "ring_from_text(text)", 1, 15),
     "ring_lines sylvester64": (
         SYLVESTER64, "deque(ring_lines(ring.N, ring.tilde), 0)", 1, 15),
+    "ring_lines kp40": (KP40, "deque(ring_lines(ring.N, ring.tilde), 0)",
+                        10, 15),
+    "smatrix_from_text kp40": (KP40, "smatrix_from_text(text)", 10, 15),
+    "smatrix_to_text kp40": (KP40, "smatrix_to_text(s)", 10, 15),
+    "hadamard_from_text sylvester64": (
+        "from zbrng.generators import gen_sylvester\n"
+        "from zbrng.hadamard import hadamard_from_text, hadamard_to_text\n"
+        "text = hadamard_to_text(gen_sylvester(6))",
+        "hadamard_from_text(text)", 20, 15),
+    "_row_order z15": (
+        "from zbrng.generators import group_ring_smatrix\n"
+        "from zbrng.rng_core import ring_from_tensor\n"
+        "from zbrng.spectra import (_row_order, involution_from_smatrix,\n"
+        "                           smatrix_from_tensor, verlinde_tensor)\n"
+        "t = group_ring_smatrix([3, 5])\n"
+        "ring = ring_from_tensor(15, verlinde_tensor(t).tensor,\n"
+        "                        involution_from_smatrix(t))\n"
+        "rows = smatrix_from_tensor(ring).array",
+        "_row_order(rows)", 50, 15),
     # __wrapped__ is the uncached builder where build_parser is cached
     "parser first call": (
         "from zbrng.cli import build_parser\n"
