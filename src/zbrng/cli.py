@@ -51,7 +51,7 @@ def _read(path):
 
 def load_any(path):
     text = _read(path)
-    head = next(nonblank_lines(text), (0, "", None))[1]
+    head = next(nonblank_lines(text), (0, ""))[1]
     if head == "zbrng-monomial 1":
         raise InputError("%s: lift (pointed algebra) file; expected a ring, "
                          "s-matrix or Hadamard file" % path)

@@ -12,8 +12,8 @@ import numpy as np
 
 from .exact import (_slab, int_matmul, int_mod, matmul_mod, narrow_dtype,
                     primes, row_keys, rref_mod)
-from .rng_core import (MAX_RING, FormatError, assoc_witness, int_grid,
-                       is_closed_subset, nonblank_lines, ring_from_tensor)
+from .rng_core import (MAX_RING, FormatError, assoc_witness, is_closed_subset,
+                       nonblank_lines, ring_from_tensor)
 
 
 class HadamardError(ValueError):
@@ -426,25 +426,21 @@ def equiv_screen(H1, H2):
 
 def hadamard_from_text(text):
     """The +-1 matrix of a text of '+'/'-' rows, or of rows of +-1 integers
-    separated by whitespace, as int64.  Rows of one sign string each, or of
-    integers as int_grid takes them, are read as one array; any other text
+    separated by whitespace, as int64.  r rows of r signs, as
+    hadamard_to_text writes them, are read as one byte array; any other text
     line by line (nonblank_lines), which gives every error its physical line
     number."""
     body = text[:-1] if text.endswith("\n") else text
-    r = body.count("\n") + 1
     if body.isascii() and not body.encode("ascii").translate(None, b"+-\n"):
         # r rows of r signs: every (r + 1)-th character a newline
+        r = body.count("\n") + 1
         a = np.frombuffer((body + "\n").encode("ascii"), dtype=np.uint8)
         if len(a) == r * (r + 1):
             a = a.reshape(r, r + 1)
             if np.all(a[:, r] == 10):
                 return np.where(a[:, :r] == 43, 1, -1)
-    elif r > 1:
-        a = int_grid(body, r, r)
-        if a is not None and np.all(np.abs(a) == 1):
-            return a
     rows = []
-    for ln_no, s, _ in nonblank_lines(text):
+    for ln_no, s in nonblank_lines(text):
         if any(ch.isspace() for ch in s):
             try:
                 row = [int(t) for t in s.split()]

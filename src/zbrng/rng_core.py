@@ -8,8 +8,10 @@ exists in the complexification (its coefficients are rational here since N
 is integral).
 """
 
+import re
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd, lcm
 
 import numpy as np
@@ -383,18 +385,23 @@ def _ascii(texts):
 def _terminated(cells):
     """The tokens "cell " then "cell\n" of the bytes array cells, in one
     array as wide as the longest token: a row's last token is read from the
-    second half.  Built on the bytes (cells are padded with NULs), as
-    importing numpy.char would cost every process that writes a table a
-    quarter of a MB."""
+    second half.  Built on the bytes, a column at a time (cells are padded
+    with NULs on the right), as importing numpy.char would cost every
+    process that writes a table a quarter of a MB, and numpy reduces the
+    short rows of a bytes array one at a time."""
     raw = np.ascontiguousarray(cells).view(np.uint8).reshape(len(cells), -1)
-    size = np.count_nonzero(raw, axis=1).astype(np.int32)
-    w = int(size.max())
-    tok = np.zeros((2, len(cells), w + 1), dtype=np.uint8)
-    tok[:, :, :w] = raw[:, :w]
-    at = np.arange(len(cells), dtype=np.int32)
-    tok[0, at, size] = ord(" ")
-    tok[1, at, size] = ord("\n")
-    return tok.view("S%d" % (w + 1)).reshape(-1)
+    w = raw.shape[1]
+    while w and not raw[:, w - 1].any():
+        w -= 1
+    size = np.zeros(len(cells), dtype=np.intp)
+    for k in range(w):
+        size += raw[:, k] != 0
+    tok = np.concatenate([cells.astype("S%d" % (w + 1))] * 2)
+    at = np.arange(0, len(cells) * (w + 1), w + 1) + size
+    flat = tok.view(np.uint8)
+    flat[at] = ord(" ")
+    flat[at + len(cells) * (w + 1)] = ord("\n")
+    return tok
 
 
 def _slab_text(tok, idx):
@@ -450,124 +457,145 @@ def ring_lines(N, tilde=None):
     yield from ring_blocks(N)
 
 
-def nonblank_lines(text, pos=0, no=1):
-    """(number, stripped line, end) for each nonblank line of text from pos,
-    the start of physical line no: the lines and numbers of
-    text.splitlines(), made a run up to the next "\n" at a time, so that no
-    list of every line is built.  end is the position after the line's
-    "\n" (or the end of the text) when the line is the last of its run, else
-    None."""
+def nonblank_lines(text):
+    """(number, stripped line) for each nonblank line of text: the lines and
+    numbers of text.splitlines(), made a run up to the next "\n" at a time,
+    so that no list of every line is built."""
+    no = pos = 0
     while pos < len(text):
         end = text.find("\n", pos) + 1 or len(text)
         parts = text[pos:end].splitlines()
-        for k, ln in enumerate(parts):
+        for k, ln in enumerate(parts, no + 1):
             ln = ln.strip()
             if ln:
-                yield no + k, ln, end if k == len(parts) - 1 else None
+                yield k, ln
         no += len(parts)
         pos = end
 
 
-def _next_line(lines):
-    """The next nonblank line; at the end of the text the IndexError that
-    indexing a list of lines past its end would raise."""
-    line = next(lines, None)
-    if line is None:
-        raise IndexError("list index out of range")
-    return line
+# the header lines exactly as ring_lines writes them, with numbers of at
+# most 9 digits (any longer one is left to the line reader's errors)
+_RING_HEAD = re.compile(
+    r"zbrng 1\nn ([0-9]{1,9})\ninvolution((?: [0-9]{1,9})*)\n")
 
 
 def ring_from_text(text):
-    """The ring of a text; error messages give physical line numbers,
-    blank lines included.  Each block is parsed from its slice of the text
-    (int_grid) and stored in N, which starts in int8 and is widened to the
-    narrow_dtype of the first block that needs it; a block int_grid does not
-    take, and the header lines, are read line by line (nonblank_lines)."""
+    """The ring of a text.  Text as ring_lines writes it is read block by
+    block in place (_ring_grid); any other text from the start, line by
+    line (_ring_rows), which raises at the first line out of format with
+    its physical line number, blank lines included."""
+    got = _ring_grid(text)
+    if got is None:
+        try:
+            got = _ring_rows(text)
+        except StopIteration as exc:
+            # too few lines: the message callers match, that of indexing a
+            # list of the lines past its end
+            raise FormatError("malformed ring file: list index out of range"
+                              ) from exc
+        except (IndexError, ValueError, OverflowError) as exc:
+            if isinstance(exc, FormatError):
+                raise
+            raise FormatError("malformed ring file: %s" % exc) from exc
+    return ring_from_tensor(*got)
+
+
+def _widened(N, block):
+    """N, or N in the narrow_dtype of block when block does not fit N's
+    dtype: N starts in int8 and is widened at the first block that needs
+    it."""
+    big = _maxabs(block)
+    if big > np.iinfo(N.dtype).max:
+        N = N.astype(narrow_dtype(big))
+    return N
+
+
+def _ring_grid(text):
+    """(n, N, tilde) when text holds the header lines as ring_lines writes
+    them and then n blocks "N i" of n rows that int_grid takes, each line
+    ended by "\n" (the last by the end of the text too); else None.  Block
+    i ends where "N i+1" starts, looked for only as far as n^2 tokens of 20
+    characters and their separators reach (a longer block is left to the
+    line reader), the last at the text's end."""
+    m = _RING_HEAD.match(text)
+    if m is None:
+        return None
+    n, tilde = int(m[1]), [int(t) for t in m[2].split()]
+    if not 1 <= n <= MAX_RING or len(tilde) != n:
+        return None
+    N, pos = np.zeros((n, n, n), dtype=np.int8), m.end()
+    for i in range(n):
+        head = "N %d\n" % i
+        if not text.startswith(head, pos):
+            return None
+        start = pos + len(head)
+        if i + 1 < n:
+            after = "\nN %d\n" % (i + 1)
+            pos = text.find(after, start, start + 21 * n * n + len(after))
+            if pos < 0:
+                return None
+        else:
+            pos = len(text) - text.endswith("\n")
+        block = int_grid(text[start:pos], n, n)
+        if block is None:
+            return None
+        N = _widened(N, block)
+        N[i] = block
+        pos += 1
+    return n, N, tilde
+
+
+def _ring_rows(text):
+    """(n, N, tilde) read one nonblank line at a time (nonblank_lines),
+    raising at the first line out of format; next() raises StopIteration
+    when the text has too few lines.  The n rows of a block are parsed as
+    one grid (int_grid) when it takes them, else by _int_rows."""
     lines = nonblank_lines(text)
     first = next(lines, None)
     if first is None or first[1] != "zbrng 1":
         raise FormatError("missing 'zbrng 1' header")
-    try:
-        size = _next_line(lines)[1]
-        if not size.startswith("n "):
-            raise FormatError("missing size line")
-        n = int(size.split()[1])
-        if n < 1:
-            raise FormatError("ring order %d below 1" % n)
-        if n > MAX_RING:
-            raise FormatError("ring order %d above %d" % (n, MAX_RING))
-        no, line, pos = _next_line(lines)
-        if not line.startswith("involution"):
-            raise FormatError("missing involution line")
-        tilde = [int(t) for t in line.split()[1:]]
-        if len(tilde) != n:
-            raise FormatError("involution length != n")
-        N, top = np.zeros((n, n, n), dtype=np.int8), 127
-        for i in range(n):
-            # pos is where the next line starts, or None once a line ended
-            # inside a run, after which every line is read from lines
-            block = None if pos is None else _grid_block(text, pos, i, n)
-            if block is None:
-                if pos is not None:
-                    lines = nonblank_lines(text, pos, no + 1)
-                block, no, pos = _row_block(lines, i, n)
-            else:
-                block, pos = block
-                no += n + 1
-            big = _maxabs(block)
-            if big > top:
-                N = N.astype(narrow_dtype(big))
-                top = np.iinfo(N.dtype).max
-            N[i] = block
-        if pos is not None:
-            lines = nonblank_lines(text, pos, no + 1)
-        if next(lines, None) is not None:
-            raise FormatError("trailing content")
-    except (IndexError, ValueError, OverflowError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError("malformed ring file: %s" % exc) from exc
-    return ring_from_tensor(n, N, tilde)
+    size = next(lines)[1]
+    if not size.startswith("n "):
+        raise FormatError("missing size line")
+    n = int(size.split()[1])
+    if n < 1:
+        raise FormatError("ring order %d below 1" % n)
+    if n > MAX_RING:
+        raise FormatError("ring order %d above %d" % (n, MAX_RING))
+    line = next(lines)[1]
+    if not line.startswith("involution"):
+        raise FormatError("missing involution line")
+    tilde = [int(t) for t in line.split()[1:]]
+    if len(tilde) != n:
+        raise FormatError("involution length != n")
+    N = np.zeros((n, n, n), dtype=np.int8)
+    for i in range(n):
+        no, line = next(lines)
+        if line != "N %d" % i:
+            raise FormatError("expected 'N %d' at line %d" % (i, no))
+        rows = list(islice(lines, n))
+        block = int_grid("\n".join(ln for _, ln in rows), n, n)
+        if block is None:
+            block = _int_rows(rows, n)
+        N = _widened(N, block)
+        N[i] = block
+    if next(lines, None) is not None:
+        raise FormatError("trailing content")
+    return n, N, tilde
 
 
-def _grid_block(text, pos, i, n):
-    """(block i as an n x n int64 array, the position after it) when the
-    text at pos is exactly "N i" and n rows that int_grid takes, each line
-    ended by "\n" (the last by the end of the text too); else None.  The
-    rows end where the next block's header starts, looked for only as far
-    as n^2 tokens of 20 characters and their separators reach (a longer
-    block is read line by line), or at the text's end."""
-    head = "N %d\n" % i
-    if not text.startswith(head, pos):
-        return None
-    start = pos + len(head)
-    if i + 1 < n:
-        after = "\nN %d\n" % (i + 1)
-        stop = text.find(after, start, start + 21 * n * n + len(after))
-        if stop < 0:
-            return None
-    else:
-        stop = len(text) - text.endswith("\n")
-    block = int_grid(text[start:stop], n, n)
-    return None if block is None else (block, stop + 1)
-
-
-def _row_block(lines, i, n):
-    """(block i as an n x n int64 array, the number of its last line, the
-    end that nonblank_lines gives that line), read line by line: the
-    header, then one int() per token of each row, raising at the first row
-    that is missing, not integers or not of length n."""
-    no, line, _ = _next_line(lines)
-    if line != "N %d" % i:
-        raise FormatError("expected 'N %d' at line %d" % (i, no))
+def _int_rows(rows, n):
+    """The n x n int64 block of the (number, line) pairs rows, one int() per
+    token, raising at the first row that is not n integers, or the
+    IndexError of rows[j] when there are fewer than n rows."""
     block = np.zeros((n, n), dtype=np.int64)
     for j in range(n):
-        no, line, end = _next_line(lines)
+        no, line = rows[j]
         row = [int(v) for v in line.split()]
         if len(row) != n:
             raise FormatError("row length != n at line %d" % no)
         block[j] = row
-    return block, no, end
+    return block
 
 
 def int_grid(text, rows, cols):

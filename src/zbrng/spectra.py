@@ -482,25 +482,30 @@ def smatrix_from_text(text):
         raise FormatError("expected %d data rows" % rows)
     if rows == 0:
         raise SpectraError("s-matrix must be square")
-    # each distinct token is parsed once, in the order of first occurrence;
-    # rows are read up to the first of the wrong length, reported after the
-    # tokens before it are parsed, so the first error is the first in row
-    # order
-    index, ids, bad = {}, [], None
+    # the tokens up to the first row of the wrong length, which is reported
+    # after they are parsed, so the first error is the first in row order
+    toks, bad = [], None
     for ln in lines[2:]:
-        toks = ln.split()
-        if len(toks) != cols:
-            bad = len(toks)
+        row = ln.split()
+        if len(row) != cols:
+            bad = len(row)
             break
-        ids += [index.setdefault(t, len(index)) for t in toks]
-    try:
-        values = list(map(complex if numeric else parse_cyc, index))
-    except ExactError as exc:
-        raise FormatError(str(exc)) from exc
+        toks += row
+    if numeric:
+        values = list(map(complex, toks))
+    else:
+        # each distinct exact literal is parsed once, in the order of first
+        # occurrence
+        index = {}
+        ids = [index.setdefault(t, len(index)) for t in toks]
+        try:
+            values = list(map(parse_cyc, index))
+        except ExactError as exc:
+            raise FormatError(str(exc)) from exc
     if bad is not None:
         raise FormatError("row has %d entries, expected %d" % (bad, cols))
-    ids = np.array(ids, dtype=np.intp).reshape(cols, cols)
     if numeric:
-        return SMatrix.numeric(np.array(values)[ids])
+        return SMatrix.numeric(np.array(values).reshape(rows, cols))
+    ids = np.array(ids, dtype=np.intp).reshape(rows, cols)
     distinct = CycArray.from_rows([values])
     return SMatrix(CycArray(distinct.q, distinct.num[0][ids], distinct.den))

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from zbrng.cli import main
 from zbrng.generators import group_ring_smatrix, kac_peterson_a1
+from zbrng import rng_core
+from zbrng.exact import narrow_dtype
 from zbrng.hadamard import hadamard_from_text, hadamard_to_text
 from zbrng.rng_core import (FormatError, RingError, int_grid, ring_blocks,
                             ring_from_tensor, ring_from_text, ring_lines)
@@ -180,9 +182,9 @@ def test_ring_reader_matches_oracle(text):
         assert got.N.tolist() == want.N.tolist()
 
 
-def test_ring_reader_resumes_after_a_line_read_alone():
-    # block 0's rows end in CR LF (read line by line), block 1 is plain;
-    # a row ending in a form feed inside a run keeps the rest line by line
+def test_ring_reader_mixed_line_ends():
+    # block 0's rows end in CR LF and a row ends in a form feed: the grid
+    # refuses the block, and the text is read line by line from the start
     text = oracle_ring_text(Z3, range(3))
     lines = text.splitlines()
     mixed = "\n".join(lines[:4]) + "\n" + "\r\n".join(lines[4:7]) + "\r\n" \
@@ -195,6 +197,61 @@ def test_ring_reader_resumes_after_a_line_read_alone():
     with pytest.raises(FormatError) as exc:
         ring_from_text(bad)
     assert str(exc.value) == str(outcome(oracle_ring_from_text, bad)[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(tensors(), st.booleans())
+def test_ring_reader_reads_written_text_in_place(N, reverse):
+    # the writer's text, int64 bounds aside, never reaches the line reader:
+    # blocks widen N from int8 as they come
+    N = np.clip(N.astype(np.int64), -2 ** 63 + 2, 2 ** 63 - 2)
+    n = len(N)
+    tilde = list(range(n))[::-1] if reverse else list(range(n))
+    text = "".join(ring_lines(N, tilde))
+    got = rng_core._ring_grid(text)
+    assert got is not None
+    assert got[0] == n and got[2] == tilde
+    assert got[1].tolist() == N.tolist()
+    assert got[1].dtype == np.dtype(narrow_dtype(int(np.abs(N).max())))
+
+
+def test_ring_reader_line_path_parses_blocks_as_grids(monkeypatch):
+    # text the in-place pass refuses is read line by line, but each block's
+    # rows still go to int_grid: one int() per token only for bad blocks
+    def refuse(rows, n):
+        raise AssertionError("a block read token by token")
+    monkeypatch.setattr(rng_core, "_int_rows", refuse)
+    a = np.arange(4)
+    N = 7 * (a[:, None, None] + a[None, :, None]) - a - 20
+    text = oracle_ring_text(N, range(4))
+    for form in (text.replace("\n", "\r\n"), text.replace("\nN ", "\n\nN "),
+                 " " + text.replace("\n", " \n")):
+        assert rng_core._ring_grid(form) is None
+        assert ring_from_text(form).N.tolist() == N.tolist()
+
+
+@pytest.mark.parametrize("head", [
+    "zbrng 1\nn 3 \ninvolution 0 1 2\n", "zbrng 1\nn  3\ninvolution 0 1 2\n",
+    "zbrng 1\nn 3\ninvolution 0  1 2\n", "zbrng 1\nn 3\ninvolution\t0 1 2\n",
+    "zbrng 1\n\nn 3\ninvolution 0 1 2\n", " zbrng 1\nn 3\ninvolution 0 1 2\n",
+    "zbrng 1\nn 0003\ninvolution 0 1 2\n", "zbrng 1\nn 3 x\ninvolution 0 1 2\n",
+    "zbrng 1\nn 3\ninvolution 0 1 2 x\n", "zbrng 1\nn 3\ninvolution 0 1\n",
+    "zbrng 1\nn 3\ninvolution 0 1 2 3\n", "zbrng 1\nn 3\ninvolution 0 1 3\n",
+    "zbrng 1\nn 3\ninvolution 0 1 %s\n" % ("0" * 10 + "2"),
+    "zbrng 1\nn 3\ninvolution 0 1 %s\n" % ("9" * 5000),
+    "zbrng 1\nn %s\ninvolution 0 1 2\n" % ("0" * 10 + "3"),
+    "zbrng 1\nn %s\ninvolution 0 1 2\n" % ("9" * 5000),
+    "zbrng 1\nn 0\ninvolution\n"])
+def test_ring_reader_header_forms(head):
+    # header lines other than the writer's are read, or refused, by the
+    # line reader, as before
+    text = head + "\n".join(oracle_ring_blocks(Z3)) + "\n"
+    got = outcome(ring_from_text, text)
+    want = outcome(oracle_ring_from_text, text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.N.tolist() == want.N.tolist() and got.tilde == want.tilde
 
 
 @pytest.mark.parametrize("text,rows,cols,want", [
