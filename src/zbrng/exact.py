@@ -323,6 +323,17 @@ def _maxabs(a):
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
+# The exactness rule of every float product of integers: a float32 or float64
+# sum of integers is exact while its partial sums stay below its limit here.
+EXACT = {np.float32: 2 ** 24, np.float64: 2 ** 53}
+
+
+def float_tier(bound):
+    """The narrowest float dtype in which a sum whose partial sums are all
+    integers below bound in size is exact, or None from 2^53 on."""
+    return next((d for d, top in EXACT.items() if bound < top), None)
+
+
 def int_dtype(bound):
     """int64 when every value is provably below bound, Python ints (object
     dtype) otherwise."""
@@ -436,7 +447,7 @@ class CycArray:
                       reduce=False)
 
     def _product(self, other, op, terms):
-        """op(a, b, p) (_dot_mod summing terms products, or one product)
+        """op(a, b, p) (matmul_mod summing terms products, or one product)
         root by root on the images mod _transform_primes(q, terms), until
         the modulus passes twice the coefficient bound; it sets the dtype."""
         if other.q != self.q:
@@ -448,7 +459,7 @@ class CycArray:
         for p in _transform_primes(self.q, terms):
             V, Vi = _nodes(self.q, p)
             y = op(*(_images(V, x.num, p) for x in (self, other)), p)
-            y = _dot_mod(Vi, y.reshape(phi, -1), p).reshape(y.shape)
+            y = matmul_mod(Vi, y.reshape(phi, -1), p).reshape(y.shape)
             residues, modulus = _crt(residues, modulus, y.astype(np.int64), p)
             if modulus > 2 * bound:
                 break
@@ -473,7 +484,7 @@ class CycArray:
 
     def __matmul__(self, other):
         """Matrix product of two 2-d arrays."""
-        return self._product(other, _dot_mod, self.num.shape[1])
+        return self._product(other, matmul_mod, self.num.shape[1])
 
     def is_nonzero(self):
         return np.any(self.num != 0, axis=-1)
@@ -578,17 +589,17 @@ def is_prime(m):
 def primes(q, terms):
     """Primes p = 1 (mod q) with terms * (p - 1)^2 < 2^53, largest first,
     the prime-size rule of every modular kernel: a float64 sum of terms
-    products of residues below p is then exact (matmul_mod)."""
+    products of residues below p is then exact (EXACT, matmul_mod)."""
     step = lcm(q, 2)
-    p = isqrt((2 ** 53 - 1) // terms) // step * step + 1
+    p = isqrt((EXACT[np.float64] - 1) // terms) // step * step + 1
     for top in range(p, 2, -64 * step):
         yield from _primes_among(top, step)
 
 
 def _transform_primes(q, terms):
     """primes(q, 1), first those at which each phi(q)-term transform at the
-    roots of unity and each terms-term sum is one matmul_mod (the primes(q,
-    max(phi, terms))), then the larger ones, where _dot_mod slices them."""
+    roots of unity and each terms-term sum is one BLAS product (the primes(q,
+    max(phi, terms))), then the larger ones, where matmul_mod slices them."""
     fast = primes(q, max(_euler_phi(q), terms))
     top = next(fast)
     return chain([top], fast, takewhile(lambda p: p > top, primes(q, 1)))
@@ -602,36 +613,40 @@ def _primes_among(top, step):
 
 def floor_mod(d, p):
     """d mod p in place, as d - p floor(d / p), for float32 or float64
-    integers below 2^24 or 2^53 in size: d / p is then an integer or at
-    least 1/p, over half an ulp, from one, so every step is exact."""
+    integers below EXACT of their dtype in size: d / p is then an integer or
+    at least 1/p, over half an ulp, from one, so every step is exact."""
     q = d / p
     d -= np.multiply(np.floor(q, out=q), p, out=q)
     return d
 
 
 def matmul_mod(A, B, p):
-    """A @ B mod p for arrays of residues below p, one of them float64: one
-    BLAS product, exact while A.shape[-1] (p - 1)^2 < 2^53, and floor_mod."""
-    if A.shape[-1] * (p - 1) ** 2 >= 2 ** 53:
-        raise ValueError("modulus too large: terms * (p - 1)^2 >= 2^53")
-    return floor_mod(A @ B, p)
+    """A @ B mod p for arrays of residues below p, one of them float64, at
+    any p that primes() yields: one BLAS product reduced by floor_mod while
+    A.shape[-1] (p - 1)^2 < 2^53 (EXACT); past that, B a matrix or a stack
+    of them, one per slice of (2^53 - 1) // (p - 1)^2 terms of the inner
+    axis, the slices summed."""
+    if A.shape[-1] * (p - 1) ** 2 < EXACT[np.float64]:
+        return floor_mod(A @ B, p)
+    k = (EXACT[np.float64] - 1) // (p - 1) ** 2
+    out = floor_mod(A[..., :k] @ B[..., :k, :], p)
+    for e in range(k, A.shape[-1], k):
+        out += floor_mod(A[..., e:e + k] @ B[..., e:e + k, :], p)
+    return floor_mod(out, p)
 
 
 def int_matmul(A, B):
     """A @ B exactly, for integer arrays of any signed dtype or Python ints
     (object dtype), shaped as np.matmul takes them.  Every partial sum is
-    at most A.shape[-1] max|A| max|B|: below 2^53 float64 BLAS products
-    hold each exactly and the result is int64, below 2^63 the products run
-    in int64, and above that in Python ints.  The larger operand is
-    promoted a slab of 2^18 entries at a time (B's columns when B is a
-    matrix, else A's leading axis when B has at most two), so a product
-    with a ring tensor copies no more of it than a slab.  The one rule for
-    the integer matrix products of zbrng; the kernels with rules of their
-    own say so in their docstrings (the modular products, the
-    associativity scan's tiers, the +-1 triple product and profile)."""
+    at most A.shape[-1] max|A| max|B|: below 2^53 the BLAS products run in
+    the float_tier of that bound and the result is int64, below 2^63 the
+    products run in int64, and above that in Python ints.  The larger
+    operand is promoted a slab of 2^18 entries at a time (B's columns when
+    B is a matrix, else A's leading axis when B has at most two), so a
+    product with a ring tensor copies no more of it than a slab."""
     bound = A.shape[-1] * _maxabs(A) * _maxabs(B)
     dtype = int_dtype(bound)
-    work = np.float64 if bound < 2 ** 53 else dtype
+    work = float_tier(bound) or dtype
     if B.ndim == 2 and B.size > A.size:
         step = _slab(B.shape[0])
         out = np.empty(A.shape[:-1] + B.shape[1:], dtype=dtype)
@@ -681,22 +696,11 @@ def _nodes(q, p):
     return V, Vi
 
 
-def _dot_mod(A, B, p):
-    """A @ B mod p for float64 residues at any p that primes() yields: one
-    matmul_mod per slice of the inner axis as long as p allows, the slices
-    summed."""
-    k = (2 ** 53 - 1) // (p - 1) ** 2
-    out = matmul_mod(A[..., :k], B[..., :k, :], p)
-    for e in range(k, B.shape[-2], k):
-        out += matmul_mod(A[..., e:e + k], B[..., e:e + k, :], p)
-    return floor_mod(out, p) if k < B.shape[-2] else out
-
-
 def _images(V, num, p):
     """The images mod p of an integer coefficient array num (..., phi) at
     the roots of V, root axis first: out[t] = sum_e V[t, e] num[..., e]."""
     flat = (num % p).astype(np.float64).reshape(-1, num.shape[-1]).T
-    return _dot_mod(V, flat, p).reshape((-1,) + num.shape[:-1])
+    return matmul_mod(V, flat, p).reshape((-1,) + num.shape[:-1])
 
 
 def _crt(x, modulus, y, p):

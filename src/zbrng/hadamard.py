@@ -10,10 +10,10 @@ from math import comb
 
 import numpy as np
 
-from .exact import (_slab, int_matmul, int_mod, matmul_mod, narrow_dtype,
-                    primes, row_keys, rref_mod)
-from .rng_core import (MAX_RING, FormatError, assoc_witness, is_closed_subset,
-                       nonblank_lines, ring_from_tensor)
+from .exact import (_slab, float_tier, int_matmul, int_mod, matmul_mod,
+                    narrow_dtype, primes, row_keys, rref_mod)
+from .rng_core import (MAX_RING, FormatError, _asymmetry, assoc_witness,
+                       is_closed_subset, nonblank_lines, ring_from_tensor)
 
 
 class HadamardError(ValueError):
@@ -61,13 +61,13 @@ def xi_sets(H):
 def triple_slabs(a):
     """T[i, j, m] = sum_l a_li a_lj a_lm for an integer matrix with entries
     in {-1, 0, 1}, as (lo, T[lo:hi]) for slabs of 2^18 // n^2 (at least
-    one) values of i: each one float32 BLAS product of the pair columns
-    a_i a_j, i in the slab, with a.  float32 is exact, as every sum has at
-    most len(a) < 2^24 unit terms, and takes half the memory of float64.
-    Orders up to 64 take one product; up to 512 the pair matrix and
-    T[lo:hi] of a square a hold at most 2^18 entries (1 MB) each."""
-    f = np.asarray(a, dtype=np.float32)
-    rows, n = f.shape
+    one) values of i: each one BLAS product of the pair columns a_i a_j, i
+    in the slab, with a, in the float_tier of len(a), as every sum has at
+    most len(a) unit terms: float32 below 2^24 rows.  Orders up to 64 take
+    one product; up to 512 the pair matrix and T[lo:hi] of a square a hold
+    at most 2^18 entries (1 MB in float32) each."""
+    rows, n = np.shape(a)
+    f = np.asarray(a, dtype=float_tier(rows))
     step = max(1, 2 ** 18 // n ** 2)
     for lo in range(0, n, step):
         pairs = (f[:, lo:lo + step, None] * f[:, None, :]).reshape(rows, -1)
@@ -111,16 +111,16 @@ class Profile:
 def profile(H):
     """Counts of |sum_q s_qi s_qj s_ql s_qm| over the column quadruples
     i < j < l < m.  Each is the inner product of the pair columns (i, j) and
-    (l, m); for each j one float64 BLAS block takes the pairs (i, j), i < j,
-    against the pairs (l, m), l > j, a suffix of the pairs in combinations
-    order.  The sums are at most n in absolute value, so float64 is exact;
-    the pair columns stay in float64 across the blocks (not int_matmul,
-    which would convert them once a block).  Raises on a value not
-    congruent to 4k mod 8 at the lexicographically first such quadruple."""
+    (l, m); for each j one BLAS block takes the pairs (i, j), i < j, against
+    the pairs (l, m), l > j, a suffix of the pairs in combinations order.
+    The sums are at most n in size, so the pair columns are held in
+    float_tier(n) across the blocks (not int_matmul, which would convert
+    them once a block).  Raises on a value not congruent to 4k mod 8 at the
+    lexicographically first such quadruple."""
     a = H.array
     n, k = H.n, H.k
     I, J = np.triu_indices(n, 1)                # combinations order
-    pmat = (a.T[I] * a.T[J]).astype(np.float64)     # row t: pair t
+    pmat = (a.T[I] * a.T[J]).astype(float_tier(n))  # row t: pair t
     start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     bad = (np.arange(n + 1) - 4 * k) % 8 != 0
     counts = np.zeros(n + 1, dtype=np.int64)
@@ -386,9 +386,7 @@ def f2_tensor(k):
 def f2_algebra_check(k):
     """Commutativity and associativity of f2_tensor(k) over GF(2)."""
     N = f2_tensor(k)
-    if not np.array_equal(N, N.transpose(1, 0, 2)):
-        return False
-    return assoc_witness(N, 2) is None
+    return _asymmetry(N, (1, 0, 2)) is None and assoc_witness(N, 2) is None
 
 
 def v_rank(H):

@@ -13,7 +13,7 @@ from math import gcd
 import numpy as np
 
 from .exact import (CycArray, _maxabs, int_dtype, int_matmul, lookup,
-                    row_keys)
+                    narrow_dtype, row_keys)
 from .rng_core import _ascii, _slab_text, _terminated, ring_lines
 from .spectra import SpectraError, root_columns, unit_roots
 
@@ -122,11 +122,6 @@ def _held(a, what):
     return a.astype(np.int64, copy=False)
 
 
-def _index_dtype(m):
-    """The smallest signed dtype that holds the indices 0 .. m - 1."""
-    return np.int16 if m <= 2 ** 15 else np.int32
-
-
 def _constant_slabs(prod, g):
     """(lo, mu[lo:lo + _SLAB]) for every slab of rows of the constants mu[a,
     b] = g(a) g(b) / g(prod[a, b]) in int64; OverflowError at the first slab
@@ -179,14 +174,15 @@ def _cayley(gens, Q, cap):
     each word-length level; for each element a of length >= 2 a parent and
     a generator with a = parent + gens[via] (at length 1, parent -1 and
     a = gens[via]); the index of each generator; nbr[a, i] = index(a +
-    gens[i]).  Raises once |H| > cap.  Candidates are made a slab of
-    generators or elements at a time, at most about cap rows at once."""
+    gens[i]), each sum looked up once (one not yet known is m plus its place
+    in the next level).  Raises once |H| > cap.  Candidates are made a slab
+    of generators at a time, at most about cap rows at once."""
     n = gens.shape[1]
     keys, via, gen_index = np.unique(row_keys(gens, _EXPONENT),
                                      return_index=True, return_inverse=True)
     if len(keys) > cap:
         raise QuotientError("|H| exceeds cap (%d)" % cap)
-    levels, parents, vias = [keys], [np.full(len(keys), -1)], [via]
+    levels, parents, vias, nbrs = [keys], [np.full(len(keys), -1)], [via], []
     known, known_idx = keys, np.arange(len(keys))
     start, m = 0, len(keys)
     while True:
@@ -195,16 +191,24 @@ def _cayley(gens, Q, cap):
         step = max(1, cap // f)
         new = keys[:0]
         par = gen = np.zeros(0, dtype=np.int64)
+        # got[i, a - start] = index(a + gens[i]), or -1 while not yet known
+        got = np.empty((len(gens), f), dtype=np.int64)
+        missed = []
         for lo in range(0, len(gens), step):
             cand = (frontier[None] + gens[lo:lo + step, None]) % Q
             ck = row_keys(cand.reshape(-1, n), _EXPONENT)
-            miss = np.flatnonzero(lookup(known, known_idx, ck) < 0)
+            hit = lookup(known, known_idx, ck)
+            got[lo:lo + step] = hit.reshape(-1, f)
+            miss = np.flatnonzero(hit < 0)
+            missed.append(ck[miss])
             new, keep = np.unique(np.concatenate([new, ck[miss]]),
                                   return_index=True)
             par = np.concatenate([par, start + miss % f])[keep]
             gen = np.concatenate([gen, lo + miss // f])[keep]
             if m + len(new) > cap:
                 raise QuotientError("|H| exceeds cap (%d)" % cap)
+        got[got < 0] = m + np.searchsorted(new, np.concatenate(missed))
+        nbrs.append(got.T)
         if not len(new):
             break
         levels.append(new)
@@ -214,16 +218,9 @@ def _cayley(gens, Q, cap):
         known = np.insert(known, pos, new)
         known_idx = np.insert(known_idx, pos, np.arange(m, m + len(new)))
         start, m = m, m + len(new)
-
-    elems = _key_rows(np.concatenate(levels), n)
-    nbr = np.empty((m, len(gens)), dtype=np.int64)
-    rows = max(1, cap // len(gens))
-    for lo in range(0, m, rows):
-        cand = (elems[lo:lo + rows, None] + gens[None]) % Q
-        nbr[lo:lo + rows] = lookup(known, known_idx, row_keys(
-            cand.reshape(-1, n), _EXPONENT)).reshape(-1, len(gens))
-    return (elems, [len(k) for k in levels], np.concatenate(parents),
-            np.concatenate(vias), gen_index, nbr)
+    return (_key_rows(np.concatenate(levels), n), [len(k) for k in levels],
+            np.concatenate(parents), np.concatenate(vias), gen_index,
+            np.concatenate(nbrs))
 
 
 class LiftPresentation:
@@ -257,7 +254,7 @@ def _semigroup(gens, mus, Q, cap):
 
     # product table along the breadth-first parents: a = parent + v_via;
     # every consumer promotes its entries to int64 before arithmetic
-    prod = np.empty((m, m), dtype=_index_dtype(m))
+    prod = np.empty((m, m), dtype=narrow_dtype(m - 1))
     prod[:sizes[0]] = nbr[:, via[:sizes[0]]].T
     for a0, a1 in zip(bounds[1:-1], bounds[2:]):
         for lo in range(a0, a1, _SLAB):

@@ -16,7 +16,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .exact import (CycArray, CycNum, _maxabs, _slab, floor_mod,
+from .exact import (CycArray, CycNum, _maxabs, _slab, float_tier, floor_mod,
                     int_matmul, int_mod, narrow_dtype, primes, rref_mod)
 
 
@@ -97,7 +97,7 @@ def ring_from_tensor(n, N, tilde):
         raise RingError("tilde not a permutation")
     if any(tilde[tilde[i]] != i for i in range(n)):
         raise RingError("tilde not an involution")
-    w = _noncommuting(N)
+    w = _asymmetry(N, (1, 0, 2))
     if w is not None:
         raise RingError("not commutative at (%d,%d,%d)" % w)
     return FusionRing(n, N, tilde)
@@ -187,14 +187,14 @@ def _first_mismatch(a, b):
     return tuple(int(x) for x in np.unravel_index(ne.argmax(), ne.shape))
 
 
-def _noncommuting(N):
-    """The first (i, j, m) in C order with N[i, j, m] != N[j, i, m], or
-    None; compared a slab of 2^18 entries at a time, so no n^3 mask is
+def _asymmetry(N, axes):
+    """The first index in C order at which N and N.transpose(axes) differ,
+    or None; compared a slab of 2^18 entries at a time, so no n^3 mask is
     formed."""
+    T = N.transpose(axes)
     step = _slab(N[0].size)
     for lo in range(0, len(N), step):
-        w = _first_mismatch(N[lo:lo + step],
-                            N[:, lo:lo + step].transpose(1, 0, 2))
+        w = _first_mismatch(N[lo:lo + step], T[lo:lo + step])
         if w is not None:
             return (w[0] + lo,) + w[1:]
     return None
@@ -204,30 +204,30 @@ def assoc_witness(N, modulus):
     """First (i, j, k, l) in C order at which (b_i b_j) b_k and b_i (b_j b_k)
     differ in coefficient l (mod modulus unless it is None), or None.  Works
     in slabs of i, so memory is O(n^3).  Every sum is bounded by
-    max|N|^2 * n, which picks the pass: float32 below 2^24, float64 below
-    2^53; every partial sum is then an integer the dtype holds exactly, and
-    a nonzero difference of two such sums cannot round to 0.  From 2^53 on
-    (no modulus) the difference, at most 2 max|N|^2 n in size, is zero
-    exactly when it is zero modulo the first primes(1, n), whose product
-    exceeds it: one float64 pass each, the witness the first index nonzero
-    modulo any of them.  N keeps its dtype: a modulus reduces it in the
-    narrowest dtype holding both (int_mod), and each pass converts it to
-    its float dtype once."""
+    max|N|^2 * n, whose float_tier is the pass; every partial sum is then
+    an integer the dtype holds exactly, and a nonzero difference of two
+    such sums cannot round to 0.  From 2^53 on (no modulus) the difference,
+    at most 2 max|N|^2 n in size, is zero exactly when it is zero modulo
+    the first primes(1, n), whose product exceeds it: one pass each, in the
+    float_tier of n (p - 1)^2, the witness the first index nonzero modulo
+    any of them.  N keeps its dtype: a modulus reduces it in the narrowest
+    dtype holding both (int_mod), and each pass converts it to its float
+    dtype once."""
     N = np.asarray(N)
     if modulus is not None:
         N = int_mod(N, modulus)
     n = N.shape[0]
-    big = _maxabs(N)
-    bound = big * big * n
-    if bound < 2 ** 53:
-        dtype = np.float32 if bound < 2 ** 24 else np.float64
+    bound = _maxabs(N) ** 2 * n
+    dtype = float_tier(bound)
+    if dtype is not None:
         return _assoc_scan(N.astype(dtype), modulus, n)
     if modulus is not None:
         raise ValueError("modulus too large: (modulus-1)^2 * n >= 2^53")
     best, product = None, 1
     for p in primes(1, n):
         stop = n if best is None else best[0] + 1
-        w = _assoc_scan(int_mod(N, p).astype(np.float64), p, stop)
+        w = _assoc_scan(int_mod(N, p).astype(float_tier(n * (p - 1) ** 2)),
+                        p, stop)
         best = min((x for x in (best, w) if x is not None), default=None)
         product *= p
         if product > 2 * bound:
@@ -235,9 +235,8 @@ def assoc_witness(N, modulus):
 
 
 def _assoc_scan(A, modulus, stop):
-    """assoc_witness on an exact float32 or float64 tensor, over i < stop:
-    the tiers of assoc_witness, not int_matmul's, so that a bound below
-    2^24 runs in float32 and residues mod p are reduced in place.
+    """assoc_witness on an exact float32 or float64 tensor, over i < stop,
+    residues mod p reduced in place.
 
     With T[k] the matrix T[k, j, m] = N[j, k, m], the differences of slab i
     are d(i, j, k, l) = (N[i] T[k] - T[k] N[i])[j, l], taken for a chunk of
@@ -251,8 +250,8 @@ def _assoc_scan(A, modulus, stop):
     d(i, j, k, l) = Q[k, l, j] - Q[k, j, l]: nonzero where Q[k] is not
     symmetric (mod modulus)."""
     n = A.shape[0]
-    commutative = np.array_equal(A, A.transpose(1, 0, 2))
-    symmetric = commutative and np.array_equal(A, A.transpose(0, 2, 1))
+    commutative = _asymmetry(A, (1, 0, 2)) is None
+    symmetric = commutative and _asymmetry(A, (0, 2, 1)) is None
     T = A if commutative else np.ascontiguousarray(A.transpose(1, 0, 2))
     step = max(1, 2 ** 20 // (n * n))
     for i in range(stop):
@@ -291,7 +290,7 @@ def verify_axioms(ring):
     n = ring.n
     tl = list(ring.tilde)
 
-    w = _noncommuting(N)
+    w = _asymmetry(N, (1, 0, 2))
     rep.add("commutativity", w is None, w)
 
     # regular-representation identity: (b_i b_j) b_k = b_i (b_j b_k)

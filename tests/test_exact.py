@@ -442,16 +442,20 @@ def test_product_out_of_primes(monkeypatch):
 
 @pytest.mark.parametrize("q,terms", [(1, 1), (8, 4), (63, 36), (1024, 1024)])
 def test_matmul_mod_refuses_to_wrap(q, terms):
-    # the largest prime for terms passes at every inner dimension k with
-    # k (p - 1)^2 < 2^53, at least terms, and is refused at the next one
+    # the largest prime for terms sums k - 1 >= terms products in one BLAS
+    # product, (k - 1) (p - 1)^2 < 2^53; at k terms a float64 sum could
+    # reach 2^53, so the inner axis is sliced: the residues p - 1, some of
+    # them p - 2, give the Python-int product mod p on both sides
     p = next(primes(q, terms))
     k = -(-2 ** 53 // (p - 1) ** 2)
-    assert k > terms
-    ones = np.ones((2, k))
-    assert matmul_mod(ones[:, 1:], ones[:, 1:].T, p).tolist() == \
-        [[(k - 1) % p] * 2] * 2
-    with pytest.raises(ValueError, match="modulus too large"):
-        matmul_mod(ones, ones.T, p)
+    assert k > terms and (k - 1) * (p - 1) ** 2 < 2 ** 53
+    A = np.full((2, k), p - 1.0)
+    A[1, ::3] = p - 2
+    B = A[::-1].T.copy()
+    a, b = (x.astype(np.int64).astype(object) for x in (A, B))
+    for t in (k - 1, k):
+        assert matmul_mod(A[:, :t], B[:t], p).tolist() == \
+            (a[:, :t] @ b[:t] % p).tolist()
 
 
 def python_matmul(a, b):
@@ -492,6 +496,40 @@ def test_int_matmul_bounds(bits, side, shapes, dtype):
     assert got.tolist() == python_matmul(A.tolist(), B.tolist())
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([24, 53]), st.booleans(), st.integers(1, 5),
+       st.integers(1, 2 ** 26),
+       st.sampled_from([((), (2,)), ((5,), (2,)), ((2,), (7,)),
+                        ((2, 2), (2, 2))]),
+       st.sampled_from([np.int64, object]), st.integers(0, 2 ** 32 - 1))
+def test_int_matmul_float_tiers(bits, above, k, a, shape, dtype, seed):
+    # inner dimension k, max|A| = a and max|B| = b with the bound k a b
+    # just below 2^bits or at or just past it, reached by an all-a row of A
+    # times an all-b column of B: int_matmul takes the float_tier of the
+    # bound (float32 below 2^24, float64 below 2^53, none above) and agrees
+    # with Python ints
+    a = min(a, (2 ** bits - 1) // k)
+    b = ((2 ** bits - 1) // (k * a) if not above
+         else -(-2 ** bits // (k * a)) + seed % 3)
+    bound = k * a * b
+    assert (bound < 2 ** bits) != above
+    lead, tail = shape
+    rng = np.random.default_rng(seed)
+    A = rng.integers(-a, a + 1, lead + (k,))
+    B = rng.integers(-b, b + 1, lead[:-1] + (k,) + tail[-1:])
+    A.reshape(-1, k)[0] = a
+    B[..., 0] = b
+    real, tiers = exact.float_tier, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "float_tier",
+                   lambda x: tiers.append(real(x)) or tiers[-1])
+        got = exact.int_matmul(A.astype(dtype), B.astype(dtype))
+    assert tiers == [np.float32 if bound < 2 ** 24 else
+                     np.float64 if bound < 2 ** 53 else None]
+    assert got.dtype == np.int64
+    assert got.tolist() == python_matmul(A.tolist(), B.tolist())
+
+
 def first_witness_mod(N, p):
     """The associativity witness of an int64 tensor modulo p by einsum:
     exact while n max|N|^2 < 2^63."""
@@ -518,7 +556,7 @@ def test_prime_rule_boundary(q, terms, low):
     a, b = (x.astype(np.int64).astype(object) for x in (A, B))
     assert matmul_mod(A, B, p).tolist() == (a @ b % p).tolist()
     assert exact.floor_mod(A * A, p).tolist() == (a * a % p).tolist()
-    # _dot_mod at the largest prime of all, primes(q, 1), where a sum of
+    # matmul_mod at the largest prime of all, primes(q, 1), where a sum of
     # terms products is sliced, on a stack of these residues and of random
     # ones whose products are large mod p1
     p1 = next(primes(q, 1))
@@ -526,7 +564,7 @@ def test_prime_rule_boundary(q, terms, low):
     A1, B1 = (np.stack([x + p1 - p, rng.integers(0, p1, x.shape)])
               for x in (A, B))
     a1, b1 = (x.astype(np.int64).astype(object) for x in (A1, B1))
-    assert exact._dot_mod(A1, B1, p1).tolist() == (a1 @ b1 % p1).tolist()
+    assert matmul_mod(A1, B1, p1).tolist() == (a1 @ b1 % p1).tolist()
     # the residue tier of the associativity scan at n = terms
     if terms <= 24:
         N = np.full((terms,) * 3, p - 1, dtype=np.int64)

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from zbrng.cli import main
-from zbrng.exact import CycArray, CycNum, power_table
+from zbrng.exact import CycArray, CycNum, narrow_dtype, power_table
 from zbrng.generators import gen_paley, group_ring_smatrix
 from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import (LiftPresentation, PointedAlgebra, QuotientError,
-                             _class_tokens, _index_dtype, _semigroup,
+                             _class_tokens, _semigroup,
                              fannsc_lift, lift_lines, quotient_verify)
 from zbrng.rng_core import ring_from_tensor
 from zbrng.spectra import (SMatrix, root_columns, smatrix_from_tensor,
@@ -477,10 +477,12 @@ def test_lift_paley12_memory(paley12_smatrix):
 
 
 def test_index_dtype_holds_every_index():
-    for m in (1, 2 ** 15, 2 ** 15 + 1, 2 ** 20):
-        assert np.iinfo(_index_dtype(m)).max >= m - 1
-    assert _index_dtype(2 ** 15) == np.int16
-    assert _index_dtype(2 ** 15 + 1) == np.int32
+    # the product table of m elements is stored in narrow_dtype(m - 1)
+    for m in (1, 128, 129, 2 ** 15, 2 ** 15 + 1, 2 ** 20):
+        assert np.iinfo(narrow_dtype(m - 1)).max >= m - 1
+    assert narrow_dtype(128 - 1) == np.int8
+    assert narrow_dtype(2 ** 15 - 1) == np.int16
+    assert narrow_dtype(2 ** 15) == np.int32
 
 
 # ---------------------------------------------------------------------------

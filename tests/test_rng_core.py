@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zbrng.exact import CycNum, ExactError, _maxabs, narrow_dtype, primes
 from zbrng.generators import gen_paley, gen_sylvester, group_ring_smatrix
 from zbrng.hadamard import f2_tensor, ring_from_hadamard
 from zbrng.rng_core import (MAX_RING, FormatError, FusionRing, RingElement,
-                            RingError, assoc_witness, identity_coefficients,
+                            RingError, _asymmetry, assoc_witness, identity_coefficients,
                             is_closed_subset, multiply,
                             ring_from_tensor, ring_from_text, ring_lines,
                             search_involution, trace_eval, verify_axioms)
@@ -446,6 +446,31 @@ def test_assoc_witness_commutative_planted(a, b, m):
     big = N * 2 ** 26
     assert int(np.abs(big).max()) ** 2 * 6 >= 2 ** 53
     assert assoc_witness(big, None) == python_witness(big)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([65, 70]), st.sampled_from([(1, 0, 2), (0, 2, 1)]),
+       st.lists(st.tuples(*[st.integers(0, 2 ** 16)] * 3, st.integers(1, 3)),
+                max_size=3),
+       st.booleans())
+@example(65, (1, 0, 2), [(0, 1, 5, 1)], True)
+@example(70, (0, 2, 1), [(3, 0, 9, 2)], True)
+def test_asymmetry_first_mismatch(n, axes, edits, later):
+    # a tensor symmetric in all three indices with a few entries raised;
+    # slabs of 2^18 // n^2 = 62 or 53 values of the first index, so two at
+    # these n, and with later set every raised entry and its transpose lie
+    # in the second: the first mismatch in C order, as a brute-force
+    # comparison of the whole tensor finds it
+    step = 2 ** 18 // (n * n)
+    i, j, m = np.ix_(*[np.arange(n)] * 3)
+    N = ((i + j + m) % 5 + i * j * m % 3).astype(np.int8)
+    lo = step if later else 0
+    for a, b, c, d in edits:
+        N[lo + a % (n - lo), lo + b % (n - lo), c % n] += d
+    ne = np.argwhere(N != N.transpose(axes))
+    want = tuple(int(x) for x in ne[0]) if len(ne) else None
+    assert want is None or want[0] >= lo
+    assert _asymmetry(N, axes) == want
 
 
 def test_assoc_witness_commutative_random():

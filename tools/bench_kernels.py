@@ -37,6 +37,8 @@ the mean time per call.  The rows:
                                   order 128 (not commutative: every k)
     smatrix sylvester128          character_signs of the Sylvester 128 ring
                                   (the +-k splitting and its certificate)
+    profile sylvester64,          the profile invariant of the Sylvester 64
+    profile sylvester128          and 128 matrices (`had profile`)
     split_pm sylvester256         split_pm of the Sylvester 256 ring in
                                   natural order at the first primes(1, 256)
     reconstruct_mod3 sylvester64  reconstruct_mod3 of a seeded scrambled
@@ -244,6 +246,14 @@ ROWS = {
         "from zbrng.hadamard import character_signs, ring_from_hadamard\n"
         "ring = ring_from_hadamard(gen_sylvester(7))",
         "character_signs(ring)", 1, 5),
+    "profile sylvester64": (
+        "from zbrng.generators import gen_sylvester\n"
+        "from zbrng.hadamard import profile\n"
+        "H = gen_sylvester(6)", "profile(H)", 5, 15),
+    "profile sylvester128": (
+        "from zbrng.generators import gen_sylvester\n"
+        "from zbrng.hadamard import profile\n"
+        "H = gen_sylvester(7)", "profile(H)", 1, 7),
     "split_pm sylvester256": (
         "from zbrng.exact import primes\n"
         "from zbrng.generators import gen_sylvester\n"
