@@ -14,7 +14,7 @@ import numpy as np
 
 from .exact import (CycArray, _maxabs, int_dtype, int_matmul, lookup,
                     narrow_dtype, row_keys)
-from .rng_core import _ascii, _slab_text, _terminated, ring_lines
+from .rng_core import _ascii, _joined, _slab_text, _terminated, ring_lines
 from .spectra import SpectraError, root_columns, unit_roots
 
 
@@ -150,7 +150,8 @@ def _class_tokens(g):
     # a triple of classes that no cell has may floor; it is never read
     tails = _ascii(str(x * y // z) for x in G for y in G for z in G)
     heads = _ascii("%d:" % p for p in range(m))
-    cells = np.char.add(heads, tails.reshape(nG * nG, nG)[:, cls]).ravel()
+    cells = _joined(np.tile(heads, nG * nG),
+                    tails.reshape(nG * nG, nG)[:, cls].ravel())
     col = cls * m
     col[-1] += len(cells)
     return cls * (nG * m), col, _terminated(cells)
@@ -390,8 +391,8 @@ def _monomial_rows(prod, g):
         tails = _ascii(str(v) for v in values.tolist())
         at = at.reshape(block.shape)
         at[:, -1] += len(cells)
-        yield _slab_text(_terminated(np.char.add(heads[cells % m],
-                                                    tails[cells // m])), at)
+        yield _slab_text(_terminated(_joined(heads[cells % m],
+                                             tails[cells // m])), at)
 
 
 def lift_lines(L):

@@ -381,20 +381,34 @@ def _ascii(texts):
     return np.array(list(texts), dtype="S")
 
 
-def _terminated(cells):
-    """The tokens "cell " then "cell\n" of the bytes array cells, in one
-    array as wide as the longest token: a row's last token is read from the
-    second half.  Built on the bytes, a column at a time (cells are padded
-    with NULs on the right), as importing numpy.char would cost every
-    process that writes a table a quarter of a MB, and numpy reduces the
-    short rows of a bytes array one at a time."""
+def _sizes(cells):
+    """The length of each cell of the 1-D bytes array cells, counted on the
+    bytes a column at a time (cells are padded with NULs on the right), as
+    importing numpy.char would cost every process that writes a table a
+    quarter of a MB, and numpy reduces the short rows of a bytes array one
+    at a time."""
     raw = np.ascontiguousarray(cells).view(np.uint8).reshape(len(cells), -1)
-    w = raw.shape[1]
-    while w and not raw[:, w - 1].any():
-        w -= 1
-    size = np.zeros(len(cells), dtype=np.intp)
-    for k in range(w):
-        size += raw[:, k] != 0
+    return sum(col != 0 for col in raw.T)
+
+
+def _joined(heads, tails):
+    """heads[c] + tails[c] for each cell c of two 1-D bytes arrays of one
+    length, written on the bytes: byte k of tails[c] at len(heads[c]) + k."""
+    out = heads.astype("S%d" % (heads.itemsize + tails.itemsize))
+    flat = out.view(np.uint8).reshape(len(out), -1)
+    at = np.arange(len(out)), _sizes(heads)
+    raw = np.ascontiguousarray(tails).view(np.uint8).reshape(len(tails), -1)
+    for k, col in enumerate(raw.T):
+        flat[at[0], at[1] + k] = col
+    return out
+
+
+def _terminated(cells):
+    """The tokens "cell " then "cell\n" of the 1-D bytes array cells, in one
+    array as wide as the longest token: a row's last token is read from the
+    second half."""
+    size = _sizes(cells)
+    w = int(size.max())
     tok = np.concatenate([cells.astype("S%d" % (w + 1))] * 2)
     at = np.arange(0, len(cells) * (w + 1), w + 1) + size
     flat = tok.view(np.uint8)
@@ -604,14 +618,13 @@ def int_grid(text, rows, cols):
     bounds; else None, and the caller reads the text line by line.
 
     The counts decide: the text holds only digits, "-", " " and "\n", and
-    every "-" opens a token (np.fromstring would stop at any other, with a
-    DeprecationWarning), so a token gives one value, or none when it is a
-    lone "-", which np.fromstring joins to the next token.  rows * cols
-    values from rows * cols - 1 separators then leave no sign alone and no
-    separator doubled or at either end, and every cols-th separator, and no
-    other, is a newline.  np.fromstring saturates past int64, so a grid
-    holding an int64 bound is left to the line reader, which reads it
-    exactly or raises."""
+    every "-" opens a token and is followed by a digit (np.fromstring would
+    stop at any other "-", with a DeprecationWarning, and raises ValueError
+    at a lone one), so every token gives one value.  rows * cols values
+    from rows * cols - 1 separators then leave no separator doubled or at
+    either end, and every cols-th separator, and no other, is a newline.
+    np.fromstring saturates past int64, so a grid holding an int64 bound is
+    left to the line reader, which reads it exactly or raises."""
     if not text.isascii():
         return None
     b = text.encode("ascii")
@@ -624,7 +637,8 @@ def int_grid(text, rows, cols):
             or (a[sep[cols - 1::cols]] != 10).any()):
         return None
     minus = (a == 45).nonzero()[0]
-    if len(minus) and (a[minus[int(minus[0] == 0):] - 1] > 32).any():
+    if len(minus) and ((a[minus[int(minus[0] == 0):] - 1] > 32).any()
+                       or (a[minus + 1] < 48).any()):
         return None
     values = np.fromstring(text, dtype=np.int64, sep=" ")
     if (values.size != rows * cols or values.min() <= -_INT64_MAX

@@ -12,10 +12,10 @@ from math import gcd, isqrt, lcm
 
 import numpy as np
 
-from .exact import (CycArray, ExactError, _fit, _maxabs, format_cyc,
+from .exact import (CycArray, ExactError, _fit, _maxabs, _slab, format_cyc,
                     int_dtype, lookup, parse_cyc, power_table, row_keys)
 from .hadamard import PreconditionError, character_signs
-from .rng_core import MAX_RING, FormatError, grid_text
+from .rng_core import MAX_RING, FormatError, _widened, grid_text
 
 
 class SpectraError(ValueError):
@@ -216,11 +216,14 @@ def _pair_products(inv, a, cols):
 def verlinde_tensor(s, tol=1e-6):
     """N_ij^m = sum_l s_li s_lj s'_ml with s' = s^{-1}; errors at the first
     (i, j >= i, m) whose entry is not an integer (within tol in numeric
-    mode); ValueError above order MAX_RING, before the n^3 tensor exists."""
+    mode); ValueError above order MAX_RING, before the n^3 tensor exists.
+    N starts in int8 and is widened to the narrow_dtype of the first slab
+    of constants that needs it (rng_core._widened), as the ring reader
+    stores it."""
     n = s.n
     if n > MAX_RING:
         raise ValueError("ring order %d above %d" % (n, MAX_RING))
-    N = np.zeros((n, n, n), dtype=np.int64)
+    N = np.zeros((n, n, n), dtype=np.int8)
     dev = 0.0
     for I, J, coeff in _pair_products(s.inverse(tol), s.array, range(n)):
         if isinstance(coeff, CycArray):
@@ -236,6 +239,7 @@ def verlinde_tensor(s, tol=1e-6):
             k, m = np.argwhere(~ok.T)[0]
             raise SpectraError("non-integral structure constant at (%d,%d,%d)"
                                % (I[k], J[k], m))
+        N = _widened(N, vals)
         N[I, J] = N[J, I] = vals.T
     return VerlindeResult(N, bool(np.all(N >= 0)), dev, s.mode)
 
@@ -276,18 +280,17 @@ def involution_from_smatrix(s, tol=1e-9):
 # ---------------------------------------------------------------------------
 # s-matrix from a tensor
 
-def _orthonormal(cols):
-    """Orthonormal basis (columns) of the span of the given columns."""
-    q, r = np.linalg.qr(cols)
-    keep = np.abs(np.diag(r)) > 1e-12 * max(1.0, float(np.max(np.abs(r))))
-    return q[:, keep]
-
-
 def smatrix_from_tensor(ring, tol=1e-8):
-    """Characters of the ring as rows, by iterative common-eigenspace
-    splitting of the commuting regular-representation matrices; the
-    certified +-k path (hadamard.character_signs) for Hadamard-type tensors,
-    numeric otherwise."""
+    """Characters of the ring as rows: the certified +-k path
+    (hadamard.character_signs) for Hadamard-type tensors, else numeric.
+    The eigenvectors of M_c = sum_j c_j N_j^T, c_j = e^(i(j+1)), are common
+    eigenvectors of every N_j^T: the characters of an integer tensor are
+    algebraic, so chi_r(c) != chi_s(c) for r != s (Lindemann-Weierstrass);
+    eigenvalues within tol * max(1, max|lambda|) are refused.  Row r is read
+    at the largest coordinate a of its eigenvector v, s_ri = sum_j N_ija v_j
+    / v_a, and the rows are accepted once s_ri s_rj = sum_m N_ijm s_rm
+    within 1e-6 max(1, max|s|^2).  N is read a slab of 2^18 entries at a
+    time, never copied whole."""
     n, N = ring.n, ring.N
     try:
         k, signs = character_signs(ring)
@@ -296,50 +299,29 @@ def smatrix_from_tensor(ring, tol=1e-8):
     else:
         return SMatrix(CycArray(1, (k * signs)[:, :, None], 1))
 
-    M = [N[i].T.astype(np.complex128) for i in range(n)]
-    spaces = [np.eye(n, dtype=np.complex128)]
-    for i in range(n):
-        if all(sp.shape[1] == 1 for sp in spaces):
-            break
-        nxt = []
-        for sp in spaces:
-            d = sp.shape[1]
-            if d == 1:
-                nxt.append(sp)
-                continue
-            b = sp.conj().T @ (M[i] @ sp)
-            vals, vecs = np.linalg.eig(b)
-            order = np.lexsort((vals.imag.round(9), vals.real.round(9)))
-            atol = tol * max(1.0, float(np.max(np.abs(vals))))
-            clusters = []
-            for idx in order:
-                if clusters and abs(vals[idx] - vals[clusters[-1][-1]]) <= atol:
-                    clusters[-1].append(idx)
-                else:
-                    clusters.append([idx])
-            if len(clusters) == 1:
-                nxt.append(sp)
-                continue
-            for cl in clusters:
-                nxt.append(_orthonormal(sp @ vecs[:, cl]))
-        spaces = nxt
-    if any(sp.shape[1] != 1 for sp in spaces):
+    step = _slab(n * n)
+    c = np.exp(1j * np.arange(1, n + 1))
+    mc = sum(c[lo:lo + step] @ N[lo:lo + step].reshape(-1, n * n)
+             for lo in range(0, n, step))
+    vals, V = np.linalg.eig(mc.reshape(n, n).T)
+    gap = np.abs(vals[:, None] - vals)
+    np.fill_diagonal(gap, np.inf)
+    if gap.min() <= tol * max(1.0, float(np.max(np.abs(vals)))):
         raise SpectraError("splitting failed")
+    a = np.abs(V).argmax(axis=0)
+    V = V / V[a, np.arange(n)]
+    rows = np.concatenate([np.einsum("ijr,jr->ri", N[lo:lo + step][:, :, a],
+                                     V) for lo in range(0, n, step)], axis=1)
 
-    rows = np.zeros((n, n), dtype=np.complex128)
-    for r, sp in enumerate(spaces):
-        v = sp[:, 0]
-        nv = float(np.real(v.conj() @ v))
-        for i in range(n):
-            rows[r, i] = (v.conj() @ (M[i] @ v)) / nv
-
-    # character property: s_ki s_kj = sum_m N_ijm s_km
-    lhs = np.einsum("ki,kj->kij", rows, rows)
-    rhs = np.einsum("ijm,km->kij", N.astype(np.complex128), rows)
-    scale = max(1.0, float(np.max(np.abs(lhs))))
-    if float(np.max(np.abs(lhs - rhs))) > 1e-6 * scale:
-        raise SpectraError("splitting failed")
-
+    # s_ri s_rj = sum_m N_ijm s_rm, the right side one real product of the
+    # stacked real and imaginary parts of s with the slab of N
+    cutoff = 1e-6 * max(1.0, float(np.max(np.abs(rows))) ** 2)
+    parts = np.concatenate([rows.real, rows.imag])
+    for lo in range(0, n, step):
+        rhs = parts @ N[lo:lo + step].reshape(-1, n).T.astype(np.float64)
+        lhs = (rows[:, lo:lo + step, None] * rows[:, None]).reshape(n, -1)
+        if np.max(np.abs(lhs - rhs[:n] - 1j * rhs[n:])) > cutoff:
+            raise SpectraError("splitting failed")
     return SMatrix.numeric(rows[_row_order(rows)])
 
 

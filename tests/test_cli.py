@@ -100,6 +100,16 @@ def test_smatrix_nonassoc_witness(tmp_path, capsys):
     assert "associativity fails at" in out
 
 
+@pytest.mark.parametrize("cmd", ["smatrix", "closed"])
+def test_not_semisimple_splitting_failed(cmd, tmp_path, capsys):
+    # the dual numbers, b_1^2 = 0: associative and commutative, but with no
+    # basis of characters
+    f = tmp_path / "dual.zbrng"
+    f.write_text("zbrng 1\nn 2\ninvolution 0 1\nN 0\n1 0\n0 1\n"
+                 "N 1\n0 1\n0 0\n")
+    assert run(capsys, cmd, str(f)) == (1, "", "failed: splitting failed\n")
+
+
 def test_verify_no_int64_wrap(tmp_path, capsys):
     f = tmp_path / "wrap.zbrng"
     f.write_text("zbrng 1\nn 2\ninvolution 0 1\nN 0\n%d 0\n0 %d\n"
@@ -779,6 +789,36 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
     src = os.path.dirname(os.path.dirname(zbrng.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS],
+                          cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                          text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+NO_NUMPY_CHAR = """
+import sys
+import numpy as np
+from zbrng.cli import main
+from zbrng.quotients import _monomial_rows
+for argv in (["gen", "paley", "11", "-o", "p12.had"],
+             ["had", "ring", "p12.had", "-o", "p12.zbrng"],
+             ["smatrix", "p12.zbrng", "-o", "p12.smat"],
+             ["lift", "p12.smat", "-o", "p12.lift"]):
+    assert main(argv) == 0, argv
+# g(h) = 2^|h| on the XOR table of (Z/2)^8: nine scalars, past the class
+# tokens, so each slab builds its own cells
+h = np.arange(256)
+g = 2 ** np.unpackbits(h.astype(np.uint8)[:, None], axis=1).sum(axis=1)
+assert "".join(_monomial_rows(h[:, None] ^ h, g))
+print("numpy.char" in sys.modules)
+"""
+
+
+def test_lift_does_not_import_numpy_char(tmp_path):
+    # the lift's token cells are joined on the bytes: numpy.char costs
+    # about 0.25 MB of peak RSS
+    src = os.path.dirname(os.path.dirname(zbrng.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY_CHAR],
                           cwd=tmp_path, env=env, stdout=subprocess.PIPE,
                           text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "False"

@@ -848,6 +848,8 @@ TOKENS = ["0", "1", "-1", "12", "-34", "+5", "007", "-0", "-", "+", "--1",
                                    st.sampled_from([" "] * 6 + ["  ", "\t"])),
                          min_size=1, max_size=3),
                 min_size=2, max_size=2))
+# a lone "-" before a token: np.fromstring raises rather than joining them
+@example([[("0", " "), ("0", " ")], [("-", " "), ("-1", " ")]])
 def test_text_block_matches_row_reader(rows):
     # block 0 of a ring with n = 2 from arbitrary tokens and separators;
     # block 1 is written from the reference values, so the ring is

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from math import lcm, prod
@@ -13,12 +14,12 @@ from zbrng.generators import (fixture_ds3, gen_paley, group_ring_smatrix,
                               exterior_square, kac_peterson_a1)
 from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import fannsc_lift
-from zbrng.rng_core import FormatError, is_closed_subset
+from zbrng.rng_core import FormatError, is_closed_subset, ring_from_tensor
 from zbrng.spectra import (SMatrix, SpectraError, _closed, _distinct_rows,
-                           closed_subset_heuristic, involution_from_smatrix,
-                           row_orthogonality_check, smatrix_from_tensor,
-                           smatrix_from_text, smatrix_to_text,
-                           subring_smatrix, verlinde_tensor)
+                           _row_order, closed_subset_heuristic,
+                           involution_from_smatrix, row_orthogonality_check,
+                           smatrix_from_tensor, smatrix_from_text,
+                           smatrix_to_text, subring_smatrix, verlinde_tensor)
 
 from conftest import ring_from_smatrix
 from cyc_oracle import equal, exact_int, key, mat_inverse, zeta
@@ -224,6 +225,69 @@ def test_text_roundtrip_numeric(z3_ring):
 def test_text_errors(text):
     with pytest.raises(FormatError):
         smatrix_from_text(text)
+
+
+@st.composite
+def numeric_path_tables(draw):
+    """The exact character table of a product of cyclic groups with a factor
+    of order >= 3 (order <= 64), or the level-k sl2 table, k in 1..12: each
+    the s-matrix of its Verlinde ring, which (but for k = 1, the Z/2 ring)
+    is not of Hadamard type."""
+    if draw(st.booleans()):
+        return kac_peterson_a1(draw(st.integers(1, 12)))
+    orders = draw(st.lists(st.integers(2, 7), min_size=1, max_size=4)
+                  .filter(lambda o: max(o) >= 3 and prod(o) <= 64))
+    return group_ring_smatrix(orders)
+
+
+@settings(max_examples=30, deadline=None)
+@given(numeric_path_tables())
+@example(group_ring_smatrix([3, 3, 3, 3]))
+def test_numeric_characters_match_known_table(t):
+    """The characters of a Verlinde ring are the rows of its table: every
+    computed row lies within 1e-9 max(1, max|s|) of one row of the table,
+    each table row is matched once, the rows come in _row_order, and
+    Verlinde gives the tensor back."""
+    ring = ring_from_smatrix(t)
+    s = smatrix_from_tensor(ring)
+    assert s.mode == ("exact" if ring.n == 2 else "numeric")
+    got, want = s.to_numeric(), t.to_numeric()
+    dist = np.abs(got[:, None, :] - want[None]).max(axis=2)
+    match = dist.argmin(axis=1)
+    assert sorted(match.tolist()) == list(range(ring.n))
+    assert (dist[np.arange(ring.n), match].max()
+            <= 1e-9 * max(1.0, float(np.abs(want).max())))
+    assert _row_order(got) == list(range(ring.n))
+    assert np.array_equal(verlinde_tensor(s).tensor, ring.N)
+
+
+# b_1^2 = 0: the dual numbers, not semisimple, so the two eigenvalues of
+# every element coincide; and a commutative ring that is not associative,
+# whose regular representations do not commute
+DUAL = np.array([[[1, 0], [0, 1]], [[0, 1], [0, 0]]])
+NONASSOC = np.array([[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                     [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+                     [[0, 0, 1], [0, 1, 0], [2, 0, 0]]])
+
+
+@pytest.mark.parametrize("N", [DUAL, NONASSOC], ids=["dual", "nonassoc"])
+def test_numeric_splitting_failed(N):
+    ring = ring_from_tensor(len(N), N, range(len(N)))
+    with pytest.raises(SpectraError, match="^splitting failed$"):
+        smatrix_from_tensor(ring)
+
+
+def test_numeric_characters_memory_bound():
+    """On the Z/3^4 ring (n = 81) the numeric path holds no n^4 or complex
+    n^3 array: its tracemalloc peak stays below 24 MB."""
+    ring = ring_from_smatrix(group_ring_smatrix([3, 3, 3, 3]))
+    tracemalloc.start()
+    try:
+        smatrix_from_tensor(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2 ** 20, "peak %.1f MB" % (peak / 2 ** 20)
 
 
 def test_exterior_square_fixture_row_orthogonal():

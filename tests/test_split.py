@@ -294,9 +294,11 @@ def test_v_rank_matches_gf2_oracle(paley12):
 # the prime retry and the integer check
 
 def scaled_group_ring(orders, k):
-    """k times the ring of (Z/2)^m: Hadamard type, characters k * (+-1)."""
+    """k times the ring of (Z/2)^m: Hadamard type, characters k * (+-1).
+    The Verlinde tensor is stored narrow (int8), so k * N is formed in
+    int64."""
     ring = ring_from_smatrix(group_ring_smatrix(orders))
-    return ring_from_tensor(ring.n, k * ring.N, ring.tilde)
+    return ring_from_tensor(ring.n, k * ring.N.astype(np.int64), ring.tilde)
 
 
 def counting_split(monkeypatch, fail_first):

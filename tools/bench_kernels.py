@@ -1,7 +1,10 @@
 """In-process timings of single kernels, before and after a change.
 
     python3 tools/bench_kernels.py --before OTHER_CHECKOUT --out BENCH_<n>.json
+                                   [ROW ...]
 
+Without ROW arguments every row below runs; with them, only the rows named
+(in-process or one-shot, by the names below), in the order of this list.
 The checkout this file lies in is the "after" side.  Each checkout's
 `src/zbrng` is imported in its own long-lived interpreter with one BLAS
 thread.  Row by row, both interpreters set the row up and call it once
@@ -83,16 +86,24 @@ the mean time per call.  The rows:
                                   the tracemalloc peak, in MB, of reading
                                   the Sylvester 256 ring text (32 MB, held
                                   before the row starts)
+    smatrix_from_tensor z3^4, z4^4
+                                  the numeric characters of the group rings
+                                  of (Z/3)^4 and (Z/4)^4 (n = 81, 256),
+                                  built directly from the group law
+    peak smatrix_from_tensor z3^4, z4^4
+                                  their tracemalloc peak, in MB
 
 A peak row's value is the median over its repeats of that peak.
 
 The one-shot rows run a fresh `python -m zbrng.cli` per repeat, with one
 BLAS thread, the two checkouts alternating which goes first from one repeat
-to the next, on inputs that the "after" checkout generates first: the
-Sylvester 64, 128 and 256 matrices, the rings of the last two (`had ring
--o`) and the Z/6 ring (`gen group 2 3`, then `verlinde`).  Each gives two
-rows: the median wall time of the process and the median of its peak RSS
-(`ru_maxrss` from `os.wait4`), in MB:
+to the next, on inputs that the "after" checkout generates before the
+first row that reads them: the Sylvester 64, 128 and 256 matrices, the
+rings of the last two (`had ring -o`), the Z/6 and (Z/4)^4 rings (`gen
+group`, then `verlinde`), the (Z/2)^9 and Z/7 x Z/9 tables (`gen group`)
+and the Paley 12 s-matrix.  Each gives two rows: the median wall time of
+the process and the median of its peak RSS (`ru_maxrss` from `os.wait4`),
+in MB:
 
     had ring -o sylvester64, sylvester256
     had ring --check-parity sylvester64, sylvester256
@@ -105,6 +116,14 @@ rows: the median wall time of the process and the median of its peak RSS
                                   the same three commands on the Sylvester
                                   256 ring file (3 repeats: `verify` and
                                   `smatrix` take 14-28 s each)
+    smatrix z4^4                  smatrix of the (Z/4)^4 ring file (n = 256,
+                                  the numeric path; 3 repeats)
+    verlinde -o z2^9              verlinde of the (Z/2)^9 table, written to
+                                  a file (n = 512; 3 repeats)
+    verlinde -o z7xz9             verlinde of the Z/7 x Z/9 table, written
+                                  to a file (n = 63, q = 63)
+    lift paley12                  lift of the Paley 12 s-matrix file (`had
+                                  ring`, then `smatrix`), written to a file
 
 The JSON written holds the machine description, both checkouts (commit, and
 whether `src/` has uncommitted changes) and one record per row with both
@@ -168,6 +187,23 @@ DIHEDRAL128 = ("import numpy as np\n"
                "        + 64 * (f[:, None] ^ f))\n"
                "N = np.zeros((128, 128, 128), dtype=np.int64)\n"
                "N[k[:, None], k, prod] = 1")
+
+
+def group_ring(orders):
+    """Set-up: the group ring of the product of cyclic groups of the given
+    orders as `ring`, b_x b_y = b_(x+y) on mixed-radix digits, without the
+    exact Verlinde tensor of its table."""
+    return ("import numpy as np\n"
+            "from zbrng.rng_core import ring_from_tensor\n"
+            "from zbrng.spectra import smatrix_from_tensor\n"
+            "o = %r\n"
+            "d = np.indices(o).reshape(len(o), -1).T\n"
+            "w = np.cumprod((1,) + o[:0:-1])[::-1]\n"
+            "add = (d[:, None] + d) %% o @ w\n"
+            "n = len(d)\n"
+            "N = np.zeros((n, n, n), dtype=np.int8)\n"
+            "N[np.arange(n)[:, None], np.arange(n), add] = 1\n"
+            "ring = ring_from_tensor(n, N, -d %% o @ w)" % (tuple(orders),))
 
 
 def paley_lift(q):
@@ -350,20 +386,37 @@ ROWS = {
         "ring = ring_from_hadamard(gen_sylvester(8))\n"
         "text = ''.join(ring_lines(ring.N, ring.tilde))\n"
         "del ring", "ring_from_text(text)", 1, 3),
+    "smatrix_from_tensor z3^4": (group_ring([3] * 4),
+                                 "smatrix_from_tensor(ring)", 1, 9),
+    "smatrix_from_tensor z4^4": (group_ring([4] * 4),
+                                 "smatrix_from_tensor(ring)", 1, 3),
+    "peak smatrix_from_tensor z3^4": (group_ring([3] * 4),
+                                      "smatrix_from_tensor(ring)", 1, 3),
+    "peak smatrix_from_tensor z4^4": (group_ring([4] * 4),
+                                      "smatrix_from_tensor(ring)", 1, 3),
 }
 # rows measured in MB of tracemalloc peak rather than in seconds
-PEAKS = {"peak lift paley12", "peak lift paley24",
-         "peak ring_from_text sylvester256"}
+PEAKS = {name for name in ROWS if name.startswith("peak ")}
 
-# one-shot rows, run in a directory holding what INPUTS writes:
+# the inputs of the one-shot rows, each written by the "after" checkout
+# before the first row that reads it: file name: argv
+INPUTS = {"s64.had": ["gen", "sylvester", "6", "-o", "s64.had"],
+          "s128.had": ["gen", "sylvester", "7", "-o", "s128.had"],
+          "s256.had": ["gen", "sylvester", "8", "-o", "s256.had"],
+          "s128.zbrng": ["had", "ring", "s128.had", "-o", "s128.zbrng"],
+          "s256.zbrng": ["had", "ring", "s256.had", "-o", "s256.zbrng"],
+          "g6.smat": ["gen", "group", "2", "3", "-o", "g6.smat"],
+          "z6.zbrng": ["verlinde", "g6.smat", "-o", "z6.zbrng"],
+          "g256.smat": ["gen", "group", "4", "4", "4", "4", "-o",
+                        "g256.smat"],
+          "z256.zbrng": ["verlinde", "g256.smat", "-o", "z256.zbrng"],
+          "g512.smat": ["gen", "group"] + ["2"] * 9 + ["-o", "g512.smat"],
+          "g63.smat": ["gen", "group", "7", "9", "-o", "g63.smat"],
+          "p12.had": ["gen", "paley", "11", "-o", "p12.had"],
+          "p12.zbrng": ["had", "ring", "p12.had", "-o", "p12.zbrng"],
+          "p12.smat": ["smatrix", "p12.zbrng", "-o", "p12.smat"]}
+# one-shot rows, run in a directory holding the INPUTS they read:
 # row name: (argv, repeats)
-INPUTS = (["gen", "sylvester", "6", "-o", "s64.had"],
-          ["gen", "sylvester", "7", "-o", "s128.had"],
-          ["gen", "sylvester", "8", "-o", "s256.had"],
-          ["had", "ring", "s128.had", "-o", "s128.zbrng"],
-          ["had", "ring", "s256.had", "-o", "s256.zbrng"],
-          ["gen", "group", "2", "3", "-o", "g6.smat"],
-          ["verlinde", "g6.smat", "-o", "z6.zbrng"])
 ONESHOT = {
     "had ring -o sylvester64": (["had", "ring", "s64.had", "-o", "r"], 15),
     "had ring --check-parity sylvester64": (
@@ -380,6 +433,10 @@ ONESHOT = {
     "smatrix sylvester256": (["smatrix", "s256.zbrng"], 3),
     "had reconstruct sylvester256": (["had", "reconstruct", "s256.zbrng"],
                                      5),
+    "smatrix z4^4": (["smatrix", "z256.zbrng"], 3),
+    "verlinde -o z2^9": (["verlinde", "g512.smat", "-o", "r"], 3),
+    "verlinde -o z7xz9": (["verlinde", "g63.smat", "-o", "r"], 9),
+    "lift paley12": (["lift", "p12.smat", "-o", "r"], 15),
 }
 
 
@@ -442,11 +499,13 @@ class Child:
         self.proc.wait()
 
 
-def measure(sides):
-    """{row: [before, after] seconds per call} for the two Child sides,
-    which alternate in timing first from one repeat to the next."""
+def measure(sides, names):
+    """{row: [before, after] seconds per call} for the named rows and the
+    two Child sides, which alternate in timing first from one repeat to the
+    next."""
     out = {}
-    for name, (_, _, _, repeats) in ROWS.items():
+    for name in names:
+        repeats = ROWS[name][3]
         for side in sides:
             side.ask(name)
         times = ([], [])
@@ -473,15 +532,24 @@ def run_cli(checkout, argv, cwd):
     return wall, usage.ru_maxrss / 1024     # ru_maxrss is in KB on Linux
 
 
-def measure_oneshot(checkouts):
-    """{row: ([before, after] wall s, [before, after] MB)} for the one-shot
-    rows, the two checkouts alternating in running first."""
+def prepare(argv, checkout, cwd):
+    """Write, with checkout, each file of INPUTS that argv reads and cwd
+    lacks, after the inputs it reads in turn."""
+    for arg in argv[:argv.index("-o")] if "-o" in argv else argv:
+        if arg in INPUTS and not os.path.exists(os.path.join(cwd, arg)):
+            prepare(INPUTS[arg], checkout, cwd)
+            run_cli(checkout, INPUTS[arg], cwd)
+
+
+def measure_oneshot(checkouts, names):
+    """{row: ([before, after] wall s, [before, after] MB)} for the named
+    one-shot rows, the two checkouts alternating in running first."""
     cwd = tempfile.mkdtemp()
     try:
-        for argv in INPUTS:
-            run_cli(checkouts[1], argv, cwd)
         out = {}
-        for name, (argv, repeats) in ONESHOT.items():
+        for name in names:
+            argv, repeats = ONESHOT[name]
+            prepare(argv, checkouts[1], cwd)
             runs = ([], [])
             for r in range(repeats):
                 for k in (0, 1) if r % 2 == 0 else (1, 0):
@@ -523,23 +591,34 @@ def main(argv=None):
     ap.add_argument("--before", help="checkout measured as the baseline")
     ap.add_argument("--out", help="JSON file to write")
     ap.add_argument("--child", help=argparse.SUPPRESS)
+    ap.add_argument("rows", nargs="*", metavar="ROW",
+                    help="rows to run (default: all)")
     args = ap.parse_args(argv)
     if args.child:
         serve(args.child)
         return 0
     if not (args.before and args.out):
         ap.error("--before and --out are required")
-    sides = (Child(args.before), Child(ROOT))
-    try:
-        values = measure(sides)
-    finally:
-        for side in sides:
-            side.close()
+    unknown = set(args.rows) - set(ROWS) - set(ONESHOT)
+    if unknown:
+        ap.error("unknown rows: %s" % ", ".join(sorted(unknown)))
+    chosen = set(args.rows or list(ROWS) + list(ONESHOT))
+    names = [name for name in ROWS if name in chosen]
+    values = {}
+    if names:
+        sides = (Child(args.before), Child(ROOT))
+        try:
+            values = measure(sides, names)
+        finally:
+            for side in sides:
+                side.close()
     rows = [{"row": name, "unit": "MB" if name in PEAKS else "s",
              "before": values[name][0],
              "after": values[name][1], "repeats": ROWS[name][3],
-             "calls_per_repeat": ROWS[name][2]} for name in ROWS]
-    for name, (wall, rss) in measure_oneshot((args.before, ROOT)).items():
+             "calls_per_repeat": ROWS[name][2]} for name in names]
+    oneshot = [name for name in ONESHOT if name in chosen]
+    for name, (wall, rss) in measure_oneshot((args.before, ROOT),
+                                             oneshot).items():
         for row, unit, pair in ((name, "s", wall),
                                 ("peak rss " + name, "MB", rss)):
             rows.append({"row": "one-shot " + row, "unit": unit,
