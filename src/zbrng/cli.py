@@ -97,16 +97,19 @@ def in_range(values, lo, n, what):
 
 
 def emit(args, text):
-    """Write text, one string or an iterable of strings written piece by
-    piece, to the -o file or to stdout."""
+    """Write text, one string or an iterable of str or bytes pieces written
+    piece by piece, to the -o file, opened in binary (bytes as they are, str
+    encoded), or to stdout (bytes decoded)."""
     pieces = [text] if isinstance(text, str) else text
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.writelines(pieces)
+        with open(out, "wb") as fh:
+            fh.writelines(p.encode() if isinstance(p, str) else p
+                          for p in pieces)
         print("wrote %s" % out)
     else:
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(p.decode() if isinstance(p, bytes) else p
+                              for p in pieces)
     return 0
 
 
@@ -185,8 +188,10 @@ def cmd_quotient2(args):
 
 
 def cmd_lift(args):
-    # no lift reads a tolerance: a numeric s-matrix is refused
+    # no lift reads a tolerance: a numeric s-matrix is bad input
     s = as_smatrix(load_any(args.file), TOL[1]["default"])
+    if s.mode != "exact":
+        raise InputError("exact s-matrix required")
     L = fannsc_lift(s, cap=args.cap)
     return emit(args, lift_lines(L))
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .exact import (CycArray, _maxabs, int_dtype, int_matmul, lookup,
                     narrow_dtype, row_keys)
-from .rng_core import _ascii, _joined, _slab_text, _terminated, ring_lines
+from .rng_core import (_TEXT_SLAB, _ascii, _joined, _slab_bytes, _terminated,
+                       ring_lines)
 from .spectra import SpectraError, root_columns, unit_roots
 
 
@@ -111,8 +112,16 @@ def order2_quotient(R, d):
 # ---------------------------------------------------------------------------
 # the nonnegative semigroup lift
 
-# Every table of the lift is built a slab of rows at a time.
+# quotient_verify checks a slab of _SLAB columns at a time, and the class
+# tokens serve at most _SLAB pairs of scalar classes
 _SLAB = 64
+
+
+def _rows(width):
+    """Rows of width cells in one slab of the lift's tables and text: about
+    _TEXT_SLAB cells, the rule of rng_core.ring_blocks, and at least one
+    row."""
+    return max(1, _TEXT_SLAB // width)
 
 
 def _held(a, what):
@@ -123,14 +132,15 @@ def _held(a, what):
 
 
 def _constant_slabs(prod, g):
-    """(lo, mu[lo:lo + _SLAB]) for every slab of rows of the constants mu[a,
-    b] = g(a) g(b) / g(prod[a, b]) in int64; OverflowError at the first slab
-    where one passes int64.  Every quotient is exact for the scalars of a
-    lift (fannsc_lift)."""
+    """(lo, mu[lo:lo + k]) for every slab of k = _rows(m) rows of the
+    constants mu[a, b] = g(a) g(b) / g(prod[a, b]) in int64; OverflowError
+    at the first slab where one passes int64.  Every quotient is exact for
+    the scalars of a lift (fannsc_lift)."""
     gmax = int(g.max())
     gd = g.astype(int_dtype(gmax * gmax))
-    for lo in range(0, len(prod), _SLAB):
-        mu = gd[lo:lo + _SLAB, None] * gd[None, :] // gd[prod[lo:lo + _SLAB]]
+    k = _rows(prod.shape[1])
+    for lo in range(0, len(prod), k):
+        mu = gd[lo:lo + k, None] * gd[None, :] // gd[prod[lo:lo + k]]
         yield lo, _held(mu, "lift constants")
 
 
@@ -141,7 +151,8 @@ def _class_tokens(g):
     mu = g(a) g(b) / g(p) reads tok[row[a] + col[b] + p], which is "p:mu "
     or, in the last column, "p:mu\n".  The quotients of the nG distinct
     scalars are formatted once from Python ints, and tok holds 2 nG^2 m <= 2
-    _SLAB m tokens, no more than two slabs of cells."""
+    _SLAB m tokens; row and col are in the narrow_dtype of len(tok), which
+    holds every offset and so every sum with a product index."""
     G, cls = np.unique(g, return_inverse=True)
     nG, m = len(G), len(g)
     if nG * nG > _SLAB:
@@ -154,18 +165,25 @@ def _class_tokens(g):
                     tails.reshape(nG * nG, nG)[:, cls].ravel())
     col = cls * m
     col[-1] += len(cells)
-    return cls * (nG * m), col, _terminated(cells)
+    dt = narrow_dtype(2 * len(cells))
+    return (cls * (nG * m)).astype(dt), col.astype(dt), _terminated(cells)
 
 
-# Exponent rows are keyed (exact.row_keys) as big-endian uint16: exponents
-# are below Q <= 2 * MAX_ORDER = 2048, and keys sort as the exponent tuples.
-_EXPONENT = ">u2"
-
-
-def _key_rows(keys, n):
-    """The exponent rows (int64, width n) of keys made by row_keys."""
-    return np.frombuffer(keys.tobytes(), dtype=_EXPONENT).reshape(
-        -1, n).astype(np.int64)
+def _exponent_keys(Q, n):
+    """(key, rows): one exact key per row of exponents in (Z/Q)^n, sorting
+    as the rows do, and the rows back from keys, in the narrow_dtype of 2Q,
+    which holds the sum of two exponents.  A key is one int64 in radix Q,
+    the first coordinate most significant, when Q^n < 2^63; for wider rows
+    it is exact.row_keys' void view of the row as big-endian uint16
+    (exponents are below Q <= 2 * MAX_ORDER = 2048)."""
+    dt = narrow_dtype(2 * Q)
+    if int(Q) ** n < 2 ** 63:
+        radix = int(Q) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        return (lambda rows: rows @ radix,
+                lambda keys: (keys[:, None] // radix % Q).astype(dt))
+    return (lambda rows: row_keys(rows, ">u2"),
+            lambda keys: np.frombuffer(keys.tobytes(), dtype=">u2").reshape(
+                -1, n).astype(dt))
 
 
 def _cayley(gens, Q, cap):
@@ -174,20 +192,25 @@ def _cayley(gens, Q, cap):
     exponent rows in the order (word length, exponent tuple); the size of
     each word-length level; for each element a of length >= 2 a parent and
     a generator with a = parent + gens[via] (at length 1, parent -1 and
-    a = gens[via]); the index of each generator; nbr[a, i] = index(a +
+    a = gens[via]); the index of each generator; nbr[i, a] = index(a +
     gens[i]), each sum looked up once (one not yet known is m plus its place
-    in the next level).  Raises once |H| > cap.  Candidates are made a slab
-    of generators at a time, at most about cap rows at once."""
+    in the next level).  Rows are keyed by _exponent_keys.  Raises once |H|
+    > cap.  Candidates are made a slab of generators at a time, at most
+    about cap rows at once."""
+    # exponents and their sums (below 2Q) in a narrow dtype, in C order so
+    # that each slab of candidates reshapes without a copy
+    gens = np.ascontiguousarray(gens, dtype=narrow_dtype(2 * Q))
     n = gens.shape[1]
-    keys, via, gen_index = np.unique(row_keys(gens, _EXPONENT),
-                                     return_index=True, return_inverse=True)
+    key, rows = _exponent_keys(Q, n)
+    keys, via, gen_index = np.unique(key(gens), return_index=True,
+                                     return_inverse=True)
     if len(keys) > cap:
         raise QuotientError("|H| exceeds cap (%d)" % cap)
     levels, parents, vias, nbrs = [keys], [np.full(len(keys), -1)], [via], []
     known, known_idx = keys, np.arange(len(keys))
     start, m = 0, len(keys)
     while True:
-        frontier = _key_rows(levels[-1], n)
+        frontier = rows(levels[-1])
         f = len(frontier)
         step = max(1, cap // f)
         new = keys[:0]
@@ -197,7 +220,7 @@ def _cayley(gens, Q, cap):
         missed = []
         for lo in range(0, len(gens), step):
             cand = (frontier[None] + gens[lo:lo + step, None]) % Q
-            ck = row_keys(cand.reshape(-1, n), _EXPONENT)
+            ck = key(cand.reshape(-1, n))
             hit = lookup(known, known_idx, ck)
             got[lo:lo + step] = hit.reshape(-1, f)
             miss = np.flatnonzero(hit < 0)
@@ -209,7 +232,7 @@ def _cayley(gens, Q, cap):
             if m + len(new) > cap:
                 raise QuotientError("|H| exceeds cap (%d)" % cap)
         got[got < 0] = m + np.searchsorted(new, np.concatenate(missed))
-        nbrs.append(got.T)
+        nbrs.append(got)
         if not len(new):
             break
         levels.append(new)
@@ -219,9 +242,9 @@ def _cayley(gens, Q, cap):
         known = np.insert(known, pos, new)
         known_idx = np.insert(known_idx, pos, np.arange(m, m + len(new)))
         start, m = m, m + len(new)
-    return (_key_rows(np.concatenate(levels), n), [len(k) for k in levels],
+    return (rows(np.concatenate(levels)), [len(k) for k in levels],
             np.concatenate(parents), np.concatenate(vias), gen_index,
-            np.concatenate(nbrs))
+            np.concatenate(nbrs, axis=1))
 
 
 class LiftPresentation:
@@ -237,12 +260,6 @@ class LiftPresentation:
         self.distances = distances
         self.group_order = group_order
 
-    def label_str(self, w):
-        exps = self.lifted.labels[w]
-        if self.group_order == 2:
-            return "".join("+-"[t] for t in exps)
-        return ".".join(str(t) for t in exps)
-
 
 def _semigroup(gens, mus, Q, cap):
     """The semigroup H generated by the rows of gens in (Z/Q)^n, with word
@@ -253,14 +270,22 @@ def _semigroup(gens, mus, Q, cap):
     m = len(elems)
     bounds = np.cumsum([0] + sizes)
 
-    # product table along the breadth-first parents: a = parent + v_via;
-    # every consumer promotes its entries to int64 before arithmetic
+    # product table along the breadth-first parents: a = parent + v_via, so
+    # prod[a, b] = nbr[via[a], prod[parent[a], b]], a slab of rows one take
+    # from the flat neighbour table; every consumer promotes its entries to
+    # int64 before arithmetic
     prod = np.empty((m, m), dtype=narrow_dtype(m - 1))
-    prod[:sizes[0]] = nbr[:, via[:sizes[0]]].T
+    nbr = nbr.astype(prod.dtype)
+    flat = nbr.ravel()
+    prod[:sizes[0]] = nbr[via[:sizes[0]]]
+    k = _rows(m)
+    idx = np.empty((k, m), dtype=np.intp)
     for a0, a1 in zip(bounds[1:-1], bounds[2:]):
-        for lo in range(a0, a1, _SLAB):
-            sl = slice(lo, min(lo + _SLAB, a1))
-            prod[sl] = nbr[prod[parent[sl]], via[sl, None]]
+        for lo in range(a0, a1, k):
+            hi = min(lo + k, a1)
+            at = idx[:hi - lo]
+            np.add(prod[parent[lo:hi]], (via[lo:hi] * m)[:, None], out=at)
+            flat.take(at, out=prod[lo:hi], mode="clip")
 
     # g(h) = gcd of word scalars: start from the breadth-first word and relax
     # to the fixpoint; every value stays below max(mu)^(depth + 1)
@@ -274,7 +299,7 @@ def _semigroup(gens, mus, Q, cap):
     while changed:
         changed = False
         for i in range(len(mus)):
-            t = nbr[:, i]
+            t = nbr[i]
             relaxed = np.gcd(g[t], g * mu_arr[i])
             if np.any(relaxed != g[t]):
                 g[t] = relaxed
@@ -368,49 +393,81 @@ def quotient_verify(L, R):
 
 def _monomial_rows(prod, g):
     """The rows "p:mu p:mu ...\n" of a monomial product table with constants
-    mu = g(a) g(b) / g(ab), one str per slab of rows, each one gather of
-    fixed-width tokens.  With class tokens mu is never formed; without, mu is
-    computed a slab at a time and each distinct (p, mu) cell of a slab is
-    formatted once."""
+    mu = g(a) g(b) / g(ab), as bytes, one piece per slab of _rows(m) rows,
+    each one gather of fixed-width tokens.  With class tokens mu is never
+    formed; without, mu is computed a slab at a time and each distinct (p,
+    mu) cell of a slab is formatted once."""
     classes = _class_tokens(g)
     if classes is not None:
         row, col, tok = classes
-        for lo in range(0, len(prod), _SLAB):
-            block = prod[lo:lo + _SLAB]
-            # int64 offsets plus the narrow product indices: int64
-            yield _slab_text(tok, row[lo:lo + len(block), None] + col + block)
+        k = _rows(prod.shape[1])
+        for lo in range(0, len(prod), k):
+            block = prod[lo:lo + k]
+            yield _slab_bytes(tok, row[lo:lo + len(block), None] + col + block)
         return
     m = prod.shape[1]
     heads = _ascii("%d:" % p for p in range(m))
     for lo, mu in _constant_slabs(prod, g):
-        block = prod[lo:lo + _SLAB]
+        block = prod[lo:lo + len(mu)]
         values, rank = np.unique(mu, return_inverse=True)
-        # one key per (p, mu) cell, below _SLAB * m^2
+        # one key per (p, mu) cell, below _rows(m) * m^2
         cells, at = np.unique(rank.reshape(block.shape) * m + block,
                               return_inverse=True)
         tails = _ascii(str(v) for v in values.tolist())
         at = at.reshape(block.shape)
         at[:, -1] += len(cells)
-        yield _slab_text(_terminated(_joined(heads[cells % m],
-                                             tails[cells // m])), at)
+        yield _slab_bytes(_terminated(_joined(heads[cells % m],
+                                              tails[cells // m])), at)
+
+
+def _ideal_lines(L):
+    """The lines "w<label> : e_1 ... e_n" of the basis elements outside the
+    distinguished set, as bytes a slab of about _TEXT_SLAB tokens at a time,
+    each one gather of fixed-width tokens: "w", the label's exponents ("+"
+    and "-" for Q = 2, else "t." with the last as "t : ") and the
+    coefficients of the decomposition, each distinct one formatted once."""
+    alg, E, Q = L.lifted, L.embedding, L.group_order
+    rest = np.ones(alg.m, dtype=bool)
+    rest[list(L.distinguished)] = False
+    rest = np.flatnonzero(rest)
+    if not len(rest):
+        return
+    n = E.shape[1]
+    if Q == 2:
+        digits, sep = ["+", "-"], ""
+    else:
+        digits, sep = [str(t) for t in range(Q)], "."
+    values, coef = np.unique(E[rest], return_inverse=True)
+    heads = ["w"] + [t + sep for t in digits] + [t + " : " for t in digits]
+    tok = np.concatenate([_ascii(heads),
+                          _terminated(_ascii(map(str, values.tolist())))])
+    # token columns: "w", n exponents, n coefficients; the last exponent and
+    # the last coefficient of a line read the second half of their tokens
+    labels = np.array(alg.labels, dtype=np.intp)
+    idx = np.empty((len(rest), 1 + 2 * n), dtype=np.intp)
+    idx[:, 0] = 0
+    idx[:, 1:n + 1] = 1 + labels[rest]
+    idx[:, n] += Q
+    idx[:, n + 1:] = 1 + 2 * Q + coef.reshape(len(rest), n)
+    idx[:, -1] += len(values)
+    k = _rows(1 + 2 * n)
+    for lo in range(0, len(rest), k):
+        yield _slab_bytes(tok, idx[lo:lo + k])
 
 
 def lift_lines(L):
-    """The text of a lift in pieces, each ending in a newline, produced as
-    they are formatted so that a writer never holds the whole text: the
-    lifted tensor in block format (no involution line, the lift carries
-    none), or, for lifts too large for dense text, the monomial product table
-    (index:scalar pairs, one slab of rows a piece); then the distinguished
-    preimages, and one ideal line per non-distinguished basis element giving
-    its decomposition over the target basis."""
+    """The text of a lift as bytes, in pieces each ending in a newline,
+    produced as they are formatted so that a writer never holds the whole
+    text: the lifted tensor in block format (no involution line, the lift
+    carries none), or, for lifts too large for dense text, the monomial
+    product table (index:scalar pairs, one slab of rows a piece); then the
+    distinguished preimages, and one ideal line per non-distinguished basis
+    element giving its decomposition over the target basis."""
     alg = L.lifted
     if alg.m <= _DENSE_LIMIT:
-        yield from ring_lines(alg.dense_tensor())
+        yield from (t.encode() for t in ring_lines(alg.dense_tensor()))
     else:
-        yield "zbrng-monomial 1\nn %d\n" % alg.m
+        yield b"zbrng-monomial 1\nn %d\n" % alg.m
         yield from _monomial_rows(alg.prod, L.scalars)
-    yield "distinguished " + " ".join(str(w) for w in L.distinguished) + "\n"
-    dset = set(L.distinguished)
-    rest = [w for w in range(alg.m) if w not in dset]
-    for w, row in zip(rest, L.embedding[rest].tolist()):
-        yield "w%s : %s\n" % (L.label_str(w), " ".join(map(str, row)))
+    yield ("distinguished %s\n" % " ".join(map(str, L.distinguished))).encode()
+    yield from _ideal_lines(L)

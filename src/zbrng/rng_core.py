@@ -417,10 +417,10 @@ def _terminated(cells):
     return tok
 
 
-def _slab_text(tok, idx):
-    """The text of the tokens tok[idx], padding stripped: the one gather
+def _slab_bytes(tok, idx):
+    """The bytes of the tokens tok[idx], padding stripped: the one gather
     behind the ring, s-matrix and lift writers."""
-    return tok.take(idx).tobytes().translate(None, b"\0").decode("ascii")
+    return tok.take(idx).tobytes().translate(None, b"\0")
 
 
 def grid_text(cells, ids):
@@ -429,7 +429,7 @@ def grid_text(cells, ids):
     a newline; each cell is formatted once however often it occurs."""
     idx = ids.astype(np.intp)
     idx[..., -1] += len(cells)
-    return _slab_text(_terminated(_ascii(cells)), idx)
+    return _slab_bytes(_terminated(_ascii(cells)), idx).decode("ascii")
 
 
 def ring_blocks(N):
@@ -458,7 +458,7 @@ def ring_blocks(N):
         idx[:, k:] = np.searchsorted(values, slab).reshape(len(slab), -1)
         del slab
         idx[:, k + n - 1::n] += len(values)
-        yield _slab_text(np.concatenate([tok, heads]), idx)
+        yield _slab_bytes(np.concatenate([tok, heads]), idx).decode("ascii")
 
 
 def ring_lines(N, tilde=None):

@@ -262,7 +262,7 @@ def test_lift_cap_outside_domain_exit2(cap, z3_file, capsys):
 
 def test_lift_output_pinned(z3_file, paley12_file, capsys):
     # lift reads no tolerance: exact s-matrices ignore it, Hadamard input
-    # splits exactly, and a numeric s-matrix is refused; the outputs are
+    # splits exactly, and a numeric s-matrix is bad input; the outputs are
     # pinned byte for byte (sha256 of stdout)
     for f, want in (
             (z3_file[0], "761b381a44f7b3037aec3ee01868670b"
@@ -273,7 +273,7 @@ def test_lift_output_pinned(z3_file, paley12_file, capsys):
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want
     assert run(capsys, "lift", str(z3_file[1])) == (
-        1, "", "failed: exact s-matrix required\n")
+        2, "", "input error: exact s-matrix required\n")
 
 
 def test_monomial_lift_file_named_exit2(paley12_file, tmp_path, capsys):
@@ -808,7 +808,7 @@ for argv in (["gen", "paley", "11", "-o", "p12.had"],
 # tokens, so each slab builds its own cells
 h = np.arange(256)
 g = 2 ** np.unpackbits(h.astype(np.uint8)[:, None], axis=1).sum(axis=1)
-assert "".join(_monomial_rows(h[:, None] ^ h, g))
+assert b"".join(_monomial_rows(h[:, None] ^ h, g)).decode()
 print("numpy.char" in sys.modules)
 """
 

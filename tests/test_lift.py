@@ -19,11 +19,12 @@ from zbrng.exact import CycArray, CycNum, narrow_dtype, power_table
 from zbrng.generators import gen_paley, group_ring_smatrix
 from zbrng.hadamard import ring_from_hadamard
 from zbrng.quotients import (LiftPresentation, PointedAlgebra, QuotientError,
-                             _class_tokens, _semigroup,
-                             fannsc_lift, lift_lines, quotient_verify)
+                             _cayley, _class_tokens, _exponent_keys, _rows,
+                             _semigroup, fannsc_lift, lift_lines,
+                             quotient_verify)
 from zbrng.rng_core import ring_from_tensor
 from zbrng.spectra import (SMatrix, root_columns, smatrix_from_tensor,
-                           unit_roots, verlinde_tensor)
+                           smatrix_to_text, unit_roots, verlinde_tensor)
 
 from cyc_oracle import equal, root_of_unity_factor, zeta
 from text_oracle import oracle_ring_blocks
@@ -166,6 +167,13 @@ def oracle_dense(alg):
     return N
 
 
+def oracle_label(L, w):
+    exps = L.lifted.labels[w]
+    if L.group_order == 2:
+        return "".join("+-"[t] for t in exps)
+    return ".".join(str(t) for t in exps)
+
+
 def oracle_text(L, dense_limit=128):
     alg = L.lifted
     if alg.m <= dense_limit:
@@ -181,7 +189,7 @@ def oracle_text(L, dense_limit=128):
     for w in range(alg.m):
         if w not in dset:
             lines.append("w%s : %s" % (
-                L.label_str(w),
+                oracle_label(L, w),
                 " ".join(str(int(x)) for x in L.embedding[w])))
     return "\n".join(lines) + "\n"
 
@@ -221,7 +229,7 @@ def assert_same_lift(s):
     assert got.lifted.mu.dtype == np.int64
     assert got.distinguished == want.distinguished
     assert got.group_order == want.group_order
-    text = "".join(lift_lines(got))
+    text = b"".join(lift_lines(got)).decode()
     assert first_difference(text, oracle_text(want)) is None
     if got.lifted.m <= 128:
         assert np.array_equal(got.lifted.dense_tensor(),
@@ -338,7 +346,7 @@ def test_lift_scalars_past_int64(c):
     assert L.scalars.tolist() == [c, c]
     assert L.lifted.mu.tolist() == [[c, c], [c, c]]
     assert L.lifted.prod.tolist() == [[0, 1], [1, 0]]
-    text = "".join(lift_lines(L))
+    text = b"".join(lift_lines(L)).decode()
     assert text == ("zbrng 1\nn 2\nN 0\n%d 0\n0 %d\nN 1\n0 %d\n%d 0\n"
                     "distinguished 0 1\n" % (c, c, c, c))
 
@@ -448,7 +456,7 @@ def test_lift_structure_exhaustive(q):
     assert L.lifted.m == {11: 1024, 23: 2048}[q]
     check_structure(L)
     if q == 11:
-        text = "".join(lift_lines(L))
+        text = b"".join(lift_lines(L)).decode()
         assert first_difference(text, oracle_text(L)) is None
         assert quotient_verify(L, R)
 
@@ -456,7 +464,7 @@ def test_lift_structure_exhaustive(q):
 def test_lift_paley24_runtime():
     s = smatrix_from_tensor(ring_from_hadamard(gen_paley(23)))
     t0 = time.perf_counter()
-    text = "".join(lift_lines(fannsc_lift(s)))
+    text = b"".join(lift_lines(fannsc_lift(s))).decode()
     elapsed = time.perf_counter() - t0
     assert text.startswith("zbrng-monomial 1\nn 2048\n")
     assert elapsed < 2.0, elapsed
@@ -549,7 +557,7 @@ def test_monomial_writer_on_both_sides_of_class_bound(scalar, n_scalars):
     L = xor_lift(scalar)
     assert len(set(L.scalars.tolist())) == n_scalars
     assert (_class_tokens(L.scalars) is None) == (n_scalars > 8)
-    text = "".join(lift_lines(L))
+    text = b"".join(lift_lines(L)).decode()
     assert first_difference(text, oracle_text(L)) is None
 
 
@@ -569,10 +577,114 @@ def test_monomial_writer_token_widths(step, cap, n_scalars):
     assert (_class_tokens(L.scalars) is None) == (n_scalars > 8)
     digits = {len(str(x)) for x in np.unique(L.lifted.mu).tolist()}
     assert min(digits) == 1 and max(digits) == 19
-    text = "".join(lift_lines(L))
+    text = b"".join(lift_lines(L)).decode()
     assert first_difference(text, oracle_text(L)) is None
 
 
 def test_dense_tensor_matches_loop():
     L = fannsc_lift(group_ring_smatrix([2, 3]))
     assert np.array_equal(L.lifted.dense_tensor(), oracle_dense(L.lifted))
+
+
+# ---------------------------------------------------------------------------
+# the breadth-first search on int64 keys and on void keys
+
+def oracle_cayley(gens, Q):
+    """_cayley's six results by a breadth-first search on tuples: each level
+    sorted, each new element's (parent, via) its first sum a + gens[i] in
+    order of i, then of a."""
+    gens = [tuple(r) for r in gens.tolist()]
+
+    def add(h, v):
+        return tuple((x + y) % Q for x, y in zip(h, v))
+
+    levels = [sorted(set(gens))]
+    index = {h: a for a, h in enumerate(levels[0])}
+    parent = [-1] * len(index)
+    via = [gens.index(h) for h in levels[0]]
+    while True:
+        start = len(index) - len(levels[-1])
+        found = {}
+        for i, v in enumerate(gens):
+            for a, h in enumerate(levels[-1]):
+                b = add(h, v)
+                if b not in index and b not in found:
+                    found[b] = (start + a, i)
+        if not found:
+            break
+        levels.append(sorted(found))
+        for b in levels[-1]:
+            index[b] = len(index)
+            parent.append(found[b][0])
+            via.append(found[b][1])
+    elems = [h for level in levels for h in level]
+    nbr = [[index[add(h, v)] for h in elems] for v in gens]
+    return ([list(h) for h in elems], [len(level) for level in levels],
+            parent, via, [index[h] for h in gens], nbr)
+
+
+def as_lists(result):
+    return tuple(x if isinstance(x, list) else np.asarray(x).tolist()
+                 for x in result)
+
+
+@st.composite
+def exponent_generators(draw):
+    """(gens, Q): up to 6 rows in (Z/Q0)^n with Q0^n <= 1024, scaled by c
+    into (Z/Q)^n, Q = c Q0 <= 2048, so that |H| <= 1024 at any Q."""
+    Q0 = draw(st.integers(2, 12))
+    n = draw(st.integers(1, max(k for k in range(1, 11) if Q0 ** k <= 1024)))
+    c = draw(st.integers(1, 2048 // Q0))
+    k = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, Q0 - 1), min_size=n,
+                                  max_size=n), min_size=k, max_size=k))
+    return c * np.array(rows, dtype=np.int64), c * Q0
+
+
+@settings(max_examples=60, deadline=None)
+@given(exponent_generators())
+def test_cayley_int64_and_void_keys_match_oracle(case):
+    gens, Q = case
+    k, n = gens.shape
+    # zero columns up to Q^width >= 2^63 force the void keys and leave the
+    # search as it is: the same sums, the same order of the tuples
+    pad = next(w for w in range(64) if Q ** (n + w) >= 2 ** 63)
+    wide = np.hstack([gens, np.zeros((k, pad), dtype=np.int64)])
+    assert (_exponent_keys(Q, n)[0](gens).dtype == np.int64) == (
+        Q ** n < 2 ** 63)
+    assert _exponent_keys(Q, n + pad)[0](wide).dtype.kind == "V"
+    narrow, void = _cayley(gens, Q, 4096), _cayley(wide, Q, 4096)
+    assert not void[0][:, n:].any()
+    void = (void[0][:, :n],) + void[1:]
+    want = oracle_cayley(gens, Q)
+    assert as_lists(narrow) == want
+    assert as_lists(void) == want
+
+
+# ---------------------------------------------------------------------------
+# the lift's bytes, from -o and from stdout, where m is not a multiple of
+# the writer's slab height
+
+def negated(s):
+    return SMatrix.exact([[-x for x in row] for row in s.rows])
+
+
+@pytest.mark.parametrize("s, ideal", [
+    # Z/12 x Z/6 with every column negated: m = 2n = 144, 72 ideal lines
+    (negated(group_ring_smatrix([12, 6])), True),
+    # Z/12 x Z/12: m = n = 144, a group lift with no ideal lines
+    (group_ring_smatrix([12, 12]), False),
+])
+def test_lift_bytes_match_oracle(s, ideal, tmp_path, capsys):
+    L = fannsc_lift(s)
+    m = L.lifted.m
+    assert m > 128 and m % _rows(m) and (m > s.n) == ideal
+    want = oracle_text(L)
+    assert (" : " in want) == ideal
+    f, out = tmp_path / "s.smat", tmp_path / "s.lift"
+    f.write_text(smatrix_to_text(s))
+    assert main(["lift", str(f), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == "wrote %s\n" % out
+    assert out.read_bytes() == want.encode()
+    assert main(["lift", str(f)]) == 0
+    assert capsys.readouterr().out == want

@@ -178,7 +178,7 @@ def test_quotient_verify_rejects_tampering():
 
 def test_lift_text_small():
     s = group_ring_smatrix([2, 3])
-    text = "".join(lift_lines(fannsc_lift(s)))
+    text = b"".join(lift_lines(fannsc_lift(s))).decode()
     lines = text.splitlines()
     assert lines[0] == "zbrng 1" and lines[1] == "n 6"
     assert any(ln.startswith("distinguished") for ln in lines)
@@ -186,7 +186,7 @@ def test_lift_text_small():
 
 def test_lift_text_monomial(paley12_ring):
     L = fannsc_lift(smatrix_from_tensor(paley12_ring))
-    text = "".join(lift_lines(L))
+    text = b"".join(lift_lines(L)).decode()
     lines = text.splitlines()
     assert lines[0] == "zbrng-monomial 1" and lines[1] == "n 1024"
     ideal = [ln for ln in lines if ln.startswith("w")]

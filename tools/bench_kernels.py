@@ -101,9 +101,9 @@ to the next, on inputs that the "after" checkout generates before the
 first row that reads them: the Sylvester 64, 128 and 256 matrices, the
 rings of the last two (`had ring -o`), the Z/6 and (Z/4)^4 rings (`gen
 group`, then `verlinde`), the (Z/2)^9 and Z/7 x Z/9 tables (`gen group`)
-and the Paley 12 s-matrix.  Each gives two rows: the median wall time of
-the process and the median of its peak RSS (`ru_maxrss` from `os.wait4`),
-in MB:
+and the Paley 12 and Paley 24 s-matrices.  Each gives two rows: the median
+wall time of the process and the median of its peak RSS (`ru_maxrss` from
+`os.wait4`), in MB:
 
     had ring -o sylvester64, sylvester256
     had ring --check-parity sylvester64, sylvester256
@@ -122,8 +122,13 @@ in MB:
                                   a file (n = 512; 3 repeats)
     verlinde -o z7xz9             verlinde of the Z/7 x Z/9 table, written
                                   to a file (n = 63, q = 63)
-    lift paley12                  lift of the Paley 12 s-matrix file (`had
-                                  ring`, then `smatrix`), written to a file
+    lift paley12, paley24         lift of the Paley 12 and Paley 24
+                                  s-matrix files (`had ring`, then
+                                  `smatrix`), written to a file (m = 1024,
+                                  2048)
+    lift -o z2^9                  lift of the (Z/2)^9 table, written to a
+                                  file (n = m = 512: rows too wide for
+                                  int64 keys; 3 repeats)
 
 The JSON written holds the machine description, both checkouts (commit, and
 whether `src/` has uncommitted changes) and one record per row with both
@@ -414,7 +419,10 @@ INPUTS = {"s64.had": ["gen", "sylvester", "6", "-o", "s64.had"],
           "g63.smat": ["gen", "group", "7", "9", "-o", "g63.smat"],
           "p12.had": ["gen", "paley", "11", "-o", "p12.had"],
           "p12.zbrng": ["had", "ring", "p12.had", "-o", "p12.zbrng"],
-          "p12.smat": ["smatrix", "p12.zbrng", "-o", "p12.smat"]}
+          "p12.smat": ["smatrix", "p12.zbrng", "-o", "p12.smat"],
+          "p24.had": ["gen", "paley", "23", "-o", "p24.had"],
+          "p24.zbrng": ["had", "ring", "p24.had", "-o", "p24.zbrng"],
+          "p24.smat": ["smatrix", "p24.zbrng", "-o", "p24.smat"]}
 # one-shot rows, run in a directory holding the INPUTS they read:
 # row name: (argv, repeats)
 ONESHOT = {
@@ -437,6 +445,8 @@ ONESHOT = {
     "verlinde -o z2^9": (["verlinde", "g512.smat", "-o", "r"], 3),
     "verlinde -o z7xz9": (["verlinde", "g63.smat", "-o", "r"], 9),
     "lift paley12": (["lift", "p12.smat", "-o", "r"], 15),
+    "lift paley24": (["lift", "p24.smat", "-o", "r"], 9),
+    "lift -o z2^9": (["lift", "g512.smat", "-o", "r"], 3),
 }
 
 
